@@ -83,7 +83,9 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _load_dynamic_models(dyn_dir: Path, cfg: Config) -> dict[str, StateMachine]:
+def _load_dynamic_models(
+    dyn_dir: Path, cfg: Config, learner_cfg: LearnerConfig
+) -> dict[str, StateMachine]:
     """Per-scope machines: explicit .dot files plus learned ones from the log."""
     if not dyn_dir.is_dir():
         raise InputError(f"dynamic models path is not a directory: {dyn_dir}")
@@ -96,7 +98,6 @@ def _load_dynamic_models(dyn_dir: Path, cfg: Config) -> dict[str, StateMachine]:
     if log_file.is_file():
         events = parse_event_log(log_file.read_text("utf-8"))
         traces_by_scope = extract_traces(events, cfg.session_gap_ms, scope=cfg.trace_scope)
-        learner_cfg = LearnerConfig(alpha=cfg.alpha, min_freq=cfg.min_freq)
         for scope, traces in traces_by_scope.items():
             if scope not in machines and traces:
                 machines[scope] = learn(traces, learner_cfg, name=scope)
@@ -129,6 +130,11 @@ def _run_scenario(spec_path: Path, out_dir: Path) -> int:
 
 
 def _run_analysis(args, cfg: Config) -> int:
+    try:
+        learner_cfg = LearnerConfig(alpha=cfg.alpha, min_freq=cfg.min_freq)
+    except ValueError as exc:
+        raise InputError(f"bad learner configuration: {exc}") from exc
+
     print("Processing static model...")
     static_path = Path(args.static_model_path)
     if not static_path.is_file():
@@ -136,7 +142,7 @@ def _run_analysis(args, cfg: Config) -> int:
     model = parse_static_model(static_path.read_text("utf-8"))
 
     print("Processing dynamic model...")
-    machines = _load_dynamic_models(Path(args.dynamic_models_path), cfg)
+    machines = _load_dynamic_models(Path(args.dynamic_models_path), cfg, learner_cfg)
 
     static_view = detector.extract_static_view(model, include_externals=cfg.include_externals)
     dynamic_view = detector.extract_dynamic_view(list(machines.values()))
@@ -182,10 +188,7 @@ def _run_analysis(args, cfg: Config) -> int:
             )
             if len(traces) >= 2:
                 k = min(10, len(traces))
-                metrics = evaluator.evaluate(
-                    traces, LearnerConfig(alpha=cfg.alpha, min_freq=cfg.min_freq),
-                    k=k, rng_seed=0,
-                )
+                metrics = evaluator.evaluate(traces, learner_cfg, k=k, rng_seed=0)
                 _atomic_write(out_dir / "evaluation.txt", metrics.to_table())
                 _atomic_write(out_dir / "evaluation.json", metrics.to_json())
                 print(metrics.to_table(), end="")

@@ -112,7 +112,8 @@ def evaluate(
     recalls, specs, nodes, edges = [], [], [], []
     for fold_no, test_idx in enumerate(folds):
         test = [traces[i] for i in test_idx]
-        train = [traces[i] for i in range(len(traces)) if i not in set(test_idx)]
+        test_set = set(test_idx)
+        train = [t for i, t in enumerate(traces) if i not in test_set]
         model = model_fn(train)
         exclude = {t.symbols for t in train}
 

@@ -86,7 +86,8 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
             if field_name not in obj:
                 raise MissingEventField(line_no, field_name)
         ts = obj["ts"]
-        if not isinstance(ts, int) or ts < 0:
+        # type() and not isinstance(): JSON true/false load as bool, an int subclass
+        if type(ts) is not int or ts < 0:
             raise MalformedLine(line_no, "ts must be a non-negative integer")
         method = str(obj["method"]).upper()
         if method not in HTTP_METHODS:
@@ -95,7 +96,7 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
         if not path.startswith("/"):
             raise MalformedLine(line_no, "path must begin with '/'")
         status = obj.get("status")
-        if status is not None and not isinstance(status, int):
+        if status is not None and type(status) is not int:
             raise MalformedLine(line_no, "status must be an integer")
         events.append(
             HttpEvent(

@@ -15,11 +15,23 @@ every leaf would be vacuously mergeable with everything.
 
 Merging is deterministic: blue states are considered in breadth-first id
 order and fold into the lowest-id compatible red state.
+
+Each merge step does work bounded by the states it touches, not by the
+size of the automaton. Every non-red state is a node of a prefix subtree
+hanging off the red core, so it has exactly one parent edge; the loop
+keeps that edge per state, and redirecting a merged blue state rewrites
+only it. Each state's total frequency is cached and grows by the folded
+state's total. The blue fringe is a min-heap fed when a state turns red
+and when a fold moves a subtree under a red state; stale entries are
+dropped when popped. The merge order, and so the learned machine, is the
+same as rebuilding the fringe from scratch on every step.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -62,9 +74,6 @@ class _Fsm:
         self.trans[sid] = {}
         self.end[sid] = 0
         return sid
-
-    def total(self, state: int) -> int:
-        return sum(f for _t, f in self.trans[state].values()) + self.end[state]
 
     def insert(self, symbols: Iterable[str]) -> None:
         state = 0
@@ -122,52 +131,113 @@ def build_pta(traces: Sequence[Trace | Sequence[str]], name: str | None = None) 
     return _build_pta(traces).to_state_machine(name=name)
 
 
-def _compatible(fsm: _Fsm, red: int, blue: int, cfg: LearnerConfig) -> bool:
-    coeff = math.sqrt(0.5 * math.log(2.0 / cfg.alpha))
-    seen: set[tuple[int, int]] = set()
-    stack = [(red, blue)]
-    while stack:
-        a, b = stack.pop()
-        if (a, b) in seen or a == b:
-            continue
-        seen.add((a, b))
-        n1, n2 = fsm.total(a), fsm.total(b)
-        if n1 < cfg.min_freq or n2 < cfg.min_freq:
-            continue
-        if n1 == 0 or n2 == 0:
-            continue
-        bound = coeff * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
-        row_a, row_b = fsm.trans[a], fsm.trans[b]
-        for sym in set(row_a) | set(row_b):
-            f1 = row_a.get(sym, (0, 0))[1]
-            f2 = row_b.get(sym, (0, 0))[1]
-            if abs(f1 / n1 - f2 / n2) >= bound:
+class _RedBlue:
+    """Red-blue merge loop over a prefix tree, with incremental bookkeeping.
+
+    ``parent`` maps every non-red state to its one incoming edge
+    ``(state, symbol)``; a state is blue when that parent is red.
+    ``total`` caches each state's outgoing plus terminating frequency.
+    ``fringe`` holds every blue state, possibly alongside stale ids.
+    """
+
+    def __init__(self, fsm: _Fsm, cfg: LearnerConfig):
+        self.fsm = fsm
+        self.min_freq = cfg.min_freq
+        self.coeff = math.sqrt(0.5 * math.log(2.0 / cfg.alpha))
+        self.total = {
+            s: sum(f for _t, f in row.values()) + fsm.end[s] for s, row in fsm.trans.items()
+        }
+        self.parent = {
+            t: (s, sym) for s, row in fsm.trans.items() for sym, (t, _f) in row.items()
+        }
+        self.red: set[int] = set()
+        self.red_order: list[int] = []  # ascending: merge candidates in id order
+        self.fringe: list[int] = []
+        self._promote(0)
+
+    def _promote(self, state: int) -> None:
+        self.red.add(state)
+        insort(self.red_order, state)
+        self.parent.pop(state, None)
+        for t, _f in self.fsm.trans[state].values():
+            heapq.heappush(self.fringe, t)
+
+    def _next_blue(self) -> int | None:
+        """Pop the lowest-id blue state, skipping merged, red or moved ids."""
+        while self.fringe:
+            q = heapq.heappop(self.fringe)
+            edge = self.parent.get(q)
+            if edge is not None and edge[0] in self.red:
+                return q
+        return None
+
+    def _compatible(self, red: int, blue: int) -> bool:
+        trans, end, total = self.fsm.trans, self.fsm.end, self.total
+        min_freq, coeff = self.min_freq, self.coeff
+        seen: set[tuple[int, int]] = set()
+        stack = [(red, blue)]
+        while stack:
+            pair = stack.pop()
+            a, b = pair
+            if a == b or pair in seen:
+                continue
+            seen.add(pair)
+            n1, n2 = total[a], total[b]
+            if n1 < min_freq or n2 < min_freq or n1 == 0 or n2 == 0:
+                continue
+            bound = coeff * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
+            if abs(end[a] / n1 - end[b] / n2) >= bound:
                 return False
-        if abs(fsm.end[a] / n1 - fsm.end[b] / n2) >= bound:
-            return False
-        for sym in set(row_a) & set(row_b):
-            stack.append((row_a[sym][0], row_b[sym][0]))
-    return True
+            # a symbol missing from one row has frequency 0 there
+            row_a, row_b = trans[a], trans[b]
+            for sym, (ta, f1) in row_a.items():
+                tb_f2 = row_b.get(sym)
+                if tb_f2 is None:
+                    if f1 / n1 >= bound:
+                        return False
+                else:
+                    if abs(f1 / n1 - tb_f2[1] / n2) >= bound:
+                        return False
+                    stack.append((ta, tb_f2[0]))
+            for sym, (_tb, f2) in row_b.items():
+                if sym not in row_a and f2 / n2 >= bound:
+                    return False
+        return True
 
+    def _merge(self, red: int, blue: int) -> None:
+        """Redirect blue's parent edge to red, then fold blue's subtree in."""
+        trans, end, total, parent = self.fsm.trans, self.fsm.end, self.total, self.parent
+        src, sym = parent.pop(blue)
+        trans[src][sym] = (red, trans[src][sym][1])
+        stack = [(red, blue)]
+        while stack:
+            a, b = stack.pop()
+            end[a] += end.pop(b, 0)
+            total[a] += total.pop(b, 0)
+            parent.pop(b, None)
+            row_a = trans[a]
+            a_red = a in self.red
+            for sym, (t, f) in trans.pop(b, {}).items():
+                if sym in row_a:
+                    t2, f2 = row_a[sym]
+                    row_a[sym] = (t2, f2 + f)
+                    if t2 != t:
+                        stack.append((t2, t))
+                else:
+                    row_a[sym] = (t, f)
+                    parent[t] = (a, sym)
+                    if a_red:
+                        heapq.heappush(self.fringe, t)
 
-def _merge(fsm: _Fsm, red: int, blue: int) -> None:
-    # Redirect every transition pointing at blue, then fold blue's subtree.
-    for row in fsm.trans.values():
-        for sym, (t, f) in list(row.items()):
-            if t == blue:
-                row[sym] = (red, f)
-    stack = [(red, blue)]
-    while stack:
-        a, b = stack.pop()
-        fsm.end[a] += fsm.end.pop(b, 0)
-        for sym, (t, f) in fsm.trans.pop(b, {}).items():
-            if sym in fsm.trans[a]:
-                t2, f2 = fsm.trans[a][sym]
-                fsm.trans[a][sym] = (t2, f2 + f)
-                if t2 != t:
-                    stack.append((t2, t))
+    def run(self) -> _Fsm:
+        while (q := self._next_blue()) is not None:
+            for r in self.red_order:
+                if self._compatible(r, q):
+                    self._merge(r, q)
+                    break
             else:
-                fsm.trans[a][sym] = (t, f)
+                self._promote(q)
+        return self.fsm
 
 
 def learn(
@@ -176,20 +246,4 @@ def learn(
     name: str | None = None,
 ) -> StateMachine:
     """Learn a deterministic machine from traces by red-blue state merging."""
-    fsm = _build_pta(traces)
-    red: list[int] = [0]
-    while True:
-        blue = sorted(
-            {t for r in red for t, _f in fsm.trans[r].values() if t not in red}
-        )
-        if not blue:
-            break
-        q = blue[0]
-        for r in red:
-            if _compatible(fsm, r, q, cfg):
-                _merge(fsm, r, q)
-                break
-        else:
-            red.append(q)
-            red.sort()
-    return fsm.to_state_machine(name=name)
+    return _RedBlue(_build_pta(traces), cfg).run().to_state_machine(name=name)

@@ -158,6 +158,17 @@ class TestConfigFile:
         cfg.write_text("alpha = banana\n", "utf-8")
         assert invoke(static_path, dyn_dir, out_dir, "--config", str(cfg)) == 2
 
+    def test_negative_min_freq_rejected(self, clean_inputs, tmp_path, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("min_freq = -1\n", "utf-8")
+        code = invoke(static_path, dyn_dir, out_dir, "--config", str(cfg), "--evaluate")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "min_freq" in err
+        assert not out_dir.exists()
+
 
 class TestScenarioMode:
     def test_generates_inputs_then_analyzes(self, tmp_path, capsys):

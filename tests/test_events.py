@@ -55,6 +55,17 @@ class TestParseEventLog:
         assert ev.src == "order-service"
         assert ev.dst == "b"
 
+    @pytest.mark.parametrize("ts", [True, False])
+    def test_boolean_ts_rejected(self, ts):
+        text = json.dumps({"ts": ts, "src": "a", "dst": "b", "method": "GET", "path": "/x"})
+        with pytest.raises(MalformedLine, match="ts must be"):
+            parse_event_log(text)
+
+    @pytest.mark.parametrize("status", [True, False])
+    def test_boolean_status_rejected(self, status):
+        with pytest.raises(MalformedLine, match="status must be"):
+            parse_event_log(line(1, status=status))
+
     def test_bad_method(self):
         with pytest.raises(MalformedLine):
             parse_event_log(line(1, method="FROB"))

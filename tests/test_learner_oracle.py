@@ -1,0 +1,102 @@
+"""The bounded-work red-blue loop learns exactly what the original loop did.
+
+``_reference_learner`` keeps the original merge loop verbatim. Every case
+here compares the two learners' ``serialize_state_machine`` text.
+"""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _reference_learner as reference
+from msaconform.automaton import serialize_state_machine
+from msaconform.events import extract_traces, format_symbol, parse_event_log, template_path
+from msaconform.learner import LearnerConfig, build_pta, learn
+from msaconform.scenario import ScenarioSpec, generate
+
+ALPHAS = (0.001, 0.05, 0.5, 1.0)
+MIN_FREQS = (0, 2, 10)
+
+
+def assert_same_machine(traces, cfg):
+    got = serialize_state_machine(learn(traces, cfg))
+    want = serialize_state_machine(reference.learn(traces, cfg))
+    assert got == want
+
+
+trace_sets = st.lists(
+    st.lists(st.sampled_from("abcd"), min_size=0, max_size=8), min_size=1, max_size=40
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    traces=trace_sets,
+    alpha=st.sampled_from(ALPHAS),
+    min_freq=st.sampled_from(MIN_FREQS),
+)
+def test_random_trace_sets(traces, alpha, min_freq):
+    assert_same_machine(traces, LearnerConfig(alpha=alpha, min_freq=min_freq))
+
+
+def acceptance_specs():
+    """The scenario specs the acceptance suite runs, in its own order."""
+    rng = random.Random(1001)  # criterion 1 draws its 20 specs from this stream
+    for i in range(20):
+        n = 3 + (i * 17) % 18
+        max_edges = n * (n - 1)
+        n_edges = min(max_edges - 2, n - 1 + rng.randint(0, n))
+        yield ScenarioSpec(
+            n_services=n,
+            n_edges=n_edges,
+            n_injected_static_nc=rng.randint(0, min(2, n_edges)),
+            n_injected_dynamic_nc=rng.randint(0, min(2, max_edges - n_edges)),
+            n_events=3 * n_edges + rng.randint(0, 300),
+            rng_seed=1000 + i,
+        )
+    yield ScenarioSpec(n_services=8, n_edges=14, n_events=7000, rng_seed=42)
+    yield ScenarioSpec(n_services=20, n_edges=40, n_injected_static_nc=3,
+                       n_injected_dynamic_nc=3, n_events=5000, rng_seed=4)
+    yield ScenarioSpec(n_services=5, n_edges=6, n_injected_static_nc=2,
+                       n_injected_dynamic_nc=1, n_events=200, rng_seed=7)
+    yield ScenarioSpec(n_services=4, n_edges=5, n_events=100, rng_seed=3)
+
+
+def test_acceptance_scenario_scopes():
+    for spec in acceptance_specs():
+        _model, log, _truth = generate(spec)
+        scopes = extract_traces(parse_event_log(log), 1000, scope="both")
+        for traces in scopes.values():
+            for cfg in (LearnerConfig(), LearnerConfig(alpha=1e-10), LearnerConfig(alpha=1.0)):
+                assert_same_machine(traces, cfg)
+
+
+def random_walk_traces(n_walks: int, seed: int) -> list[list[str]]:
+    """Seeded walks of 2 to 10 calls over a scenario's observed call graph."""
+    _model, log, _truth = generate(ScenarioSpec(n_services=30, n_edges=80, n_events=240,
+                                                rng_seed=1))
+    calls = {}
+    for ev in parse_event_log(log):
+        calls.setdefault((ev.src, ev.dst),
+                         format_symbol(ev.src, ev.dst, ev.method, template_path(ev.path)))
+    out_edges = {}
+    for src, dst in sorted(calls):
+        out_edges.setdefault(src, []).append((src, dst))
+    edges = sorted(calls)
+    rng = random.Random(seed)
+    walks = []
+    for i in range(n_walks):
+        walk = [edges[i % len(edges)]]
+        length = rng.randint(2, 10)
+        while len(walk) < length and walk[-1][1] in out_edges:
+            walk.append(rng.choice(out_edges[walk[-1][1]]))
+        walks.append([calls[e] for e in walk])
+    return walks
+
+
+def test_random_walks_large_pta():
+    traces = random_walk_traces(1_000, seed=7)
+    assert len(build_pta(traces).states) > 2_000
+    for cfg in (LearnerConfig(), LearnerConfig(alpha=0.5, min_freq=2)):
+        assert_same_machine(traces, cfg)

@@ -17,19 +17,15 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from .errors import MalformedDot, NondeterministicTransition, UnreachableState
-
-# (source state, symbol) -> (target state, frequency)
-TransitionMap = Mapping[tuple[int, str], tuple[int, int]]
-
 
 @dataclass(frozen=True)
 class StateMachine:
     states: frozenset[int]
     initial: int
-    transitions: dict[tuple[int, str], tuple[int, int]]
+    transitions: dict[tuple[int, str], tuple[int, int]]  # (state, symbol) -> (target, frequency)
     name: str | None = None
 
     def __post_init__(self):
@@ -40,14 +36,14 @@ class StateMachine:
                 raise UnreachableState(dst if dst not in self.states else src)
             if freq < 1:
                 raise ValueError(f"transition frequency must be positive, got {freq}")
-        for state in self.states - _reachable(self.initial, self.transitions):
+        for state in self.states - reachable_states(self.initial, self.transitions):
             raise UnreachableState(state)
 
-    def successors(self, state: int) -> dict[str, tuple[int, int]]:
-        return {sym: tgt for (src, sym), tgt in self.transitions.items() if src == state}
 
-
-def _reachable(initial: int, transitions: TransitionMap) -> set[int]:
+def reachable_states(
+    initial: int, transitions: dict[tuple[int, str], tuple[int, int]]
+) -> set[int]:
+    """States reachable from ``initial`` over ``transitions``, ``initial`` included."""
     adj: dict[int, list[int]] = {}
     for (src, _sym), (dst, _f) in transitions.items():
         adj.setdefault(src, []).append(dst)

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import detector, evaluator, interpret, report
 from .automaton import StateMachine, parse_state_machine
 from .errors import ConformanceError, InputError
-from .events import GLOBAL_SCOPE, extract_traces, parse_event_log
+from .events import GLOBAL_SCOPE, Trace, extract_traces, parse_event_log
 from .learner import LearnerConfig, learn
 from .scenario import ScenarioSpec, generate
 from .static_model import parse_static_model, serialize_static_model
@@ -66,7 +66,8 @@ def _parse_config_file(path: Path) -> Config:
                 setattr(cfg, key, value)
         except ValueError as exc:
             raise InputError(f"{path}:{line_no}: bad value for {key!r}: {value!r}") from exc
-    if cfg.session_gap_ms <= 0 or not (0 < cfg.alpha <= 1) or cfg.top_n_calls < 1:
+    # alpha and min_freq are checked by the LearnerConfig built from them
+    if cfg.session_gap_ms <= 0 or cfg.top_n_calls < 1:
         raise InputError(f"{path}: configuration values out of range")
     return cfg
 
@@ -84,9 +85,9 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _load_dynamic_models(
-    dyn_dir: Path, cfg: Config, learner_cfg: LearnerConfig
-) -> dict[str, StateMachine]:
-    """Per-scope machines: explicit .dot files plus learned ones from the log."""
+    dyn_dir: Path, cfg: Config, learner_cfg: LearnerConfig, evaluate: bool
+) -> tuple[dict[str, StateMachine], list[Trace]]:
+    """Per-scope machines (.dot files, else learned) and the log's global traces."""
     if not dyn_dir.is_dir():
         raise InputError(f"dynamic models path is not a directory: {dyn_dir}")
     machines: dict[str, StateMachine] = {}
@@ -94,16 +95,33 @@ def _load_dynamic_models(
         machines[dot_file.stem] = parse_state_machine(
             dot_file.read_text("utf-8"), name=dot_file.stem
         )
+    global_traces: list[Trace] = []
     log_file = dyn_dir / "events.jsonl"
     if log_file.is_file():
         events = parse_event_log(log_file.read_text("utf-8"))
-        traces_by_scope = extract_traces(events, cfg.session_gap_ms, scope=cfg.trace_scope)
+        per_service_only = cfg.trace_scope == "per_service"
+        sweep = "both" if evaluate and per_service_only else cfg.trace_scope
+        traces_by_scope = extract_traces(events, cfg.session_gap_ms, scope=sweep)
+        global_traces = traces_by_scope.get(GLOBAL_SCOPE, [])
+        if per_service_only:
+            traces_by_scope.pop(GLOBAL_SCOPE, None)  # swept for --evaluate, not learned
         for scope, traces in traces_by_scope.items():
             if scope not in machines and traces:
                 machines[scope] = learn(traces, learner_cfg, name=scope)
     if not machines:
         raise InputError(f"no dynamic models found in {dyn_dir} (*.dot or events.jsonl)")
-    return machines
+    return machines, global_traces
+
+
+def _detail_machines(machines: dict[str, StateMachine]) -> dict[tuple[str, ...], StateMachine]:
+    """Per edge ``(src, dst)`` and service ``(name,)``, the machine whose details a static
+    finding on it shows: global if it has the subject, else the lowest-named that does."""
+    chosen: dict[tuple[str, ...], StateMachine] = {}
+    for scope in sorted(machines, key=lambda name: (name != GLOBAL_SCOPE, name)):
+        view = detector.extract_dynamic_view([machines[scope]])
+        for subject in [*view.edges, *((name,) for name in view.nodes)]:
+            chosen.setdefault(subject, machines[scope])
+    return chosen
 
 
 def _summary_line(n_static: int, n_dynamic: int) -> str:
@@ -142,7 +160,9 @@ def _run_analysis(args, cfg: Config) -> int:
     model = parse_static_model(static_path.read_text("utf-8"))
 
     print("Processing dynamic model...")
-    machines = _load_dynamic_models(Path(args.dynamic_models_path), cfg, learner_cfg)
+    machines, global_traces = _load_dynamic_models(
+        Path(args.dynamic_models_path), cfg, learner_cfg, args.evaluate
+    )
 
     static_view = detector.extract_static_view(model, include_externals=cfg.include_externals)
     dynamic_view = detector.extract_dynamic_view(list(machines.values()))
@@ -158,12 +178,12 @@ def _run_analysis(args, cfg: Config) -> int:
     interps_by_kind = {
         kind: interpret.interpretations_for(kind) for kind in detector.NcKind
     }
-    detail_machine = machines.get(GLOBAL_SCOPE) or next(iter(machines.values()))
+    detail_machines = _detail_machines(machines)
     details_by_id = {}
     for nc in ncs:
         if nc.kind is detector.NcKind.Static:
             details_by_id[nc.id] = interpret.static_nc_details(
-                detail_machine, nc, top_n=cfg.top_n_calls
+                detail_machines.get(nc.names), nc, top_n=cfg.top_n_calls
             )
         else:
             details_by_id[nc.id] = interpret.dynamic_nc_details(model, nc)
@@ -179,19 +199,12 @@ def _run_analysis(args, cfg: Config) -> int:
     for nc_id, html_text in sorted(bundle.nc_pages.items()):
         _atomic_write(out_dir / report.page_filename(nc_id), html_text)
 
-    if args.evaluate:
-        log_file = Path(args.dynamic_models_path) / "events.jsonl"
-        if log_file.is_file():
-            events = parse_event_log(log_file.read_text("utf-8"))
-            traces = extract_traces(events, cfg.session_gap_ms, scope="global").get(
-                GLOBAL_SCOPE, []
-            )
-            if len(traces) >= 2:
-                k = min(10, len(traces))
-                metrics = evaluator.evaluate(traces, learner_cfg, k=k, rng_seed=0)
-                _atomic_write(out_dir / "evaluation.txt", metrics.to_table())
-                _atomic_write(out_dir / "evaluation.json", metrics.to_json())
-                print(metrics.to_table(), end="")
+    if args.evaluate and len(global_traces) >= 2:
+        k = min(10, len(global_traces))
+        metrics = evaluator.evaluate(global_traces, learner_cfg, k=k, rng_seed=0)
+        _atomic_write(out_dir / "evaluation.txt", metrics.to_table())
+        _atomic_write(out_dir / "evaluation.json", metrics.to_json())
+        print(metrics.to_table(), end="")
 
     if args.fail_on_nc and ncs:
         return 3

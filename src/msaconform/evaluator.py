@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .automaton import StateMachine, accepts
@@ -29,16 +29,7 @@ class EvalMetrics:
     balanced_accuracy: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "avg_nodes": self.avg_nodes,
-                "avg_edges": self.avg_edges,
-                "recall": self.recall,
-                "specificity": self.specificity,
-                "balanced_accuracy": self.balanced_accuracy,
-            },
-            indent=2,
-        ) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
     def to_table(self) -> str:
         header = f"{'avg_nodes':>12} {'avg_edges':>12} {'recall':>8} {'specificity':>12} {'balanced_accuracy':>18}"

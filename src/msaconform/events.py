@@ -25,6 +25,8 @@ _UUID_RE = re.compile(
 )
 
 ARROW = "→"
+# scope key of the trace set over all events; no service may take this name
+GLOBAL_SCOPE = "global"
 
 
 @dataclass(frozen=True)
@@ -73,6 +75,7 @@ def template_path(path: str) -> str:
 def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
     """Parse a JSON Lines event log; blank lines are skipped."""
     events: list[HttpEvent] = []
+    names: dict[str, str] = {}  # raw service name -> normalized, per distinct name
     for line_no, line in enumerate(jsonl_text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -98,11 +101,16 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
         status = obj.get("status")
         if status is not None and type(status) is not int:
             raise MalformedLine(line_no, "status must be an integer")
+        raw_src, raw_dst = str(obj["src"]), str(obj["dst"])
+        src = names.get(raw_src) or names.setdefault(raw_src, normalize_name(raw_src))
+        dst = names.get(raw_dst) or names.setdefault(raw_dst, normalize_name(raw_dst))
+        if GLOBAL_SCOPE in (src, dst):
+            raise MalformedLine(line_no, f"service name {GLOBAL_SCOPE!r} is reserved")
         events.append(
             HttpEvent(
                 ts=ts,
-                src=normalize_name(str(obj["src"])),
-                dst=normalize_name(str(obj["dst"])),
+                src=src,
+                dst=dst,
                 method=method,
                 path=path,
                 status=status,
@@ -111,23 +119,20 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
     return events
 
 
-GLOBAL_SCOPE = "global"
-
-
-def _segment(events: list[HttpEvent], gap_ms: int, origin: str) -> list[Trace]:
+def _segment(stamped: list[tuple[int, str]], gap_ms: int, origin: str) -> list[Trace]:
     traces: list[Trace] = []
     current: list[str] = []
     prev_ts: int | None = None
     start_idx = 0
-    for i, ev in enumerate(events):
-        if prev_ts is not None and ev.ts - prev_ts > gap_ms:
+    for i, (ts, symbol) in enumerate(stamped):
+        if prev_ts is not None and ts - prev_ts > gap_ms:
             traces.append(Trace(tuple(current), origin=f"{origin}[{start_idx}:{i}]"))
             current = []
             start_idx = i
-        current.append(format_symbol(ev.src, ev.dst, ev.method, template_path(ev.path)))
-        prev_ts = ev.ts
+        current.append(symbol)
+        prev_ts = ts
     if current:
-        traces.append(Trace(tuple(current), origin=f"{origin}[{start_idx}:{len(events)}]"))
+        traces.append(Trace(tuple(current), origin=f"{origin}[{start_idx}:{len(stamped)}]"))
     return traces
 
 
@@ -137,22 +142,34 @@ def extract_traces(
     """Sessionize events into traces, keyed by scope.
 
     ``scope`` is ``"global"`` (one key covering all events), ``"per_service"``
-    (one key per service, keeping events where it is src or dst), or
-    ``"both"``.
+    (one key per service, in sorted order, keeping events where it is src or
+    dst), or ``"both"`` (global first). A trace's ``origin`` is
+    ``<scope>[start:end]``, its slice of that scope's time-ordered events.
+    One sweep fills every scope, formatting each distinct call once.
     """
     if gap_ms <= 0:
         raise ValueError("gap_ms must be positive")
     if scope not in ("global", "per_service", "both"):
         raise ValueError(f"unknown scope {scope!r}")
-    ordered = sorted(events, key=lambda e: e.ts)  # stable: preserves input order on ties
+    symbols: dict[tuple[str, str, str, str], str] = {}
+    whole: list[tuple[int, str]] = []
+    by_service: dict[str, list[tuple[int, str]]] = {}
+    with_global = scope in ("global", "both")
+    with_services = scope in ("per_service", "both")
+    for ev in sorted(events, key=lambda e: e.ts):  # stable: preserves input order on ties
+        call = (ev.src, ev.dst, ev.method, ev.path)
+        if call not in symbols:
+            symbols[call] = format_symbol(ev.src, ev.dst, ev.method, template_path(ev.path))
+        item = (ev.ts, symbols[call])
+        if with_global:
+            whole.append(item)
+        if with_services:
+            by_service.setdefault(ev.src, []).append(item)
+            if ev.dst != ev.src:
+                by_service.setdefault(ev.dst, []).append(item)
     out: dict[str, list[Trace]] = {}
-    if not ordered:
-        return out
-    if scope in ("global", "both"):
-        out[GLOBAL_SCOPE] = _segment(ordered, gap_ms, GLOBAL_SCOPE)
-    if scope in ("per_service", "both"):
-        services = sorted({e.src for e in ordered} | {e.dst for e in ordered})
-        for svc in services:
-            involved = [e for e in ordered if e.src == svc or e.dst == svc]
-            out[svc] = _segment(involved, gap_ms, svc)
+    if whole:
+        out[GLOBAL_SCOPE] = _segment(whole, gap_ms, GLOBAL_SCOPE)
+    for svc in sorted(by_service):
+        out[svc] = _segment(by_service[svc], gap_ms, svc)
     return out

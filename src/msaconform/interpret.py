@@ -13,8 +13,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from importlib import resources
+from typing import Callable
 
-from .automaton import StateMachine, canonicalize, transition_frequencies
+from .automaton import StateMachine, canonicalize, reachable_states, transition_frequencies
 from .detector import NcKind, NonConformance
 from .errors import NoInvolvedTransitions
 from .events import parse_symbol
@@ -152,59 +153,39 @@ def unexpected_behavior_submachine(sm: StateMachine, a: str, b: str) -> StateMac
     candidates = [s for s in kept_states if reaches_involved(s)]
     root = min(candidates, key=lambda s: (dist.get(s, len(sm.states)), s))
 
-    reachable = {root}
-    queue = deque([root])
-    while queue:
-        s = queue.popleft()
-        for (src, _sym), (dst, _f) in kept.items():
-            if src == s and dst not in reachable:
-                reachable.add(dst)
-                queue.append(dst)
+    reachable = reachable_states(root, kept)
     transitions = {
         key: val for key, val in kept.items() if key[0] in reachable and val[0] in reachable
     }
-    states = {root} | {src for src, _s in transitions} | {t for t, _f in transitions.values()}
-    return canonicalize(StateMachine(frozenset(states), root, transitions, name=sm.name))
+    return canonicalize(StateMachine(frozenset(reachable), root, transitions, name=sm.name))
+
+
+def _top_calls(
+    sm: StateMachine, keep: Callable[[str, str], bool], top_n: int
+) -> list[CallSummary]:
+    """Calls whose (caller, callee) pass ``keep``, by descending count, then by call."""
+    grouped: dict[tuple[str, str, str, str], int] = {}
+    for sym, freq in transition_frequencies(sm):
+        try:
+            call = parse_symbol(sym)
+        except ValueError:
+            continue
+        if keep(call[0], call[1]):
+            grouped[call] = grouped.get(call, 0) + freq
+    ordered = sorted(grouped.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [CallSummary(*call, count=c) for call, c in ordered[:top_n]]
 
 
 def most_frequent_calls(sm: StateMachine, a: str, b: str, top_n: int = 5) -> list[CallSummary]:
     """Top calls a→b, grouped by (method, path template), descending count."""
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
-    grouped: dict[tuple[str, str], int] = {}
-    for sym, freq in transition_frequencies(sm):
-        try:
-            src, dst, method, path = parse_symbol(sym)
-        except ValueError:
-            continue
-        if (src, dst) != (a, b):
-            continue
-        key = (method, path)
-        grouped[key] = grouped.get(key, 0) + freq
-    ordered = sorted(grouped.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [
-        CallSummary(caller=a, callee=b, method=m, path_template=p, count=c)
-        for (m, p), c in ordered[:top_n]
-    ]
+    return _top_calls(sm, lambda src, dst: (src, dst) == (a, b), top_n)
 
 
 def calls_involving(sm: StateMachine, service: str, top_n: int = 5) -> list[CallSummary]:
     """Top calls where the service is caller or callee (node-level details)."""
-    grouped: dict[tuple[str, str, str, str], int] = {}
-    for sym, freq in transition_frequencies(sm):
-        try:
-            src, dst, method, path = parse_symbol(sym)
-        except ValueError:
-            continue
-        if service not in (src, dst):
-            continue
-        key = (src, dst, method, path)
-        grouped[key] = grouped.get(key, 0) + freq
-    ordered = sorted(grouped.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [
-        CallSummary(caller=s, callee=d, method=m, path_template=p, count=c)
-        for (s, d, m, p), c in ordered[:top_n]
-    ]
+    return _top_calls(sm, lambda src, dst: service in (src, dst), top_n)
 
 
 def _entry_nodes(model: StaticModel) -> list[str]:

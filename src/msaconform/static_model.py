@@ -161,14 +161,19 @@ def parse_static_model(json_text: str) -> StaticModel:
     return StaticModel(services=services, external_entities=externals, flows=tuple(flows))
 
 
-def _node_dict(node: ServiceNode) -> dict:
-    out: dict = {"name": node.name, "stereotypes": list(node.stereotypes)}
-    if node.traceability is not None:
-        t = {"file": node.traceability.file, "line": node.traceability.line}
-        if node.traceability.snippet is not None:
-            t["snippet"] = node.traceability.snippet
+def _with_traceability(out: dict, trace: Traceability | None) -> dict:
+    if trace is not None:
+        t: dict = {"file": trace.file, "line": trace.line}
+        if trace.snippet is not None:
+            t["snippet"] = trace.snippet
         out["traceability"] = t
     return out
+
+
+def _node_dict(node: ServiceNode) -> dict:
+    return _with_traceability(
+        {"name": node.name, "stereotypes": list(node.stereotypes)}, node.traceability
+    )
 
 
 def serialize_static_model(model: StaticModel) -> str:
@@ -176,18 +181,12 @@ def serialize_static_model(model: StaticModel) -> str:
     doc = {
         "services": [_node_dict(n) for n in model.services],
         "external_entities": [_node_dict(n) for n in model.external_entities],
-        "information_flows": [],
+        "information_flows": [
+            _with_traceability(
+                {"sender": f.sender, "receiver": f.receiver, "stereotypes": list(f.stereotypes)},
+                f.traceability,
+            )
+            for f in model.flows
+        ],
     }
-    for f in model.flows:
-        entry: dict = {
-            "sender": f.sender,
-            "receiver": f.receiver,
-            "stereotypes": list(f.stereotypes),
-        }
-        if f.traceability is not None:
-            t = {"file": f.traceability.file, "line": f.traceability.line}
-            if f.traceability.snippet is not None:
-                t["snippet"] = f.traceability.snippet
-            entry["traceability"] = t
-        doc["information_flows"].append(entry)
     return json.dumps(doc, indent=2, sort_keys=False, ensure_ascii=False) + "\n"

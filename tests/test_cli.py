@@ -129,6 +129,58 @@ class TestAnalysis:
         assert "3 static non-conformances" in out
         assert (out_dir / "nc_static-edge-ghost--rider.html").is_file()
 
+    def test_reserved_service_name_rejected(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        (dyn_dir / "events.jsonl").write_text(
+            '{"ts":0,"src":"a","dst":"b","method":"GET","path":"/x"}\n'
+            '{"ts":10,"src":"global","dst":"c","method":"GET","path":"/y"}\n',
+            "utf-8",
+        )
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "'global' is reserved" in err
+
+    def test_per_service_static_details_show_calls(self, tmp_path):
+        # under per_service only the caller's and the callee's machines hold a
+        # finding's edge, and the lowest-named machine holds neither edge here
+        spec = ScenarioSpec(
+            n_services=8, n_edges=10, n_injected_static_nc=2,
+            n_injected_dynamic_nc=1, n_events=400, rng_seed=11,
+        )
+        model, log, truth = generate(spec)
+        static_path = tmp_path / "static_model.json"
+        static_path.write_text(serialize_static_model(model), "utf-8")
+        dyn_dir = tmp_path / "dynamic"
+        dyn_dir.mkdir()
+        (dyn_dir / "events.jsonl").write_text(log, "utf-8")
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("trace_scope = per_service\n", "utf-8")
+        assert invoke(static_path, dyn_dir, tmp_path / "out", "--config", str(cfg)) == 0
+        static_edges = [nc for nc in truth.expected if nc.id.startswith("static-edge-")]
+        assert len(static_edges) == 2
+        for nc in static_edges:
+            page = (tmp_path / "out" / f"nc_{nc.id}.html").read_text("utf-8")
+            assert "No state machine" not in page
+            calls = page.split("<h3>Most frequent calls</h3>", 1)[1]
+            assert "<td>" in calls
+
+    def test_evaluate_per_service_shares_global_traces(self, faulty_inputs, tmp_path):
+        static_path, dyn_dir, out_dir, _truth = faulty_inputs
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("trace_scope = per_service\n", "utf-8")
+        scoped = tmp_path / "scoped"
+        assert invoke(static_path, dyn_dir, out_dir, "--evaluate") == 0
+        assert invoke(static_path, dyn_dir, scoped, "--evaluate", "--config", str(cfg)) == 0
+        evaluation = (scoped / "evaluation.json").read_bytes()
+        assert evaluation == (out_dir / "evaluation.json").read_bytes()
+        # the global traces swept for --evaluate are not learned as a machine
+        plain = tmp_path / "plain"
+        assert invoke(static_path, dyn_dir, plain, "--config", str(cfg)) == 0
+        pages = {p.name: p.read_bytes() for p in plain.iterdir()}
+        assert {p.name: p.read_bytes() for p in scoped.iterdir() if p.name in pages} == pages
+
     def test_evaluate_flag_writes_metrics(self, clean_inputs):
         static_path, dyn_dir, out_dir = clean_inputs
         code = invoke(static_path, dyn_dir, out_dir, "--evaluate")
@@ -168,6 +220,16 @@ class TestConfigFile:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "min_freq" in err
         assert not out_dir.exists()
+
+    def test_alpha_out_of_range_rejected(self, clean_inputs, tmp_path, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("alpha = 2\n", "utf-8")
+        code = invoke(static_path, dyn_dir, out_dir, "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "alpha" in err
 
 
 class TestScenarioMode:

@@ -4,10 +4,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from msaconform.errors import MalformedLine, MissingEventField
 from msaconform.events import (
     HttpEvent,
+    Trace,
     extract_traces,
     format_symbol,
     parse_event_log,
@@ -73,6 +76,14 @@ class TestParseEventLog:
     def test_path_must_start_with_slash(self):
         with pytest.raises(MalformedLine):
             parse_event_log(line(1, path="x"))
+
+    @pytest.mark.parametrize("src, dst", [("global", "c"), ("a", "Global")])
+    def test_global_service_name_reserved(self, src, dst):
+        # a service named "global" would replace the global scope's traces
+        text = line(0, src="a", dst="b") + "\n" + line(10, src=src, dst=dst)
+        with pytest.raises(MalformedLine, match="service name 'global' is reserved") as exc:
+            parse_event_log(text)
+        assert exc.value.line_no == 2
 
     def test_input_order_preserved(self):
         text = "\n".join(line(t) for t in (5, 3, 9))
@@ -208,3 +219,52 @@ class TestExtractTraces:
         events = [HttpEvent(ts=0, src="a", dst="b", method="GET", path="/x")]
         scoped = extract_traces(events, 1000, scope="both")
         assert set(scoped) == {"global", "a", "b"}
+
+
+def reference_traces(events, gap_ms, scope):
+    """Independent oracle for every scope: filter per service, then segment and format."""
+    ordered = sorted(events, key=lambda e: e.ts)
+    selections = []
+    if scope in ("global", "both"):
+        selections.append(("global", ordered))
+    if scope in ("per_service", "both"):
+        for svc in sorted({e.src for e in ordered} | {e.dst for e in ordered}):
+            selections.append((svc, [e for e in ordered if svc in (e.src, e.dst)]))
+    out = {}
+    for name, selected in selections:
+        if not selected:
+            continue
+        cuts = [0]
+        cuts += [i for i in range(1, len(selected)) if selected[i].ts - selected[i - 1].ts > gap_ms]
+        cuts.append(len(selected))
+        out[name] = [
+            Trace(
+                tuple(format_symbol(e.src, e.dst, e.method, template_path(e.path))
+                      for e in selected[a:b]),
+                origin=f"{name}[{a}:{b}]",
+            )
+            for a, b in zip(cuts, cuts[1:])
+        ]
+    return out
+
+
+# few names and paths so self-calls, repeated calls and equal timestamps are common
+http_events = st.builds(
+    HttpEvent,
+    ts=st.integers(min_value=0, max_value=60),
+    src=st.sampled_from(["a", "b", "c"]),
+    dst=st.sampled_from(["a", "b", "c"]),
+    method=st.sampled_from(["GET", "POST"]),
+    path=st.sampled_from(["/x", "/x/1", "/x/2", "/y?q=1", "/y"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    events=st.lists(http_events, max_size=40),
+    gap_ms=st.sampled_from([1, 5, 1000]),
+    scope=st.sampled_from(["global", "per_service", "both"]),
+)
+def test_every_scope_matches_reference(events, gap_ms, scope):
+    got = extract_traces(events, gap_ms, scope=scope)
+    assert list(got.items()) == list(reference_traces(events, gap_ms, scope).items())

@@ -71,12 +71,13 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
 
     initial: int | None = None
     transitions: dict[tuple[int, str], tuple[int, int]] = {}
-    offset = dot_text.index("{") + 1
+    # newlines before the current statement, carried statement by statement
+    newlines = dot_text.count("\n", 0, dot_text.index("{"))
     for raw_stmt in body.split(";"):
         stmt = raw_stmt.strip()
         leading_ws = len(raw_stmt) - len(raw_stmt.lstrip())
-        line_no = dot_text.count("\n", 0, offset + leading_ws) + 1
-        offset += len(raw_stmt) + 1
+        line_no = newlines + raw_stmt.count("\n", 0, leading_ws) + 1
+        newlines += raw_stmt.count("\n")
         if not stmt:
             continue
         m = _START_RE.match(stmt)

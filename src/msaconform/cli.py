@@ -26,7 +26,7 @@ from .errors import ConformanceError, InputError
 from .events import GLOBAL_SCOPE, Trace, extract_traces, parse_event_log
 from .learner import LearnerConfig, learn
 from .scenario import ScenarioSpec, generate
-from .static_model import parse_static_model, serialize_static_model
+from .static_model import StaticModel, parse_static_model, serialize_static_model
 
 
 @dataclass
@@ -39,10 +39,18 @@ class Config:
     trace_scope: str = "both"
 
 
+def _read_input(path: Path) -> str:
+    """A user input file's text; bytes that are not UTF-8 are an input error."""
+    try:
+        return path.read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
 def _parse_config_file(path: Path) -> Config:
     cfg = Config()
     known = {f.name: f.type for f in fields(Config)}
-    for line_no, raw in enumerate(path.read_text("utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(_read_input(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -73,10 +81,16 @@ def _parse_config_file(path: Path) -> Config:
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # only a JSON escape such as "\ud800" in an input can put one there
+        raise InputError(f"{path.name}: the input holds a lone surrogate escape "
+                         f"({text[exc.start]!r}), which is not valid Unicode") from exc
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -92,13 +106,11 @@ def _load_dynamic_models(
         raise InputError(f"dynamic models path is not a directory: {dyn_dir}")
     machines: dict[str, StateMachine] = {}
     for dot_file in sorted(dyn_dir.glob("*.dot")):
-        machines[dot_file.stem] = parse_state_machine(
-            dot_file.read_text("utf-8"), name=dot_file.stem
-        )
+        machines[dot_file.stem] = parse_state_machine(_read_input(dot_file), name=dot_file.stem)
     global_traces: list[Trace] = []
     log_file = dyn_dir / "events.jsonl"
     if log_file.is_file():
-        events = parse_event_log(log_file.read_text("utf-8"))
+        events = parse_event_log(_read_input(log_file))
         per_service_only = cfg.trace_scope == "per_service"
         sweep = "both" if evaluate and per_service_only else cfg.trace_scope
         traces_by_scope = extract_traces(events, cfg.session_gap_ms, scope=sweep)
@@ -113,15 +125,37 @@ def _load_dynamic_models(
     return machines, global_traces
 
 
-def _detail_machines(machines: dict[str, StateMachine]) -> dict[tuple[str, ...], StateMachine]:
-    """Per edge ``(src, dst)`` and service ``(name,)``, the machine whose details a static
-    finding on it shows: global if it has the subject, else the lowest-named that does."""
-    chosen: dict[tuple[str, ...], StateMachine] = {}
+def _detail_indexes(
+    machines: dict[str, StateMachine],
+) -> dict[tuple[str, ...], interpret.CallIndex]:
+    """Per edge ``(src, dst)`` and service ``(name,)``, the call index of the machine whose
+    details a static finding on it shows: global if it has the subject, else the
+    lowest-named machine that does."""
+    chosen: dict[tuple[str, ...], interpret.CallIndex] = {}
     for scope in sorted(machines, key=lambda name: (name != GLOBAL_SCOPE, name)):
-        view = detector.extract_dynamic_view([machines[scope]])
-        for subject in [*view.edges, *((name,) for name in view.nodes)]:
-            chosen.setdefault(subject, machines[scope])
+        index = interpret.CallIndex(machines[scope])
+        for subject in [*index.calls_by_pair, *((name,) for name in index.calls_by_service)]:
+            chosen.setdefault(subject, index)
     return chosen
+
+
+def _finding_details(
+    machines: dict[str, StateMachine],
+    model: StaticModel,
+    ncs: list[detector.NonConformance],
+    top_n: int,
+) -> dict[str, interpret.NcDetails]:
+    """Details per finding id. The call indexes die with this call, before rendering."""
+    indexes = _detail_indexes(machines)
+    details_by_id = {}
+    for nc in ncs:
+        if nc.kind is detector.NcKind.Static:
+            details_by_id[nc.id] = interpret.static_nc_details(
+                indexes.get(nc.names), nc, top_n=top_n
+            )
+        else:
+            details_by_id[nc.id] = interpret.dynamic_nc_details(model, nc)
+    return details_by_id
 
 
 def _summary_line(n_static: int, n_dynamic: int) -> str:
@@ -135,7 +169,7 @@ def _summary_line(n_static: int, n_dynamic: int) -> str:
 
 
 def _run_scenario(spec_path: Path, out_dir: Path) -> int:
-    spec = ScenarioSpec.from_json(spec_path.read_text("utf-8"))
+    spec = ScenarioSpec.from_json(_read_input(spec_path))
     model, log_text, truth = generate(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
     _atomic_write(out_dir / "static_model.json", serialize_static_model(model))
@@ -157,7 +191,7 @@ def _run_analysis(args, cfg: Config) -> int:
     static_path = Path(args.static_model_path)
     if not static_path.is_file():
         raise InputError(f"static model file not found: {static_path}")
-    model = parse_static_model(static_path.read_text("utf-8"))
+    model = parse_static_model(_read_input(static_path))
 
     print("Processing dynamic model...")
     machines, global_traces = _load_dynamic_models(
@@ -178,15 +212,7 @@ def _run_analysis(args, cfg: Config) -> int:
     interps_by_kind = {
         kind: interpret.interpretations_for(kind) for kind in detector.NcKind
     }
-    detail_machines = _detail_machines(machines)
-    details_by_id = {}
-    for nc in ncs:
-        if nc.kind is detector.NcKind.Static:
-            details_by_id[nc.id] = interpret.static_nc_details(
-                detail_machines.get(nc.names), nc, top_n=cfg.top_n_calls
-            )
-        else:
-            details_by_id[nc.id] = interpret.dynamic_nc_details(model, nc)
+    details_by_id = _finding_details(machines, model, ncs, cfg.top_n_calls)
 
     print("Generating non-conformance visualizations...")
     bundle = report.render_bundle(tagged, ncs, interps_by_kind, details_by_id)

@@ -87,7 +87,7 @@ class UnreachableState(InputError):
         self.state = state
 
 
-class MalformedSymbol(ConformanceError):
+class MalformedSymbol(InputError):
     def __init__(self, machine_name: str, symbol: str):
         super().__init__(f"machine {machine_name!r}: malformed transition symbol {symbol!r}")
         self.machine_name = machine_name
@@ -104,8 +104,9 @@ class AlphabetTooSmall(InputError):
     pass
 
 
-class CannotAvoidPositives(ConformanceError):
-    """Every single-symbol mutant of the trace collides with a training trace."""
+class CannotAvoidPositives(InputError):
+    """Every single-symbol mutant of the trace collides with a training trace: the
+    log is too uniform to evaluate, like one with too few traces or symbols."""
 
 
 class TooFewTraces(InputError):

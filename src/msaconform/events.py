@@ -83,6 +83,8 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MalformedLine(line_no, str(exc)) from exc
+        except RecursionError as exc:
+            raise MalformedLine(line_no, "nested too deeply") from exc
         if not isinstance(obj, dict):
             raise MalformedLine(line_no, "expected a JSON object")
         for field_name in ("ts", "src", "dst", "method", "path"):

@@ -10,12 +10,13 @@ missing behavior.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from importlib import resources
-from typing import Callable
+from operator import itemgetter
 
-from .automaton import StateMachine, canonicalize, reachable_states, transition_frequencies
+from .automaton import StateMachine, canonicalize, reachable_states
 from .detector import NcKind, NonConformance
 from .errors import NoInvolvedTransitions
 from .events import parse_symbol
@@ -54,6 +55,9 @@ class NcDetails:
     call_details: tuple[CallSummary, ...] = ()
 
 
+_source = itemgetter(0)  # of a transition key (state, symbol)
+
+
 def _load_catalog() -> tuple[Interpretation, ...]:
     text = resources.files("msaconform").joinpath("data/interpretations.txt").read_text("utf-8")
     out = []
@@ -82,16 +86,118 @@ def interpretations_for(kind: NcKind) -> list[Interpretation]:
     return [entry for entry in _CATALOG if entry.kind == kind]
 
 
-def _involved_transitions(sm: StateMachine, a: str, b: str) -> list[tuple[int, str, int, int]]:
-    out = []
-    for (src, sym), (dst, freq) in sm.transitions.items():
-        try:
-            s, d, _m, _p = parse_symbol(sym)
-        except ValueError:
-            continue
-        if (s, d) == (a, b):
-            out.append((src, sym, dst, freq))
-    return out
+class CallIndex:
+    """One machine's transitions indexed for static-finding details.
+
+    Built in one pass over the transitions that parses each distinct symbol
+    once, plus two sorts; after that, a sub-machine or a call list costs in
+    proportion to the finding's neighbourhood, not to the machine. It holds
+    the machine's own ``(state, symbol)`` keys. Malformed symbols are skipped.
+    """
+
+    def __init__(self, sm: StateMachine):
+        self.machine = sm
+        transitions = sm.transitions
+        # well-formed transition keys per communication (caller, callee)
+        self.involved: dict[tuple[str, str], list[tuple[int, str]]] = {}
+        calls: dict[str, tuple[str, str, str, str] | None] = {}
+        totals: dict[tuple[str, str, str, str], int] = {}
+        for key, (_dst, freq) in transitions.items():
+            sym = key[1]
+            if sym in calls:
+                call = calls[sym]
+            else:
+                try:
+                    call = parse_symbol(sym)
+                except ValueError:
+                    call = None
+                calls[sym] = call
+            if call is not None:
+                self.involved.setdefault(call[:2], []).append(key)
+                totals[call] = totals.get(call, 0) + freq
+
+        # calls by descending count, then by call; each bucket keeps that order
+        self.calls_by_pair: dict[tuple[str, str], list[CallSummary]] = {}
+        self.calls_by_service: dict[str, list[CallSummary]] = {}
+        for call, count in sorted(totals.items(), key=lambda kv: (-kv[1], kv[0])):
+            summary = CallSummary(*call, count=count)
+            caller, callee = call[0], call[1]
+            self.calls_by_pair.setdefault((caller, callee), []).append(summary)
+            self.calls_by_service.setdefault(caller, []).append(summary)
+            if callee != caller:
+                self.calls_by_service.setdefault(callee, []).append(summary)
+
+        # transition keys sorted by source and by target state: the keys that
+        # leave or enter a state are a slice of each, found by bisection (on
+        # the key itself for the source, on a parallel list for the target).
+        # Flat lists take a fraction of the memory of one list per state.
+        self._by_source = sorted(transitions, key=_source)
+        self._by_target = sorted(transitions, key=lambda key: transitions[key][0])
+        self._targets = [transitions[key][0] for key in self._by_target]
+
+        # breadth-first distance from the initial state
+        self.dist = {sm.initial: 0}
+        queue = deque([sm.initial])
+        while queue:
+            s = queue.popleft()
+            for key in self._leaving(s):
+                t = transitions[key][0]
+                if t not in self.dist:
+                    self.dist[t] = self.dist[s] + 1
+                    queue.append(t)
+
+    def _leaving(self, state: int) -> list[tuple[int, str]]:
+        keys = self._by_source
+        return keys[bisect_left(keys, state, key=_source):bisect_right(keys, state, key=_source)]
+
+    def _entering(self, state: int) -> list[tuple[int, str]]:
+        targets = self._targets
+        return self._by_target[bisect_left(targets, state):bisect_right(targets, state)]
+
+    def submachine(self, a: str, b: str) -> StateMachine:
+        """See :func:`unexpected_behavior_submachine`."""
+        involved = self.involved.get((a, b))
+        if not involved:
+            raise NoInvolvedTransitions(a, b)
+        transitions = self.machine.transitions
+        involved_sources = {src for src, _sym in involved}
+        core = involved_sources | {transitions[key][0] for key in involved}
+        kept = {
+            key: transitions[key]
+            for state in core
+            for key in (*self._leaving(state), *self._entering(state))
+        }
+
+        # the root is the state nearest the initial state among those that can
+        # still reach an involved transition inside the cut; rooting one hop
+        # before the involved states keeps their feeding context visible
+        preds: dict[int, list[int]] = {}
+        for (src, _sym), (dst, _f) in kept.items():
+            preds.setdefault(dst, []).append(src)
+        reaching = set(involved_sources)
+        stack = list(involved_sources)
+        while stack:
+            for p in preds.get(stack.pop(), ()):
+                if p not in reaching:
+                    reaching.add(p)
+                    stack.append(p)
+        root = min(reaching, key=lambda s: (self.dist[s], s))
+
+        reachable = reachable_states(root, kept)
+        cut = {
+            key: val for key, val in kept.items() if key[0] in reachable and val[0] in reachable
+        }
+        return canonicalize(StateMachine(frozenset(reachable), root, cut, name=self.machine.name))
+
+    def most_frequent_calls(self, a: str, b: str, top_n: int = 5) -> list[CallSummary]:
+        """See :func:`most_frequent_calls`."""
+        if top_n < 1:
+            raise ValueError("top_n must be >= 1")
+        return self.calls_by_pair.get((a, b), [])[:top_n]
+
+    def calls_involving(self, service: str, top_n: int = 5) -> list[CallSummary]:
+        """See :func:`calls_involving`."""
+        return self.calls_by_service.get(service, [])[:top_n]
 
 
 def unexpected_behavior_submachine(sm: StateMachine, a: str, b: str) -> StateMachine:
@@ -103,89 +209,17 @@ def unexpected_behavior_submachine(sm: StateMachine, a: str, b: str) -> StateMac
     States the new root cannot reach within the cut are dropped so the
     result is a valid machine.
     """
-    involved = _involved_transitions(sm, a, b)
-    if not involved:
-        raise NoInvolvedTransitions(a, b)
-    core = {src for src, _s, _d, _f in involved} | {dst for _s, _sy, dst, _f in involved}
-
-    kept = {
-        (src, sym): (dst, freq)
-        for (src, sym), (dst, freq) in sm.transitions.items()
-        if src in core or dst in core
-    }
-
-    # breadth-first distance from the original initial state
-    dist = {sm.initial: 0}
-    queue = deque([sm.initial])
-    adj: dict[int, list[int]] = {}
-    for (src, _sym), (dst, _f) in sm.transitions.items():
-        adj.setdefault(src, []).append(dst)
-    while queue:
-        s = queue.popleft()
-        for t in adj.get(s, ()):
-            if t not in dist:
-                dist[t] = dist[s] + 1
-                queue.append(t)
-
-    # the root is the state nearest the initial state among those that can
-    # still reach an involved transition inside the cut; rooting one hop
-    # before the involved states keeps their feeding context visible
-    kept_adj: dict[int, list[int]] = {}
-    kept_states = set()
-    for (src, _sym), (dst, _f) in kept.items():
-        kept_adj.setdefault(src, []).append(dst)
-        kept_states |= {src, dst}
-    involved_sources = {src for src, _s, _d, _f in involved}
-
-    def reaches_involved(start: int) -> bool:
-        seen = {start}
-        stack = [start]
-        while stack:
-            s = stack.pop()
-            if s in involved_sources:
-                return True
-            for t in kept_adj.get(s, ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return False
-
-    candidates = [s for s in kept_states if reaches_involved(s)]
-    root = min(candidates, key=lambda s: (dist.get(s, len(sm.states)), s))
-
-    reachable = reachable_states(root, kept)
-    transitions = {
-        key: val for key, val in kept.items() if key[0] in reachable and val[0] in reachable
-    }
-    return canonicalize(StateMachine(frozenset(reachable), root, transitions, name=sm.name))
-
-
-def _top_calls(
-    sm: StateMachine, keep: Callable[[str, str], bool], top_n: int
-) -> list[CallSummary]:
-    """Calls whose (caller, callee) pass ``keep``, by descending count, then by call."""
-    grouped: dict[tuple[str, str, str, str], int] = {}
-    for sym, freq in transition_frequencies(sm):
-        try:
-            call = parse_symbol(sym)
-        except ValueError:
-            continue
-        if keep(call[0], call[1]):
-            grouped[call] = grouped.get(call, 0) + freq
-    ordered = sorted(grouped.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [CallSummary(*call, count=c) for call, c in ordered[:top_n]]
+    return CallIndex(sm).submachine(a, b)
 
 
 def most_frequent_calls(sm: StateMachine, a: str, b: str, top_n: int = 5) -> list[CallSummary]:
     """Top calls a→b, grouped by (method, path template), descending count."""
-    if top_n < 1:
-        raise ValueError("top_n must be >= 1")
-    return _top_calls(sm, lambda src, dst: (src, dst) == (a, b), top_n)
+    return CallIndex(sm).most_frequent_calls(a, b, top_n)
 
 
 def calls_involving(sm: StateMachine, service: str, top_n: int = 5) -> list[CallSummary]:
     """Top calls where the service is caller or callee (node-level details)."""
-    return _top_calls(sm, lambda src, dst: service in (src, dst), top_n)
+    return CallIndex(sm).calls_involving(service, top_n)
 
 
 def _entry_nodes(model: StaticModel) -> list[str]:
@@ -279,21 +313,27 @@ def dynamic_nc_details(model: StaticModel, nc: NonConformance) -> NcDetails:
     )
 
 
-def static_nc_details(sm: StateMachine | None, nc: NonConformance, top_n: int = 5) -> NcDetails:
-    """Sub-machine plus frequent calls for a static non-conformance."""
+def static_nc_details(
+    sm: StateMachine | CallIndex | None, nc: NonConformance, top_n: int = 5
+) -> NcDetails:
+    """Sub-machine plus frequent calls for a static non-conformance.
+
+    ``sm`` is the machine to take them from, or its :class:`CallIndex`.
+    """
     if nc.kind is not NcKind.Static:
         raise ValueError("static_nc_details requires a static non-conformance")
     if sm is None:
         return NcDetails(kind=NcKind.Static)
+    index = sm if isinstance(sm, CallIndex) else CallIndex(sm)
     if nc.subject_type == "edge":
         a, b = nc.names
         try:
-            sub = unexpected_behavior_submachine(sm, a, b)
+            sub = index.submachine(a, b)
         except NoInvolvedTransitions:
             sub = None
-        calls = tuple(most_frequent_calls(sm, a, b, top_n=top_n))
+        calls = tuple(index.most_frequent_calls(a, b, top_n=top_n))
     else:
         (name,) = nc.names
         sub = None
-        calls = tuple(calls_involving(sm, name, top_n=top_n))
+        calls = tuple(index.calls_involving(name, top_n=top_n))
     return NcDetails(kind=NcKind.Static, submachine=sub, frequent_calls=calls)

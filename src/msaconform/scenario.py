@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .detector import NcKind, NonConformance
-from .errors import InfeasibleSpec
+from .errors import InfeasibleSpec, InputError
 from .static_model import Flow, ServiceNode, StaticModel, Traceability
 
 _METHODS = ("GET", "POST", "PUT", "DELETE")
@@ -40,18 +40,31 @@ class ScenarioSpec:
             raise InfeasibleSpec("n_edges exceeds the simple directed graph maximum")
         if self.n_injected_static_nc > self.n_edges or self.n_injected_dynamic_nc > self.n_edges:
             raise InfeasibleSpec("injected counts must not exceed n_edges")
+        if self.n_injected_static_nc < 0 or self.n_injected_dynamic_nc < 0:
+            raise InfeasibleSpec("injected counts must not be negative")
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        doc = json.loads(text)
-        return cls(
-            n_services=doc["n_services"],
-            n_edges=doc["n_edges"],
-            n_injected_static_nc=doc.get("n_injected_static_nc", 0),
-            n_injected_dynamic_nc=doc.get("n_injected_dynamic_nc", 0),
-            n_events=doc.get("n_events", 1000),
-            rng_seed=doc.get("rng_seed", 0),
-        )
+        """Parse a spec document; bad JSON, a missing key or a non-integer value
+        is an InputError."""
+        try:
+            doc = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise InputError(f"scenario spec is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise InputError("scenario spec must be a JSON object")
+        values = {}
+        for f in fields(cls):
+            if f.name not in doc:
+                if f.default is MISSING:
+                    raise InputError(f"scenario spec: missing key {f.name!r}")
+                continue
+            value = doc[f.name]
+            # type() and not isinstance(): JSON true/false load as bool, an int subclass
+            if type(value) is not int:
+                raise InputError(f"scenario spec: {f.name} must be an integer")
+            values[f.name] = value
+        return cls(**values)
 
 
 @dataclass(frozen=True)

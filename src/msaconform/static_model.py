@@ -82,6 +82,13 @@ class StaticModel:
         return None
 
 
+def _list_field(obj: dict, key: str, path: str) -> list:
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise MalformedJson(f"{path}{key} must be a list")
+    return value
+
+
 def _parse_traceability(obj, path: str) -> Traceability | None:
     if obj is None:
         return None
@@ -93,7 +100,10 @@ def _parse_traceability(obj, path: str) -> Traceability | None:
     line = obj["line"]
     if not isinstance(line, int) or line < 1:
         raise MalformedJson(f"{path}.line must be a positive integer")
-    return Traceability(file=str(obj["file"]), line=line, snippet=obj.get("snippet"))
+    snippet = obj.get("snippet")
+    if snippet is not None and not isinstance(snippet, str):
+        raise MalformedJson(f"{path}.snippet must be a string")
+    return Traceability(file=str(obj["file"]), line=line, snippet=snippet)
 
 
 def _parse_node(obj, path: str, is_external: bool) -> ServiceNode:
@@ -103,7 +113,7 @@ def _parse_node(obj, path: str, is_external: bool) -> ServiceNode:
         raise MissingField(f"{path}.name")
     return ServiceNode(
         name=normalize_name(str(obj["name"])),
-        stereotypes=tuple(str(s) for s in obj.get("stereotypes", [])),
+        stereotypes=tuple(str(s) for s in _list_field(obj, "stereotypes", f"{path}.")),
         is_external=is_external,
         traceability=_parse_traceability(obj.get("traceability"), path),
     )
@@ -115,16 +125,18 @@ def parse_static_model(json_text: str) -> StaticModel:
         doc = json.loads(json_text)
     except json.JSONDecodeError as exc:
         raise MalformedJson(f"static model is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedJson("static model is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise MalformedJson("static model document must be a JSON object")
 
     services = tuple(
         _parse_node(obj, f"services[{i}]", is_external=False)
-        for i, obj in enumerate(doc.get("services", []))
+        for i, obj in enumerate(_list_field(doc, "services", ""))
     )
     externals = tuple(
         _parse_node(obj, f"external_entities[{i}]", is_external=True)
-        for i, obj in enumerate(doc.get("external_entities", []))
+        for i, obj in enumerate(_list_field(doc, "external_entities", ""))
     )
 
     seen: set[str] = set()
@@ -134,7 +146,7 @@ def parse_static_model(json_text: str) -> StaticModel:
         seen.add(node.name)
 
     flows = []
-    for i, obj in enumerate(doc.get("information_flows", [])):
+    for i, obj in enumerate(_list_field(doc, "information_flows", "")):
         path = f"information_flows[{i}]"
         if not isinstance(obj, dict):
             raise MalformedJson(f"{path}: expected an object")
@@ -147,7 +159,7 @@ def parse_static_model(json_text: str) -> StaticModel:
             raise UnknownEndpoint(i, sender)
         if receiver not in seen:
             raise UnknownEndpoint(i, receiver)
-        stereotypes = tuple(str(s) for s in obj.get("stereotypes", []))
+        stereotypes = tuple(str(s) for s in _list_field(obj, "stereotypes", f"{path}."))
         if sender == receiver and "self-call" not in stereotypes:
             raise MalformedJson(f"{path}: self-flow without 'self-call' stereotype")
         flows.append(

@@ -1,11 +1,15 @@
 """CLI contract tests: flags, progress output, summary line, exit codes."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from msaconform import interpret
+from msaconform.automaton import serialize_state_machine
 from msaconform.cli import run
+from msaconform.learner import build_pta
 from msaconform.scenario import ScenarioSpec, generate
 from msaconform.static_model import serialize_static_model
 
@@ -262,3 +266,125 @@ class TestScenarioMode:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text('{"n_services": 3, "n_edges": 3}', "utf-8")
         assert run(["--scenario", str(spec_file)]) == 2
+
+
+def assert_one_error_line(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+NOT_UTF8 = b"\xff\xfe\x80 not utf-8\n"
+
+
+class TestBadInput:
+    """Every bad input exits 2 with one ``error:`` line and no traceback."""
+
+    @pytest.mark.parametrize("target", ["static_model", "events", "dot", "config"])
+    def test_not_utf8(self, clean_inputs, capsys, target):
+        static_path, dyn_dir, out_dir = clean_inputs
+        cfg = out_dir.parent / "conf.txt"
+        cfg.write_text("top_n_calls = 3\n", "utf-8")
+        path = {
+            "static_model": static_path,
+            "events": dyn_dir / "events.jsonl",
+            "dot": dyn_dir / "global.dot",
+            "config": cfg,
+        }[target]
+        path.write_bytes(NOT_UTF8)
+        code = invoke(static_path, dyn_dir, out_dir, "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "not valid UTF-8" in err
+
+    def test_deeply_nested_static_model(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        static_path.write_text("[" * 100_000, "utf-8")
+        assert_one_error_line(invoke(static_path, dyn_dir, out_dir), capsys.readouterr().err)
+
+    def test_deeply_nested_event_line(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        (dyn_dir / "events.jsonl").write_text("[" * 100_000 + "\n", "utf-8")
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "line 1" in err
+
+    def test_log_too_uniform_to_evaluate(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        # both single-symbol traces are training traces, so neither has a mutant
+        (dyn_dir / "events.jsonl").write_text(
+            '{"ts": 0, "src": "a", "dst": "b", "method": "GET", "path": "/x"}\n'
+            '{"ts": 5000, "src": "a", "dst": "b", "method": "GET", "path": "/x"}\n'
+            '{"ts": 10000, "src": "a", "dst": "b", "method": "GET", "path": "/y"}\n',
+            "utf-8",
+        )
+        code = invoke(static_path, dyn_dir, out_dir, "--evaluate")
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "collides with a training trace" in err
+
+    def test_malformed_dot_symbol(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        (dyn_dir / "global.dot").write_text(
+            'digraph sm {\n__start -> 0;\n0 -> 1 [label="hello | 3"];\n}\n', "utf-8"
+        )
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "malformed transition symbol 'hello'" in err
+
+    @pytest.mark.parametrize("spec_text, message", [
+        (b'{"n_services": 4, "n_edges"', "not valid JSON"),
+        (b"[" * 100_000, "not valid JSON"),
+        (b'{"n_services": 4}', "missing key 'n_edges'"),
+        (b'{"n_services": "4", "n_edges": 5}', "n_services must be an integer"),
+        (b'{"n_services": 4, "n_edges": 5.0}', "n_edges must be an integer"),
+        (b'{"n_services": 4, "n_edges": 5, "rng_seed": true}', "rng_seed must be an integer"),
+        (b'{"n_services": 4, "n_edges": 5, "n_events": null}', "n_events must be an integer"),
+        (b"[4, 5]", "must be a JSON object"),
+        (NOT_UTF8, "not valid UTF-8"),
+        (b'{"n_services": 2, "n_edges": 1, "n_injected_static_nc": -1, "n_events": 3}',
+         "injected counts must not be negative"),
+    ], ids=["truncated", "deep", "missing-key", "string", "float", "bool", "null", "array",
+            "not-utf8", "negative"])
+    def test_bad_scenario_spec(self, tmp_path, capsys, spec_text, message):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_bytes(spec_text)
+        code = run(["--scenario", str(spec_file), "--output_path", str(tmp_path / "gen")])
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert message in err
+
+
+def test_details_parse_each_symbol_once_per_machine(tmp_path, monkeypatch):
+    """Building every finding's details parses each transition's symbol at most once
+    per detail machine, however many static findings there are."""
+    services = [f"s{i}" for i in range(8)]
+    rng = random.Random(5)
+    walks = []
+    for _ in range(300):
+        walk, src = [], rng.choice(services)
+        for _ in range(rng.randint(2, 6)):
+            dst = rng.choice(services)
+            walk.append(f"{src}→{dst}:GET /{rng.randint(0, 3)}")
+            src = dst
+        walks.append(walk)
+    dyn_dir = tmp_path / "dynamic"
+    dyn_dir.mkdir()
+    machines = {"global": build_pta(walks), "s0": build_pta(walks[:100]),
+                "s1": build_pta(walks[100:150])}
+    for name, sm in machines.items():
+        (dyn_dir / f"{name}.dot").write_text(serialize_state_machine(sm), "utf-8")
+    # declares the first five services and no flows: every observed edge and
+    # the last three services are static findings
+    static_path = tmp_path / "static_model.json"
+    static_path.write_text(json.dumps({"services": [{"name": s} for s in services[:5]]}), "utf-8")
+
+    calls = []
+    original = interpret.parse_symbol
+    monkeypatch.setattr(interpret, "parse_symbol", lambda sym: calls.append(sym) or original(sym))
+    assert invoke(static_path, dyn_dir, tmp_path / "out") == 0
+    n_static = len(list((tmp_path / "out").glob("nc_static-*.html")))
+    assert n_static >= 50
+    assert len(calls) <= sum(len(sm.transitions) for sm in machines.values())

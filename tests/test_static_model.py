@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -124,6 +125,21 @@ class TestParse:
         text = json.dumps({"services": [{"name": "a", "traceability": {"file": "x", "line": 0}}]})
         with pytest.raises(MalformedJson):
             parse_static_model(text)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"services": None}, "services must be a list"),
+        ({"services": [], "information_flows": {"sender": "a"}}, "information_flows must be a list"),
+        ({"services": [{"name": "a", "stereotypes": 5}]}, "services[0].stereotypes must be a list"),
+        ({"services": [{"name": "a", "traceability": {"file": "x", "line": 1, "snippet": [1]}}]},
+         "services[0].snippet must be a string"),
+    ])
+    def test_wrong_field_types(self, doc, message):
+        with pytest.raises(MalformedJson, match=re.escape(message)):
+            parse_static_model(json.dumps(doc))
+
+    def test_deeply_nested(self):
+        with pytest.raises(MalformedJson, match="nested too deeply"):
+            parse_static_model("[" * 100_000)
 
 
 def random_model(rng: random.Random) -> StaticModel:

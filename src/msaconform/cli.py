@@ -22,11 +22,16 @@ from pathlib import Path
 
 from . import detector, evaluator, interpret, report
 from .automaton import StateMachine, parse_state_machine
-from .errors import ConformanceError, InputError
-from .events import GLOBAL_SCOPE, Trace, extract_traces, parse_event_log
+from .errors import ConformanceError, EmptyAfterNormalization, InputError
+from .events import GLOBAL_SCOPE, Trace, extract_traces, parse_event_log, parse_symbol
 from .learner import LearnerConfig, learn
 from .scenario import ScenarioSpec, generate
-from .static_model import StaticModel, parse_static_model, serialize_static_model
+from .static_model import (
+    StaticModel,
+    normalize_name,
+    parse_static_model,
+    serialize_static_model,
+)
 
 
 @dataclass
@@ -80,22 +85,52 @@ def _parse_config_file(path: Path) -> Config:
     return cfg
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _encode(name: str, text: str) -> bytes:
     try:
-        data = text.encode("utf-8")
+        return text.encode("utf-8")
     except UnicodeEncodeError as exc:
         # only a JSON escape such as "\ud800" in an input can put one there
-        raise InputError(f"{path.name}: the input holds a lone surrogate escape "
+        raise InputError(f"{name}: the input holds a lone surrogate escape "
                          f"({text[exc.start]!r}), which is not valid Unicode") from exc
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+
+def _write_files(out_dir: Path, files: dict[str, str]) -> None:
+    """Write each file, by name, into ``out_dir`` through a temporary file.
+
+    A first pass encodes every text and writes nothing, so a text that cannot
+    be encoded leaves no file. The second pass encodes each text again rather
+    than keep every file's bytes in memory at once."""
+    for name, text in files.items():
+        _encode(name, text)
+    for name, text in files.items():
+        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(_encode(name, text))
+            os.replace(tmp, out_dir / name)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+
+
+def _load_dot(dot_file: Path) -> StateMachine:
+    """A ``.dot`` machine, checked to name every service as the other inputs do."""
+    machine = parse_state_machine(_read_input(dot_file), name=dot_file.stem)
+    for symbol in dict.fromkeys(symbol for _state, symbol in machine.transitions):
+        try:
+            src, dst, _method, _path = parse_symbol(symbol)
+        except ValueError:
+            continue  # detection reports the malformed symbol
+        for name in (src, dst):
+            try:
+                normalized = normalize_name(name) == name
+            except EmptyAfterNormalization:
+                normalized = False
+            if not normalized:
+                raise InputError(f"{dot_file}: label {symbol!r} has service name {name!r}, "
+                                 "which is not in normalized form (lowercase kebab-case)")
+    return machine
 
 
 def _load_dynamic_models(
@@ -106,7 +141,7 @@ def _load_dynamic_models(
         raise InputError(f"dynamic models path is not a directory: {dyn_dir}")
     machines: dict[str, StateMachine] = {}
     for dot_file in sorted(dyn_dir.glob("*.dot")):
-        machines[dot_file.stem] = parse_state_machine(_read_input(dot_file), name=dot_file.stem)
+        machines[dot_file.stem] = _load_dot(dot_file)
     global_traces: list[Trace] = []
     log_file = dyn_dir / "events.jsonl"
     if log_file.is_file():
@@ -172,11 +207,11 @@ def _run_scenario(spec_path: Path, out_dir: Path) -> int:
     spec = ScenarioSpec.from_json(_read_input(spec_path))
     model, log_text, truth = generate(spec)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "static_model.json", serialize_static_model(model))
     dyn_dir = out_dir / "dynamic_models"
     dyn_dir.mkdir(exist_ok=True)
-    _atomic_write(dyn_dir / "events.jsonl", log_text)
-    _atomic_write(out_dir / "ground_truth.json", truth.to_json())
+    _write_files(out_dir, {"static_model.json": serialize_static_model(model),
+                           "ground_truth.json": truth.to_json()})
+    _write_files(dyn_dir, {"events.jsonl": log_text})
     print(f"Generated scenario with {spec.n_services} services into {out_dir}")
     return 0
 
@@ -219,17 +254,22 @@ def _run_analysis(args, cfg: Config) -> int:
 
     print("Generating interpretation visualizations...")
     out_dir = Path(args.output_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out_dir / "architecture.puml", bundle.architecture_puml)
-    _atomic_write(out_dir / "index.html", bundle.index_html)
-    for nc_id, html_text in sorted(bundle.nc_pages.items()):
-        _atomic_write(out_dir / report.page_filename(nc_id), html_text)
-
+    files = {
+        "architecture.puml": bundle.architecture_puml,
+        "index.html": bundle.index_html,
+        **{report.page_filename(nc_id): html_text
+           for nc_id, html_text in sorted(bundle.nc_pages.items())},
+    }
+    metrics = None
     if args.evaluate and len(global_traces) >= 2:
         k = min(10, len(global_traces))
         metrics = evaluator.evaluate(global_traces, learner_cfg, k=k, rng_seed=0)
-        _atomic_write(out_dir / "evaluation.txt", metrics.to_table())
-        _atomic_write(out_dir / "evaluation.json", metrics.to_json())
+        files["evaluation.txt"] = metrics.to_table()
+        files["evaluation.json"] = metrics.to_json()
+    # every file is made before the first is written, so a bad input leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_files(out_dir, files)
+    if metrics is not None:
         print(metrics.to_table(), end="")
 
     if args.fail_on_nc and ncs:

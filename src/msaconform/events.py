@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import defaultdict
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import MalformedLine, MissingEventField
 from .static_model import normalize_name
@@ -29,8 +31,7 @@ ARROW = "→"
 GLOBAL_SCOPE = "global"
 
 
-@dataclass(frozen=True)
-class HttpEvent:
+class HttpEvent(NamedTuple):
     ts: int
     src: str
     dst: str
@@ -39,8 +40,7 @@ class HttpEvent:
     status: int | None = None
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     symbols: tuple[str, ...]
     origin: str = ""
 
@@ -73,69 +73,70 @@ def template_path(path: str) -> str:
 
 
 def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
-    """Parse a JSON Lines event log; blank lines are skipped."""
+    """Parse a JSON Lines event log; blank lines are skipped.
+
+    Lines are split with ``str.splitlines``. Each goes to the JSON scanner
+    directly; one it does not consume whole (a syntax error, surrounding
+    whitespace, a byte order mark, trailing data) is read again with
+    ``json.loads``, which skips it if blank, else accepts it or raises
+    the error it always raised.
+    """
+    scan_once = json.JSONDecoder().scan_once
     events: list[HttpEvent] = []
     names: dict[str, str] = {}  # raw service name -> normalized, per distinct name
     for line_no, line in enumerate(jsonl_text.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_no, str(exc)) from exc
-        except RecursionError as exc:
-            raise MalformedLine(line_no, "nested too deeply") from exc
+            obj, end = scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedLine(line_no, str(exc)) from exc
+            except RecursionError as exc:
+                raise MalformedLine(line_no, "nested too deeply") from exc
         if not isinstance(obj, dict):
             raise MalformedLine(line_no, "expected a JSON object")
-        for field_name in ("ts", "src", "dst", "method", "path"):
-            if field_name not in obj:
-                raise MissingEventField(line_no, field_name)
-        ts = obj["ts"]
+        try:  # read in this order, so the first missing field is reported
+            ts, raw_src, raw_dst, raw_method, path = (
+                obj["ts"], obj["src"], obj["dst"], obj["method"], obj["path"]
+            )
+        except KeyError as exc:
+            raise MissingEventField(line_no, exc.args[0]) from None
         # type() and not isinstance(): JSON true/false load as bool, an int subclass
         if type(ts) is not int or ts < 0:
             raise MalformedLine(line_no, "ts must be a non-negative integer")
-        method = str(obj["method"]).upper()
+        method = str(raw_method).upper()
         if method not in HTTP_METHODS:
-            raise MalformedLine(line_no, f"unknown HTTP method {obj['method']!r}")
-        path = str(obj["path"])
+            raise MalformedLine(line_no, f"unknown HTTP method {raw_method!r}")
+        path = str(path)
         if not path.startswith("/"):
             raise MalformedLine(line_no, "path must begin with '/'")
         status = obj.get("status")
         if status is not None and type(status) is not int:
             raise MalformedLine(line_no, "status must be an integer")
-        raw_src, raw_dst = str(obj["src"]), str(obj["dst"])
+        raw_src, raw_dst = str(raw_src), str(raw_dst)
         src = names.get(raw_src) or names.setdefault(raw_src, normalize_name(raw_src))
         dst = names.get(raw_dst) or names.setdefault(raw_dst, normalize_name(raw_dst))
         if GLOBAL_SCOPE in (src, dst):
             raise MalformedLine(line_no, f"service name {GLOBAL_SCOPE!r} is reserved")
-        events.append(
-            HttpEvent(
-                ts=ts,
-                src=src,
-                dst=dst,
-                method=method,
-                path=path,
-                status=status,
-            )
-        )
+        # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
+        events.append(tuple.__new__(HttpEvent, (ts, src, dst, method, path, status)))
     return events
 
 
-def _segment(stamped: list[tuple[int, str]], gap_ms: int, origin: str) -> list[Trace]:
-    traces: list[Trace] = []
-    current: list[str] = []
-    prev_ts: int | None = None
-    start_idx = 0
-    for i, (ts, symbol) in enumerate(stamped):
-        if prev_ts is not None and ts - prev_ts > gap_ms:
-            traces.append(Trace(tuple(current), origin=f"{origin}[{start_idx}:{i}]"))
-            current = []
-            start_idx = i
-        current.append(symbol)
-        prev_ts = ts
-    if current:
-        traces.append(Trace(tuple(current), origin=f"{origin}[{start_idx}:{len(stamped)}]"))
-    return traces
+def _segment(stamps: list[int], symbols: list[str], gap_ms: int, origin: str) -> list[Trace]:
+    """Cut one scope's time-ordered events wherever the idle gap exceeds ``gap_ms``."""
+    cuts = [i for i in range(1, len(stamps)) if stamps[i] - stamps[i - 1] > gap_ms]
+    bounds = [0, *cuts, len(stamps)]
+    ordered = tuple(symbols)  # so each trace is one slice
+    return [
+        Trace(ordered[start:end], f"{origin}[{start}:{end}]")
+        for start, end in zip(bounds, bounds[1:])
+    ]
 
 
 def extract_traces(
@@ -147,31 +148,33 @@ def extract_traces(
     (one key per service, in sorted order, keeping events where it is src or
     dst), or ``"both"`` (global first). A trace's ``origin`` is
     ``<scope>[start:end]``, its slice of that scope's time-ordered events.
-    One sweep fills every scope, formatting each distinct call once.
+    Each distinct call is formatted once; a service's events are the
+    positions of the calls it takes part in, merged in time order.
     """
     if gap_ms <= 0:
         raise ValueError("gap_ms must be positive")
     if scope not in ("global", "per_service", "both"):
         raise ValueError(f"unknown scope {scope!r}")
-    symbols: dict[tuple[str, str, str, str], str] = {}
-    whole: list[tuple[int, str]] = []
-    by_service: dict[str, list[tuple[int, str]]] = {}
-    with_global = scope in ("global", "both")
-    with_services = scope in ("per_service", "both")
-    for ev in sorted(events, key=lambda e: e.ts):  # stable: preserves input order on ties
-        call = (ev.src, ev.dst, ev.method, ev.path)
-        if call not in symbols:
-            symbols[call] = format_symbol(ev.src, ev.dst, ev.method, template_path(ev.path))
-        item = (ev.ts, symbols[call])
-        if with_global:
-            whole.append(item)
-        if with_services:
-            by_service.setdefault(ev.src, []).append(item)
-            if ev.dst != ev.src:
-                by_service.setdefault(ev.dst, []).append(item)
+    ordered = sorted(events, key=attrgetter("ts"))  # stable: keeps input order on ties
+    stamps = [ev.ts for ev in ordered]
+    positions: dict[tuple[str, str, str, str], list[int]] = defaultdict(list)
+    for i, ev in enumerate(ordered):
+        positions[ev.src, ev.dst, ev.method, ev.path].append(i)
+    symbols: list[str] = [""] * len(ordered)
+    calls_of: dict[str, list[list[int]]] = defaultdict(list)  # service -> its calls' positions
+    for (src, dst, method, path), at in positions.items():
+        symbol = format_symbol(src, dst, method, template_path(path))
+        for i in at:
+            symbols[i] = symbol
+        calls_of[src].append(at)
+        if dst != src:
+            calls_of[dst].append(at)
     out: dict[str, list[Trace]] = {}
-    if whole:
-        out[GLOBAL_SCOPE] = _segment(whole, gap_ms, GLOBAL_SCOPE)
-    for svc in sorted(by_service):
-        out[svc] = _segment(by_service[svc], gap_ms, svc)
+    if ordered and scope in ("global", "both"):
+        out[GLOBAL_SCOPE] = _segment(stamps, symbols, gap_ms, GLOBAL_SCOPE)
+    if scope in ("per_service", "both"):
+        for svc in sorted(calls_of):
+            mine = sorted([i for at in calls_of[svc] for i in at])
+            out[svc] = _segment([stamps[i] for i in mine], [symbols[i] for i in mine],
+                                gap_ms, svc)
     return out

@@ -334,6 +334,31 @@ class TestBadInput:
         assert_one_error_line(code, err)
         assert "malformed transition symbol 'hello'" in err
 
+    @pytest.mark.parametrize("name", ["../../escaped", "Web", "svc_1", "a b", "!!!"])
+    def test_dot_service_name_not_normalized(self, clean_inputs, capsys, name):
+        # such a name would reach a page's file name, and a log's would be normalized
+        static_path, dyn_dir, out_dir = clean_inputs
+        label = f"a→{name}:GET /x"
+        (dyn_dir / "global.dot").write_text(
+            f'digraph sm {{\n__start -> 0;\n0 -> 1 [label="{label} | 3"];\n}}\n', "utf-8"
+        )
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert f"{dyn_dir / 'global.dot'}: label {label!r}" in err
+        assert not out_dir.exists()
+
+    def test_lone_surrogate_leaves_no_report(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        with (dyn_dir / "events.jsonl").open("a", encoding="utf-8") as log:
+            log.write('{"ts": 0, "src": "ghost", "dst": "rider", "method": "GET", '
+                      '"path": "/x/\\ud800"}\n')
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "lone surrogate" in err
+        assert list(out_dir.iterdir()) == []
+
     @pytest.mark.parametrize("spec_text, message", [
         (b'{"n_services": 4, "n_edges"', "not valid JSON"),
         (b"[" * 100_000, "not valid JSON"),

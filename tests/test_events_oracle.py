@@ -1,0 +1,166 @@
+"""The event-log parser gives exactly what the former one did.
+
+``_reference_events`` keeps the former ``parse_event_log`` verbatim. Every
+case here requires equal event lists, or an error of the same type with the
+same ``line_no`` and message. The lines are built as raw JSON text, so they
+can hold what ``json.dumps`` never writes: duplicate keys, ``NaN``, lone
+surrogate escapes, numbers too long to convert, surrounding whitespace, a
+byte order mark and trailing data.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _reference_events as reference
+from msaconform.events import HttpEvent, parse_event_log
+from msaconform.scenario import ScenarioSpec, generate
+
+FIELDS = ("ts", "src", "dst", "method", "path")
+# every character str.splitlines splits on
+SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+              "\u2028", "\u2029")
+# far from the recursion limit on either side, so both parsers agree
+DEEP = "[" * 100_000
+NESTED = "[" * 40 + "]" * 40
+
+
+def outcome(parse, text):
+    """The events, or the error's type, line number and message."""
+    try:
+        return parse(text)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+
+
+def assert_same(text):
+    assert outcome(parse_event_log, text) == outcome(reference.parse_event_log, text)
+
+
+def mostly(valid, invalid):
+    """``valid`` seven times in eight."""
+    return st.sampled_from([True] * 7 + [False]).flatmap(lambda ok: valid if ok else invalid)
+
+
+def as_json(values):
+    return st.sampled_from(values).map(json.dumps)
+
+
+odd_values = st.sampled_from([
+    "true", "false", "null", "NaN", "Infinity", "-Infinity", "1.5", "-3", "1e3", '""',
+    "[]", "{}", NESTED, '"\\ud800"', '"/\\udc00x"', '"\\u00e9"', "9" * 5000, "tru", '"\\x"',
+])
+VALUES = {
+    "ts": mostly(st.integers(0, 10**9).map(str), odd_values),
+    "src": mostly(as_json(["a", "B c", "svc_1", "web"]),
+                  as_json(["global", "Global!", "--", "é"]) | odd_values),
+    "dst": mostly(as_json(["a", "b", "order-svc", "web"]),
+                  as_json(["global", "", "x y z"]) | odd_values),
+    "method": mostly(as_json(["GET", "post", "Put", "DELETE"]),
+                     as_json(["FROB", "", 1, ["GET"]]) | odd_values),
+    "path": mostly(as_json(["/x", "/y/1", "/z?q=1", "/a b"]), as_json(["x", "", 5]) | odd_values),
+    "status": mostly(as_json([200, 404, None]), odd_values),
+}
+
+
+@st.composite
+def event_objects(draw):
+    """An event as JSON text: fields in any order, now and then one missing,
+    one extra or one given twice (the last value wins)."""
+    names = [*FIELDS, "status"]
+    pairs = [(name, draw(VALUES[name])) for name in names]
+    if draw(st.integers(0, 5)) == 0:
+        pairs.pop(draw(st.integers(0, len(pairs) - 1)))
+    if draw(st.integers(0, 5)) == 0:
+        name = draw(st.sampled_from(names))
+        pairs.insert(draw(st.integers(0, len(pairs))), (name, draw(VALUES[name])))
+    if draw(st.integers(0, 7)) == 0:
+        pairs.append(("extra", draw(odd_values)))
+    pairs = draw(st.permutations(pairs))
+    sep = draw(st.sampled_from([", ", ",", " ,\t"]))
+    colon = draw(st.sampled_from([": ", ":", " : "]))
+    return "{" + sep.join(f'"{key}"{colon}{value}' for key, value in pairs) + "}"
+
+
+other_lines = st.one_of(
+    st.sampled_from(["", " ", "\t", "\xa0", "[]", "1", '"s"', "null", "true", "NaN", "{}{}",
+                     DEEP, NESTED, "{", "}", '{"ts": 1', '"\\ud800"', "\ufeff", "9" * 5000]),
+    st.text(max_size=6),
+)
+lines = mostly(
+    st.tuples(
+        mostly(st.just(""), st.sampled_from([" ", "\t", " \t", "\ufeff", "\xa0", "\u3000"])),
+        event_objects(),
+        mostly(st.just(""), st.sampled_from([" ", "\t", "{}", " x", "]", "\xa0", "\ufeff"])),
+    ).map("".join),
+    other_lines,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(lines, st.sampled_from(SEPARATORS)), max_size=8))
+def test_matches_reference(log):
+    assert_same("".join(line + sep for line, sep in log))
+
+
+VALID = '{"ts": 7, "src": "Web", "dst": "order", "method": "get", "path": "/o/1", "status": 200}'
+EXAMPLES = {
+    "leading space": " " + VALID,
+    "leading tab": "\t" + VALID,
+    "trailing space": VALID + " \t",
+    "ideographic space": VALID + "\u3000",
+    "byte order mark": "\ufeff" + VALID,
+    "mark after a line": VALID + "\n\ufeff" + VALID,
+    "blank by vertical tab": VALID + "\x0b\x0b" + VALID,
+    "blank by line separator": VALID + "\u2028 \u2028" + VALID,
+    "blank by paragraph separator": "\u2029" + VALID,
+    "extra data": VALID + "{}",
+    "two objects": "{}{}",
+    "closing bracket after": VALID + "]",
+    "deep nesting": DEEP,
+    "deep nesting in a field": VALID[:-1] + ', "x": ' + DEEP + "}",
+    "shallow nesting in a field": VALID[:-1] + ', "x": ' + NESTED + "}",
+    "duplicate ts": VALID.replace('"ts": 7', '"ts": 7, "ts": 9'),
+    "duplicate ts, bad then good": VALID.replace('"ts": 7', '"ts": true, "ts": 9'),
+    "duplicate ts, good then bad": VALID.replace('"ts": 7', '"ts": 9, "ts": -1'),
+    "boolean ts": VALID.replace('"ts": 7', '"ts": true'),
+    "boolean status": VALID.replace('"status": 200', '"status": false'),
+    "NaN ts": VALID.replace('"ts": 7', '"ts": NaN'),
+    "NaN status": VALID.replace('"status": 200', '"status": NaN'),
+    "too many digits": VALID.replace('"ts": 7', '"ts": ' + "9" * 5000),
+    "array": "[1, 2]",
+    "number": "12",
+    "string": '"ts"',
+    "null": "null",
+    "lone surrogate in path": VALID.replace('"/o/1"', '"/o/\\ud800"'),
+    "lone surrogate as src": VALID.replace('"Web"', '"\\udc00"'),
+    "bad escape": VALID.replace('"/o/1"', '"/o/\\x"'),
+    "service named global": VALID.replace('"order"', '"GLOBAL"'),
+    "unknown method": VALID.replace('"get"', '"brew"'),
+    "relative path": VALID.replace('"/o/1"', '"o/1"'),
+}
+for field in FIELDS:
+    EXAMPLES[f"missing {field}"] = VALID.replace(f'"{field}": ', '"other": ')
+    EXAMPLES[f"missing {field} and later ones"] = VALID.split(f'"{field}"')[0].rstrip(", ") + "}"
+
+
+@pytest.mark.parametrize("text", EXAMPLES.values(), ids=EXAMPLES.keys())
+def test_examples_match_reference(text):
+    assert_same(text)
+    assert_same(VALID + "\n" + text)  # the same line second, for its line number
+
+
+def test_duplicate_key_last_wins():
+    events = parse_event_log(VALID.replace('"ts": 7', '"ts": 7, "ts": 9'))
+    assert events == [HttpEvent(9, "web", "order", "GET", "/o/1", 200)]
+
+
+def test_scenario_log_matches_reference():
+    spec = ScenarioSpec(n_services=12, n_edges=30, n_injected_static_nc=2,
+                        n_injected_dynamic_nc=2, n_events=3000, rng_seed=4)
+    _model, log, _truth = generate(spec)
+    events = parse_event_log(log)
+    assert len(events) == 3000
+    assert events == reference.parse_event_log(log)

@@ -15,6 +15,7 @@ there is no accepting-state set.
 from __future__ import annotations
 
 import re
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -62,6 +63,10 @@ _START_RE = re.compile(r"^__start\s*->\s*(\d+)$")
 _TRANS_RE = re.compile(r'^(\d+)\s*->\s*(\d+)\s*\[label="([^"|]*) \| (\d+)"\]$')
 
 
+def _too_many_digits(line_no: int) -> MalformedDot:
+    return MalformedDot(line_no, f"a number has more than {sys.get_int_max_str_digits()} digits")
+
+
 def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
     """Parse the DOT subset into a validated StateMachine."""
     stripped = dot_text.strip()
@@ -84,15 +89,21 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
         if m:
             if initial is not None:
                 raise MalformedDot(line_no, "duplicate __start line")
-            initial = int(m.group(1))
+            try:
+                initial = int(m.group(1))
+            except ValueError:  # more digits than int() converts
+                raise _too_many_digits(line_no) from None
             continue
         m = _TRANS_RE.match(stmt)
         if m is None:
             raise MalformedDot(line_no, f"unrecognized statement {stmt!r}")
         if initial is None:
             raise MalformedDot(line_no, "transition before __start line")
-        src, dst = int(m.group(1)), int(m.group(2))
-        symbol, freq = m.group(3), int(m.group(4))
+        try:
+            src, dst, freq = int(m.group(1)), int(m.group(2)), int(m.group(4))
+        except ValueError:  # more digits than int() converts
+            raise _too_many_digits(line_no) from None
+        symbol = m.group(3)
         if freq < 1:
             raise MalformedDot(line_no, "frequency must be positive")
         if (src, symbol) in transitions:

@@ -135,14 +135,15 @@ def _load_dot(dot_file: Path) -> StateMachine:
 
 def _load_dynamic_models(
     dyn_dir: Path, cfg: Config, learner_cfg: LearnerConfig, evaluate: bool
-) -> tuple[dict[str, StateMachine], list[Trace]]:
-    """Per-scope machines (.dot files, else learned) and the log's global traces."""
+) -> tuple[dict[str, StateMachine], list[Trace] | None]:
+    """Per-scope machines (.dot files, else learned) and the log's global traces,
+    ``None`` if there is no log."""
     if not dyn_dir.is_dir():
         raise InputError(f"dynamic models path is not a directory: {dyn_dir}")
     machines: dict[str, StateMachine] = {}
     for dot_file in sorted(dyn_dir.glob("*.dot")):
         machines[dot_file.stem] = _load_dot(dot_file)
-    global_traces: list[Trace] = []
+    global_traces: list[Trace] | None = None
     log_file = dyn_dir / "events.jsonl"
     if log_file.is_file():
         events = parse_event_log(_read_input(log_file))
@@ -261,11 +262,17 @@ def _run_analysis(args, cfg: Config) -> int:
            for nc_id, html_text in sorted(bundle.nc_pages.items())},
     }
     metrics = None
-    if args.evaluate and len(global_traces) >= 2:
-        k = min(10, len(global_traces))
-        metrics = evaluator.evaluate(global_traces, learner_cfg, k=k, rng_seed=0)
-        files["evaluation.txt"] = metrics.to_table()
-        files["evaluation.json"] = metrics.to_json()
+    if args.evaluate:
+        if global_traces is None:
+            print("Skipping evaluation: there is no events.jsonl log to evaluate on")
+        elif len(global_traces) < 2:
+            print(f"Skipping evaluation: it needs at least 2 global traces, "
+                  f"the log has {len(global_traces)}")
+        else:
+            k = min(10, len(global_traces))
+            metrics = evaluator.evaluate(global_traces, learner_cfg, k=k, rng_seed=0)
+            files["evaluation.txt"] = metrics.to_table()
+            files["evaluation.json"] = metrics.to_json()
     # every file is made before the first is written, so a bad input leaves none
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_files(out_dir, files)

@@ -2,8 +2,13 @@
 
 ``InputError`` subclasses signal problems with user-supplied files or
 arguments; the CLI maps them to exit code 2 and never prints a traceback
-for them.
+for them. ``load_json`` reads every JSON input document, so that each way
+one can fail to load becomes such an error.
 """
+
+import json
+import sys
+from typing import Any, Callable
 
 
 class ConformanceError(Exception):
@@ -12,6 +17,22 @@ class ConformanceError(Exception):
 
 class InputError(ConformanceError):
     """A user-supplied input (file, flag, config) is invalid."""
+
+
+def load_json(text: str, error: Callable[[Exception], InputError]) -> Any:
+    """``json.loads``, raising ``error(exc)`` for a document it cannot load.
+
+    ``exc`` is a ``JSONDecodeError``, the ``RecursionError`` of deep nesting,
+    or, for an integer with more digits than ``int()`` converts, a
+    ``ValueError`` that says so in fewer words than Python's own.
+    """
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error(exc) from exc
+    except ValueError as exc:
+        too_long = ValueError(f"a number has more than {sys.get_int_max_str_digits()} digits")
+        raise error(too_long) from exc
 
 
 # static model parsing

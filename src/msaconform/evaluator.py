@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 from .automaton import StateMachine, accepts
 from .errors import AlphabetTooSmall, CannotAvoidPositives, TooFewTraces
 from .events import Trace
-from .learner import LearnerConfig, learn
+from .learner import LearnerConfig, PrefixTree, learn
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,18 @@ def mutate_trace(
     alphabet: Sequence[str] | set[str],
     rng_seed: int,
     exclude: set[tuple[str, ...]] | frozenset[tuple[str, ...]] = frozenset(),
+    *,
+    presorted: bool = False,
 ) -> Trace:
-    """Replace one symbol by a different one, avoiding the excluded traces."""
+    """Replace one symbol by a different one, avoiding the excluded traces.
+
+    ``presorted`` says ``alphabet`` is already a sorted list of distinct
+    symbols, so it is not sorted again.
+    """
     symbols = trace.symbols if isinstance(trace, Trace) else tuple(trace)
     if not symbols:
         raise ValueError("cannot mutate an empty trace")
-    alpha = sorted(set(alphabet))
+    alpha = alphabet if presorted else sorted(set(alphabet))
     if len(alpha) < 2:
         raise AlphabetTooSmall("need at least 2 symbols to mutate")
     rng = random.Random(rng_seed)
@@ -89,12 +95,12 @@ def evaluate(
 
     ``model_fn`` overrides learning; it receives the training traces of a
     fold and returns the machine to evaluate. This supports oracle models
-    and degenerate fixed machines.
+    and degenerate fixed machines. Without it, every fold's prefix tree is
+    derived from one tree of all ``traces``.
     """
     if k < 2 or len(traces) < k:
         raise TooFewTraces(f"need at least k={k} traces, got {len(traces)}")
-    if model_fn is None:
-        model_fn = lambda train: learn(train, cfg)  # noqa: E731
+    tree = PrefixTree(traces) if model_fn is None else None
 
     alphabet = sorted({sym for t in traces for sym in t.symbols})
     rng = random.Random(rng_seed)
@@ -105,13 +111,16 @@ def evaluate(
         test = [traces[i] for i in test_idx]
         test_set = set(test_idx)
         train = [t for i, t in enumerate(traces) if i not in test_set]
-        model = model_fn(train)
+        if tree is None:
+            model = model_fn(train)
+        else:
+            model = learn(train, cfg, pta=tree.without(test_idx))
         exclude = {t.symbols for t in train}
 
         accepted = sum(1 for t in test if accepts(model, t.symbols))
         negatives = [
             mutate_trace(t, alphabet, rng_seed=rng_seed * 10007 + fold_no * 101 + j,
-                         exclude=exclude)
+                         exclude=exclude, presorted=True)
             for j, t in enumerate(test)
         ]
         rejected = sum(1 for t in negatives if not accepts(model, t.symbols))

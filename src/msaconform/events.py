@@ -17,7 +17,7 @@ from collections import defaultdict
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import MalformedLine, MissingEventField
+from .errors import MalformedLine, MissingEventField, load_json
 from .static_model import normalize_name
 
 HTTP_METHODS = frozenset({"GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS"})
@@ -78,7 +78,7 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
     Lines are split with ``str.splitlines``. Each goes to the JSON scanner
     directly; one it does not consume whole (a syntax error, surrounding
     whitespace, a byte order mark, trailing data) is read again with
-    ``json.loads``, which skips it if blank, else accepts it or raises
+    ``load_json``, which skips it if blank, else accepts it or raises
     the error it always raised.
     """
     scan_once = json.JSONDecoder().scan_once
@@ -92,12 +92,8 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
         if end != len(line):
             if not line.strip():
                 continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedLine(line_no, str(exc)) from exc
-            except RecursionError as exc:
-                raise MalformedLine(line_no, "nested too deeply") from exc
+            obj = load_json(line, lambda exc: MalformedLine(
+                line_no, "nested too deeply" if isinstance(exc, RecursionError) else str(exc)))
         if not isinstance(obj, dict):
             raise MalformedLine(line_no, "expected a JSON object")
         try:  # read in this order, so the first missing field is reported

@@ -16,6 +16,21 @@ every leaf would be vacuously mergeable with everything.
 Merging is deterministic: blue states are considered in breadth-first id
 order and fold into the lowest-id compatible red state.
 
+The prefix tree is kept as flat lists. States are numbered breadth-first
+with symbols in sorted order, so every state ``t > 0`` is described by its
+one incoming edge: ``src[t-1]``, ``sym[t-1]`` and ``freq[t-1]``, the number
+of traces that pass through ``t``. ``end[t]`` counts the traces that end
+in ``t``, and ``leaf[i]`` is the state where trace ``i`` ends. A
+cross-validation fold does not build its own tree: ``without`` copies the
+counts and walks each held-out trace up from its leaf, decrementing. An
+edge whose count reaches 0 leaves the fold's tree, and so does its whole
+subtree. On the states that remain, the global breadth-first order is the
+fold's own. The merge loop builds each state's row in the order its
+symbols were first inserted, which it recovers by walking each trace up
+from its leaf to the first state an earlier trace made. Ids and rows are
+then those of a tree built from the fold's traces, so the merge order,
+and the learned machine, is the same.
+
 Each merge step does work bounded by the states it touches, not by the
 size of the automaton. Every non-red state is a node of a prefix subtree
 hanging off the red core, so it has exactly one parent edge; the loop
@@ -32,7 +47,6 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -53,103 +67,118 @@ class LearnerConfig:
             raise ValueError(f"min_freq must be non-negative, got {self.min_freq}")
 
 
-def _symbols_of(trace: Trace | Sequence[str]) -> tuple[str, ...]:
-    if isinstance(trace, Trace):
-        return trace.symbols
-    return tuple(trace)
+class PrefixTree:
+    """Prefix tree acceptor of a trace list, as flat breadth-first lists.
 
+    State ``t > 0`` is entered from ``src[t-1]`` on ``sym[t-1]`` by
+    ``freq[t-1]`` traces; ``end[t]`` traces end there; trace ``i`` ends in
+    ``leaf[i]``. A tree made by :meth:`without` shares ``src`` and ``sym``
+    and keeps the states its traces left behind with count 0.
+    """
 
-class _Fsm:
-    """Mutable working automaton: transition dicts plus termination counts."""
+    __slots__ = ("src", "sym", "freq", "end", "leaf")
 
-    def __init__(self):
-        # state -> symbol -> (target, freq)
-        self.trans: dict[int, dict[str, tuple[int, int]]] = {0: {}}
-        self.end: dict[int, int] = {0: 0}
-        self._next_id = 1
+    def __init__(self, traces: Sequence[Trace | Sequence[str]]):
+        if not traces:
+            raise EmptyTraceSet("cannot learn from an empty trace set")
+        # insertion-numbered trie first: a child dict and an incoming count per node
+        children: list[dict[str, int]] = [{}]
+        count = [0]
+        leaves = []
+        for trace in traces:
+            node = 0
+            for symbol in trace.symbols if isinstance(trace, Trace) else trace:
+                row = children[node]
+                nxt = row.get(symbol)
+                if nxt is None:
+                    nxt = row[symbol] = len(children)
+                    children.append({})
+                    count.append(0)
+                count[nxt] += 1
+                node = nxt
+            leaves.append(node)
+        # then breadth-first, symbols sorted
+        bfs_id = [0] * len(children)
+        order = [0]
+        self.src: list[int] = []
+        self.sym: list[str] = []
+        self.freq: list[int] = []
+        for state, node in enumerate(order):  # order grows as the loop runs
+            row = children[node]
+            for symbol in sorted(row):
+                child = row[symbol]
+                bfs_id[child] = len(order)
+                order.append(child)
+                self.src.append(state)
+                self.sym.append(symbol)
+                self.freq.append(count[child])
+        self.leaf = [bfs_id[node] for node in leaves]
+        self.end = [0] * len(order)
+        for state in self.leaf:
+            self.end[state] += 1
 
-    def add_state(self) -> int:
-        sid = self._next_id
-        self._next_id += 1
-        self.trans[sid] = {}
-        self.end[sid] = 0
-        return sid
+    def without(self, held: Iterable[int]) -> PrefixTree:
+        """The tree of the traces not indexed by ``held``, in their order."""
+        held = set(held)
+        if len(held) >= len(self.leaf):
+            raise EmptyTraceSet("cannot learn from an empty trace set")
+        freq, end, src = self.freq.copy(), self.end.copy(), self.src
+        for i in held:
+            state = self.leaf[i]
+            end[state] -= 1
+            while state:
+                state -= 1
+                freq[state] -= 1
+                state = src[state]
+        tree = object.__new__(PrefixTree)
+        tree.src, tree.sym, tree.freq, tree.end = src, self.sym, freq, end
+        tree.leaf = [state for i, state in enumerate(self.leaf) if i not in held]
+        return tree
 
-    def insert(self, symbols: Iterable[str]) -> None:
-        state = 0
-        for sym in symbols:
-            nxt = self.trans[state].get(sym)
-            if nxt is None:
-                target = self.add_state()
-                self.trans[state][sym] = (target, 1)
-            else:
-                target, freq = nxt
-                self.trans[state][sym] = (target, freq + 1)
-            state = target
-        self.end[state] += 1
-
-    def renumber_bfs(self) -> None:
-        order: dict[int, int] = {0: 0}
-        queue = deque([0])
-        while queue:
-            s = queue.popleft()
-            for sym in sorted(self.trans[s]):
-                t, _f = self.trans[s][sym]
-                if t not in order:
-                    order[t] = len(order)
-                    queue.append(t)
-        self.trans = {
-            order[s]: {sym: (order[t], f) for sym, (t, f) in row.items()}
-            for s, row in self.trans.items()
-            if s in order
-        }
-        self.end = {order[s]: e for s, e in self.end.items() if s in order}
-        self._next_id = len(order)
-
-    def to_state_machine(self, name: str | None = None) -> StateMachine:
-        transitions = {
-            (s, sym): (t, f)
-            for s, row in self.trans.items()
-            for sym, (t, f) in row.items()
-        }
-        states = frozenset(self.trans)
-        return canonicalize(StateMachine(states, 0, transitions, name=name))
-
-
-def _build_pta(traces: Sequence[Trace | Sequence[str]]) -> _Fsm:
-    if not traces:
-        raise EmptyTraceSet("cannot learn from an empty trace set")
-    fsm = _Fsm()
-    for trace in traces:
-        fsm.insert(_symbols_of(trace))
-    fsm.renumber_bfs()
-    return fsm
-
-
-def build_pta(traces: Sequence[Trace | Sequence[str]], name: str | None = None) -> StateMachine:
-    """Prefix tree acceptor: one state per distinct trace prefix."""
-    return _build_pta(traces).to_state_machine(name=name)
+    def insertion_order(self) -> list[int]:
+        """The states but the root, in the order inserting the traces one by one
+        into an empty tree creates them. A state with count 0 is never created."""
+        made = bytearray(len(self.end))
+        made[0] = 1
+        order: list[int] = []
+        for state in self.leaf:
+            path = []  # the states this trace creates, deepest first
+            while not made[state]:
+                made[state] = 1
+                path.append(state)
+                state = self.src[state - 1]
+            order += reversed(path)
+        return order
 
 
 class _RedBlue:
     """Red-blue merge loop over a prefix tree, with incremental bookkeeping.
 
-    ``parent`` maps every non-red state to its one incoming edge
-    ``(state, symbol)``; a state is blue when that parent is red.
-    ``total`` caches each state's outgoing plus terminating frequency.
-    ``fringe`` holds every blue state, possibly alongside stale ids.
+    ``trans`` maps each live state to its row ``symbol -> (target, freq)``.
+    The lists are indexed by the tree's state ids: ``end`` holds each
+    state's termination count, and ``total`` caches its outgoing plus
+    terminating frequency. Every non-red state has one incoming edge, from
+    ``parent_src`` on ``parent_sym``; a state is blue when that source is
+    red, and ``parent_src`` is -1 for a red or merged state. ``fringe``
+    holds every blue state, possibly alongside stale ids.
     """
 
-    def __init__(self, fsm: _Fsm, cfg: LearnerConfig):
-        self.fsm = fsm
+    def __init__(self, tree: PrefixTree, cfg: LearnerConfig):
         self.min_freq = cfg.min_freq
         self.coeff = math.sqrt(0.5 * math.log(2.0 / cfg.alpha))
-        self.total = {
-            s: sum(f for _t, f in row.values()) + fsm.end[s] for s, row in fsm.trans.items()
-        }
-        self.parent = {
-            t: (s, sym) for s, row in fsm.trans.items() for sym, (t, _f) in row.items()
-        }
+        src, sym, freq = tree.src, tree.sym, tree.freq
+        # each row in insertion order: the order _merge walks a row in decides
+        # which states a fold keeps, and so the ids that order later merges
+        trans: dict[int, dict[str, tuple[int, int]]] = {0: {}}
+        for t in tree.insertion_order():
+            trans[src[t - 1]][sym[t - 1]] = (t, freq[t - 1])
+            trans[t] = {}
+        self.trans = trans
+        self.parent_src = [-1, *tree.src]
+        self.parent_sym = ["", *tree.sym]
+        self.end = tree.end.copy()
+        # in a prefix tree a state's total is the count of its incoming edge
+        self.total = [len(tree.leaf), *tree.freq]
         self.red: set[int] = set()
         self.red_order: list[int] = []  # ascending: merge candidates in id order
         self.fringe: list[int] = []
@@ -158,21 +187,20 @@ class _RedBlue:
     def _promote(self, state: int) -> None:
         self.red.add(state)
         insort(self.red_order, state)
-        self.parent.pop(state, None)
-        for t, _f in self.fsm.trans[state].values():
+        self.parent_src[state] = -1
+        for t, _f in self.trans[state].values():
             heapq.heappush(self.fringe, t)
 
     def _next_blue(self) -> int | None:
         """Pop the lowest-id blue state, skipping merged, red or moved ids."""
         while self.fringe:
             q = heapq.heappop(self.fringe)
-            edge = self.parent.get(q)
-            if edge is not None and edge[0] in self.red:
+            if self.parent_src[q] in self.red:
                 return q
         return None
 
     def _compatible(self, red: int, blue: int) -> bool:
-        trans, end, total = self.fsm.trans, self.fsm.end, self.total
+        trans, end, total = self.trans, self.end, self.total
         min_freq, coeff = self.min_freq, self.coeff
         seen: set[tuple[int, int]] = set()
         stack = [(red, blue)]
@@ -206,15 +234,17 @@ class _RedBlue:
 
     def _merge(self, red: int, blue: int) -> None:
         """Redirect blue's parent edge to red, then fold blue's subtree in."""
-        trans, end, total, parent = self.fsm.trans, self.fsm.end, self.total, self.parent
-        src, sym = parent.pop(blue)
+        trans, end, total = self.trans, self.end, self.total
+        parent_src, parent_sym = self.parent_src, self.parent_sym
+        src, sym = parent_src[blue], parent_sym[blue]
+        parent_src[blue] = -1
         trans[src][sym] = (red, trans[src][sym][1])
         stack = [(red, blue)]
         while stack:
             a, b = stack.pop()
-            end[a] += end.pop(b, 0)
-            total[a] += total.pop(b, 0)
-            parent.pop(b, None)
+            end[a] += end[b]
+            total[a] += total[b]
+            parent_src[b] = -1
             row_a = trans[a]
             a_red = a in self.red
             for sym, (t, f) in trans.pop(b, {}).items():
@@ -225,11 +255,11 @@ class _RedBlue:
                         stack.append((t2, t))
                 else:
                     row_a[sym] = (t, f)
-                    parent[t] = (a, sym)
+                    parent_src[t], parent_sym[t] = a, sym
                     if a_red:
                         heapq.heappush(self.fringe, t)
 
-    def run(self) -> _Fsm:
+    def run(self) -> _RedBlue:
         while (q := self._next_blue()) is not None:
             for r in self.red_order:
                 if self._compatible(r, q):
@@ -237,13 +267,34 @@ class _RedBlue:
                     break
             else:
                 self._promote(q)
-        return self.fsm
+        return self
+
+    def to_state_machine(self, name: str | None = None) -> StateMachine:
+        transitions = {
+            (s, sym): (t, f)
+            for s, row in self.trans.items()
+            for sym, (t, f) in row.items()
+        }
+        return canonicalize(StateMachine(frozenset(self.trans), 0, transitions, name=name))
+
+
+def build_pta(traces: Sequence[Trace | Sequence[str]], name: str | None = None) -> StateMachine:
+    """Prefix tree acceptor: one state per distinct trace prefix."""
+    return _RedBlue(PrefixTree(traces), LearnerConfig()).to_state_machine(name=name)
 
 
 def learn(
     traces: Sequence[Trace | Sequence[str]],
     cfg: LearnerConfig = LearnerConfig(),
     name: str | None = None,
+    *,
+    pta: PrefixTree | None = None,
 ) -> StateMachine:
-    """Learn a deterministic machine from traces by red-blue state merging."""
-    return _RedBlue(_build_pta(traces), cfg).run().to_state_machine(name=name)
+    """Learn a deterministic machine from traces by red-blue state merging.
+
+    ``pta``, if given, must be the prefix tree of ``traces``, such as a
+    cross-validation fold's ``PrefixTree.without``; it is not built again.
+    """
+    if pta is None:
+        pta = PrefixTree(traces)
+    return _RedBlue(pta, cfg).run().to_state_machine(name=name)

@@ -15,7 +15,7 @@ import random
 from dataclasses import MISSING, dataclass, fields
 
 from .detector import NcKind, NonConformance
-from .errors import InfeasibleSpec, InputError
+from .errors import InfeasibleSpec, InputError, load_json
 from .static_model import Flow, ServiceNode, StaticModel, Traceability
 
 _METHODS = ("GET", "POST", "PUT", "DELETE")
@@ -47,10 +47,7 @@ class ScenarioSpec:
     def from_json(cls, text: str) -> "ScenarioSpec":
         """Parse a spec document; bad JSON, a missing key or a non-integer value
         is an InputError."""
-        try:
-            doc = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InputError(f"scenario spec is not valid JSON: {exc}") from exc
+        doc = load_json(text, lambda exc: InputError(f"scenario spec is not valid JSON: {exc}"))
         if not isinstance(doc, dict):
             raise InputError("scenario spec must be a JSON object")
         values = {}

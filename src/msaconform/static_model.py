@@ -23,6 +23,7 @@ from .errors import (
     MalformedJson,
     MissingField,
     UnknownEndpoint,
+    load_json,
 )
 
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
@@ -121,12 +122,9 @@ def _parse_node(obj, path: str, is_external: bool) -> ServiceNode:
 
 def parse_static_model(json_text: str) -> StaticModel:
     """Parse and validate the static model JSON document."""
-    try:
-        doc = json.loads(json_text)
-    except json.JSONDecodeError as exc:
-        raise MalformedJson(f"static model is not valid JSON: {exc}") from exc
-    except RecursionError as exc:
-        raise MalformedJson("static model is nested too deeply") from exc
+    doc = load_json(json_text, lambda exc: MalformedJson(
+        "static model is nested too deeply" if isinstance(exc, RecursionError)
+        else f"static model is not valid JSON: {exc}"))
     if not isinstance(doc, dict):
         raise MalformedJson("static model document must be a JSON object")
 

@@ -11,6 +11,7 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import random
 import sys
 from pathlib import Path
 
@@ -18,6 +19,8 @@ import pytest
 
 from msaconform import cli
 from msaconform.automaton import serialize_state_machine
+from msaconform.evaluator import _fold_indices
+from msaconform.events import extract_traces, parse_event_log
 from msaconform.learner import build_pta
 from msaconform.scenario import ScenarioSpec, generate
 from msaconform.static_model import serialize_static_model
@@ -72,3 +75,34 @@ def test_every_span_fires(tmp_path):
                          "--dynamic_models_path", str(from_dot),
                          "--output_path", str(tmp_path / "out_dot")])
     assert fired == {tracing.ROOT_SPAN, *tracing.WRAPPED}
+
+
+def test_each_fold_learns_through_the_wrapped_learn(tmp_path):
+    """Under ``--evaluate`` the wrapped ``learn`` fires once per fold, with that fold's
+    training traces as its first argument: the spans the benchmark counts as
+    ``evaluator.folds``, ``learner.pta_states`` and ``learned_states`` see every fold."""
+    spec = ScenarioSpec(n_services=5, n_edges=6, n_events=300, rng_seed=2)
+    model, log, _truth = generate(spec)
+    static_path = tmp_path / "static_model.json"
+    static_path.write_text(serialize_static_model(model), "utf-8")
+    dyn_dir = tmp_path / "dynamic"
+    dyn_dir.mkdir()
+    (dyn_dir / "events.jsonl").write_text(log, "utf-8")
+    tracer = tracing.Tracer()
+    with contextlib.redirect_stdout(io.StringIO()), tracer.trace():
+        assert cli.run(["--static_model_path", str(static_path),
+                        "--dynamic_models_path", str(dyn_dir),
+                        "--output_path", str(tmp_path / "out"), "--evaluate"]) == 0
+
+    traces = extract_traces(parse_event_log(log), 1000)["global"]
+    k = min(10, len(traces))
+    folds = _fold_indices(len(traces), k, random.Random(0))  # the CLI evaluates with seed 0
+    (evaluate_span,) = [s for s in tracer.spans if s.name == "evaluator.evaluate"]
+    fold_learns = [s for s in tracer.spans
+                   if s.name == "learner.learn" and s.parent == evaluate_span.id]
+    assert len(fold_learns) == k
+    for span, fold in zip(fold_learns, folds):
+        args, kwargs, _machine = span.call
+        train = args[0] if args else kwargs["traces"]
+        assert len(train) == len(traces) - len(fold)
+        assert train == [t for i, t in enumerate(traces) if i not in set(fold)]

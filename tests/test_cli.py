@@ -192,6 +192,30 @@ class TestAnalysis:
         assert (out_dir / "evaluation.txt").is_file()
         assert "balanced_accuracy" in (out_dir / "evaluation.json").read_text("utf-8")
 
+    def test_evaluate_skipped_without_log(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        (dyn_dir / "events.jsonl").unlink()
+        (dyn_dir / "global.dot").write_text(
+            'digraph sm {\n__start -> 0;\n0 -> 1 [label="a→b:GET /x | 3"];\n}\n', "utf-8")
+        assert invoke(static_path, dyn_dir, out_dir, "--evaluate") == 0
+        out = capsys.readouterr().out
+        assert out.count("Skipping evaluation: there is no events.jsonl log to evaluate on\n") == 1
+        assert not (out_dir / "evaluation.json").exists()
+
+    def test_evaluate_skipped_with_one_trace(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        (dyn_dir / "events.jsonl").write_text(
+            '{"ts": 0, "src": "a", "dst": "b", "method": "GET", "path": "/x"}\n'
+            '{"ts": 5, "src": "b", "dst": "c", "method": "GET", "path": "/y"}\n', "utf-8")
+        assert invoke(static_path, dyn_dir, out_dir, "--evaluate") == 0
+        out = capsys.readouterr().out
+        assert out.count("Skipping evaluation: it needs at least 2 global traces, "
+                         "the log has 1\n") == 1
+        assert not (out_dir / "evaluation.json").exists()
+        # without --evaluate nothing is said about it
+        assert invoke(static_path, dyn_dir, out_dir) == 0
+        assert "Skipping evaluation" not in capsys.readouterr().out
+
 
 class TestConfigFile:
     def test_config_applied(self, clean_inputs, tmp_path, capsys):
@@ -380,6 +404,41 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert_one_error_line(code, err)
         assert message in err
+
+    LONG = "9" * 5000  # more digits than int() converts by default
+
+    @pytest.mark.parametrize("target", ["events", "static", "dot-frequency", "dot-state"])
+    def test_number_too_long(self, clean_inputs, capsys, target):
+        static_path, dyn_dir, out_dir = clean_inputs
+        if target == "events":
+            with (dyn_dir / "events.jsonl").open("a", encoding="utf-8") as log:
+                log.write(f'{{"ts": {self.LONG}, "src": "a", "dst": "b", "method": "GET", '
+                          '"path": "/x"}\n')
+        elif target == "static":
+            static_path.write_text(
+                f'{{"services": [{{"name": "a", "traceability": '
+                f'{{"file": "f", "line": {self.LONG}}}}}]}}', "utf-8")
+        else:
+            freq, state = ("3", self.LONG) if target == "dot-state" else (self.LONG, "1")
+            (dyn_dir / "global.dot").write_text(
+                f'digraph sm {{\n__start -> 0;\n'
+                f'0 -> {state} [label="a→b:GET /x | {freq}"];\n}}\n', "utf-8")
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "more than 4300 digits" in err
+        if target.startswith("dot"):
+            assert "malformed dot at line 3" in err
+        elif target == "events":
+            assert "malformed event log line" in err
+
+    def test_scenario_number_too_long(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(f'{{"n_services": {self.LONG}, "n_edges": 5}}', "utf-8")
+        code = run(["--scenario", str(spec_file), "--output_path", str(tmp_path / "gen")])
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "scenario spec is not valid JSON: a number has more than 4300 digits" in err
 
 
 def test_details_parse_each_symbol_once_per_machine(tmp_path, monkeypatch):

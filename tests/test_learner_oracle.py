@@ -1,18 +1,29 @@
 """The bounded-work red-blue loop learns exactly what the original loop did.
 
 ``_reference_learner`` keeps the original merge loop verbatim. Every case
-here compares the two learners' ``serialize_state_machine`` text.
+here compares the two learners' ``serialize_state_machine`` text: on trace
+sets, and on cross-validation folds whose prefix tree is derived from the
+tree of every trace by ``PrefixTree.without``.
 """
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_learner as reference
+from msaconform import evaluator
 from msaconform.automaton import serialize_state_machine
-from msaconform.events import extract_traces, format_symbol, parse_event_log, template_path
-from msaconform.learner import LearnerConfig, build_pta, learn
+from msaconform.evaluator import _fold_indices, evaluate
+from msaconform.events import (
+    Trace,
+    extract_traces,
+    format_symbol,
+    parse_event_log,
+    template_path,
+)
+from msaconform.learner import LearnerConfig, PrefixTree, build_pta, learn
 from msaconform.scenario import ScenarioSpec, generate
 
 ALPHAS = (0.001, 0.05, 0.5, 1.0)
@@ -100,3 +111,92 @@ def test_random_walks_large_pta():
     assert len(build_pta(traces).states) > 2_000
     for cfg in (LearnerConfig(), LearnerConfig(alpha=0.5, min_freq=2)):
         assert_same_machine(traces, cfg)
+
+
+@st.composite
+def held_out_folds(draw):
+    """A trace list with repeats, and a set of its indexes that leaves one or more."""
+    traces = draw(trace_sets)
+    traces = draw(st.permutations(traces + draw(st.lists(st.sampled_from(traces), max_size=10))))
+    held = draw(st.sets(st.integers(0, len(traces) - 1), max_size=len(traces) - 1))
+    return traces, held
+
+
+def assert_fold_learns_like_reference(tree, traces, held, cfg):
+    train = [t for i, t in enumerate(traces) if i not in held]
+    got = serialize_state_machine(learn(train, cfg, pta=tree.without(held)))
+    assert got == serialize_state_machine(reference.learn(train, cfg))
+
+
+@settings(max_examples=300, deadline=None)
+@given(held_out_folds())
+def test_fold_tree_learns_like_its_own_pta(case):
+    """A fold's tree, subtracted from the tree of every trace, learns what the
+    fold's own traces do, at every alpha and min_freq."""
+    traces, held = case
+    tree = PrefixTree(traces)
+    for alpha in ALPHAS:
+        for min_freq in MIN_FREQS:
+            assert_fold_learns_like_reference(tree, traces, held, LearnerConfig(alpha, min_freq))
+
+
+# Found by random search. A merge walks each row in the order its symbols
+# were first inserted, which decides the states a fold keeps and so the
+# later merge order. These learn another machine if rows follow symbol
+# order (the first) or, in a fold, the insertion order of all the traces
+# rather than of the fold's own (the second).
+ROW_ORDER_CASES = [
+    ([[], [], ["a", "d", "a"], ["a", "a", "d", "a", "a"], ["a", "d", "a"],
+      ["a", "a", "a", "b"], ["d"]], set(), LearnerConfig(alpha=1.0, min_freq=2)),
+    ([list(t) for t in ("cdcaa", "bb", "cd", "dacccd", "ddc", "a", "dbabaab", "dacdbd", "ca",
+                        "", "db", "abdcdbd", "ccda", "aabda", "db", "a", "cbc", "abdcb",
+                        "cdababac", "bb", "", "cbc", "a", "abcdddd", "ddc")],
+     {4, 5, 11, 12, 15, 23, 24}, LearnerConfig(alpha=1.0, min_freq=0)),
+]
+
+
+@pytest.mark.parametrize("traces, held, cfg", ROW_ORDER_CASES)
+def test_rows_keep_insertion_order(traces, held, cfg):
+    assert_fold_learns_like_reference(PrefixTree(traces), traces, held, cfg)
+
+
+def test_random_walk_folds():
+    traces = random_walk_traces(1_000, seed=7)
+    tree = PrefixTree(traces)
+    for test_idx in _fold_indices(len(traces), 10, random.Random(3)):
+        assert_fold_learns_like_reference(tree, traces, set(test_idx), LearnerConfig())
+
+
+def scenario_log_traces() -> list[Trace]:
+    _model, log, _truth = generate(ScenarioSpec(n_services=20, n_edges=40, n_events=5000,
+                                                rng_seed=4))
+    return extract_traces(parse_event_log(log), 1000)["global"]
+
+
+def random_walk_trace_list() -> list[Trace]:
+    # many short traces sharing prefixes: unlike the few long sessions of a
+    # scenario log, their folds' machines change if a fold's tree is wrong
+    return [Trace(tuple(walk)) for walk in random_walk_traces(200, seed=5)]
+
+
+@pytest.mark.parametrize("make_traces", [scenario_log_traces, random_walk_trace_list])
+def test_evaluate_learns_each_fold_like_the_reference(monkeypatch, make_traces):
+    """``evaluate``'s own folds give the reference learner's machines and metrics."""
+    traces = make_traces()
+    got_machines, want_machines = [], []
+
+    def recording(learner, machines):
+        def fn(*args, **kwargs):
+            machine = learner(*args, **kwargs)
+            machines.append(serialize_state_machine(machine))
+            return machine
+        return fn
+
+    monkeypatch.setattr(evaluator, "learn", recording(evaluator.learn, got_machines))
+    for cfg in (LearnerConfig(), LearnerConfig(alpha=0.5, min_freq=2)):
+        reference_fn = recording(lambda train, cfg=cfg: reference.learn(train, cfg),
+                                 want_machines)
+        want = evaluate(traces, cfg, k=10, rng_seed=1, model_fn=reference_fn)
+        assert evaluate(traces, cfg, k=10, rng_seed=1) == want
+    assert len(got_machines) == 20
+    assert got_machines == want_machines

@@ -24,21 +24,13 @@ from .errors import MalformedDot, NondeterministicTransition, UnreachableState
 
 @dataclass(frozen=True)
 class StateMachine:
+    """All states reachable from ``initial``, all frequencies positive: the
+    program's producers build it so, and ``parse_state_machine`` checks it."""
+
     states: frozenset[int]
     initial: int
     transitions: dict[tuple[int, str], tuple[int, int]]  # (state, symbol) -> (target, frequency)
     name: str | None = None
-
-    def __post_init__(self):
-        if self.initial not in self.states:
-            raise UnreachableState(self.initial)
-        for (src, _sym), (dst, freq) in self.transitions.items():
-            if src not in self.states or dst not in self.states:
-                raise UnreachableState(dst if dst not in self.states else src)
-            if freq < 1:
-                raise ValueError(f"transition frequency must be positive, got {freq}")
-        for state in self.states - reachable_states(self.initial, self.transitions):
-            raise UnreachableState(state)
 
 
 def reachable_states(
@@ -68,7 +60,8 @@ def _too_many_digits(line_no: int) -> MalformedDot:
 
 
 def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
-    """Parse the DOT subset into a validated StateMachine."""
+    """Parse the DOT subset into a StateMachine, checking that frequencies are
+    positive and that every state is reachable from the initial one."""
     stripped = dot_text.strip()
     if not stripped.startswith("digraph sm {") or not stripped.endswith("}"):
         raise MalformedDot(1, "expected 'digraph sm { ... }'")
@@ -116,7 +109,10 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
     for (src, _sym), (dst, _f) in transitions.items():
         states.add(src)
         states.add(dst)
-    return StateMachine(frozenset(states), initial, transitions, name=name)
+    states = frozenset(states)
+    for state in states - reachable_states(initial, transitions):
+        raise UnreachableState(state)
+    return StateMachine(states, initial, transitions, name=name)
 
 
 def serialize_state_machine(sm: StateMachine) -> str:

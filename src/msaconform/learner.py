@@ -40,6 +40,22 @@ state's total. The blue fringe is a min-heap fed when a state turns red
 and when a fold moves a subtree under a red state; stale entries are
 dropped when popped. The merge order, and so the learned machine, is the
 same as rebuilding the fringe from scratch on every step.
+
+Most reds fail a blue at the root pair, on a symbol the blue lacks: there
+that symbol's frequency counts as 0 in the blue, and the test is
+``f1 / n1 >= bound``. So when a red is promoted, its heaviest outgoing
+symbol is kept as a witness, with its total ``n1`` and the cached terms
+``f1 / n1`` and ``1 / sqrt(n1)``. The scan skips a red without calling the
+check when the blue lacks the witness and, with the blue's
+``1 / sqrt(n2)``, the cached terms fail the bound. That is the same
+floating-point expression the check would evaluate for that symbol at the
+root pair, where reaching it requires both totals to be at least
+``min_freq`` and non-zero, so a skip is one of the check's own failures and
+the remaining reds are tried in id order as before. The witness holds only
+while the red's total is the one it was taken at: a merge into the red adds
+the folded state's total, never 0, and is the only way its row's
+frequencies change. A red whose total has changed is simply no longer
+skipped.
 """
 
 from __future__ import annotations
@@ -181,6 +197,9 @@ class _RedBlue:
         self.total = [len(tree.leaf), *tree.freq]
         self.red: set[int] = set()
         self.red_order: list[int] = []  # ascending: merge candidates in id order
+        # red -> (n1, symbol, f / n1, 1 / sqrt(n1)) at its promotion, for the
+        # red-scan filter of the module docstring
+        self.witness: dict[int, tuple[int, str, float, float]] = {}
         self.fringe: list[int] = []
         self._promote(0)
 
@@ -188,7 +207,16 @@ class _RedBlue:
         self.red.add(state)
         insort(self.red_order, state)
         self.parent_src[state] = -1
-        for t, _f in self.trans[state].values():
+        row = self.trans[state]
+        n1 = self.total[state]
+        # _compatible passes over a root pair below min_freq, so such a red
+        # has no witness. Only the root can be one: every other red has
+        # total >= min_freq, since a blue below min_freq is compatible with
+        # red 0 and so is never promoted.
+        if row and n1 >= self.min_freq:
+            symbol, (_t, f) = max(row.items(), key=lambda item: item[1][1])
+            self.witness[state] = (n1, symbol, f / n1, 1.0 / math.sqrt(n1))
+        for t, _f in row.values():
             heapq.heappush(self.fringe, t)
 
     def _next_blue(self) -> int | None:
@@ -260,8 +288,19 @@ class _RedBlue:
                         heapq.heappush(self.fringe, t)
 
     def run(self) -> _RedBlue:
+        trans, total, witness = self.trans, self.total, self.witness
+        coeff, min_freq = self.coeff, self.min_freq
         while (q := self._next_blue()) is not None:
+            n2 = total[q]
+            row_q = trans[q]
+            inv_b = 1.0 / math.sqrt(n2) if n2 > 0 and n2 >= min_freq else None
             for r in self.red_order:
+                w = witness.get(r)
+                # skip r if its witness (n1, symbol, f / n1, 1 / sqrt(n1)) is
+                # current and fails _compatible's root-pair test against q
+                if (w is not None and inv_b is not None and total[r] == w[0]
+                        and w[1] not in row_q and w[2] >= coeff * (w[3] + inv_b)):
+                    continue
                 if self._compatible(r, q):
                     self._merge(r, q)
                     break

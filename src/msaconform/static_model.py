@@ -99,7 +99,8 @@ def _parse_traceability(obj, path: str) -> Traceability | None:
         if key not in obj:
             raise MissingField(f"{path}.{key}")
     line = obj["line"]
-    if not isinstance(line, int) or line < 1:
+    # type() and not isinstance(): JSON true loads as bool, an int subclass
+    if type(line) is not int or line < 1:
         raise MalformedJson(f"{path}.line must be a positive integer")
     snippet = obj.get("snippet")
     if snippet is not None and not isinstance(snippet, str):

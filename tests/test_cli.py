@@ -1,7 +1,11 @@
 """CLI contract tests: flags, progress output, summary line, exit codes."""
 
 import json
+import os
 import random
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -440,6 +444,17 @@ class TestBadInput:
         assert_one_error_line(code, err)
         assert "scenario spec is not valid JSON: a number has more than 4300 digits" in err
 
+    def test_traceability_line_true(self, clean_inputs, capsys):
+        # JSON true is a bool, which isinstance(..., int) would take as line 1
+        static_path, dyn_dir, out_dir = clean_inputs
+        model = json.loads(static_path.read_text("utf-8"))
+        model["services"][0]["traceability"] = {"file": "f.py", "line": True}
+        static_path.write_text(json.dumps(model), "utf-8")
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "services[0].line must be a positive integer" in err
+
 
 def test_details_parse_each_symbol_once_per_machine(tmp_path, monkeypatch):
     """Building every finding's details parses each transition's symbol at most once
@@ -472,3 +487,25 @@ def test_details_parse_each_symbol_once_per_machine(tmp_path, monkeypatch):
     n_static = len(list((tmp_path / "out").glob("nc_static-*.html")))
     assert n_static >= 50
     assert len(calls) <= sum(len(sm.transitions) for sm in machines.values())
+
+
+def test_same_output_under_two_hash_seeds(faulty_inputs):
+    """Set iteration order changes with PYTHONHASHSEED; no output may follow it."""
+    static_path, dyn_dir, out_dir, _truth = faulty_inputs
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    argv = [sys.executable, "-c", "import sys; from msaconform.cli import run; sys.exit(run())",
+            "--static_model_path", static_path.name, "--dynamic_models_path", dyn_dir.name,
+            "--output_path", out_dir.name, "--evaluate"]
+    results = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(argv, cwd=out_dir.parent, env=env, capture_output=True,
+                              timeout=120)
+        bundle = {str(p.relative_to(out_dir)): p.read_bytes()
+                  for p in sorted(out_dir.rglob("*")) if p.is_file()}
+        shutil.rmtree(out_dir)
+        results.append((proc.returncode, proc.stdout, proc.stderr, bundle))
+    assert results[0][0] == 0, results[0][2]
+    assert "evaluation.json" in results[0][3]
+    assert results[0] == results[1]

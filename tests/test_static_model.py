@@ -132,6 +132,9 @@ class TestParse:
         ({"services": [{"name": "a", "stereotypes": 5}]}, "services[0].stereotypes must be a list"),
         ({"services": [{"name": "a", "traceability": {"file": "x", "line": 1, "snippet": [1]}}]},
          "services[0].snippet must be a string"),
+        # JSON true loads as bool, which isinstance(..., int) would take as line 1
+        ({"services": [{"name": "a", "traceability": {"file": "x", "line": True}}]},
+         "services[0].line must be a positive integer"),
     ])
     def test_wrong_field_types(self, doc, message):
         with pytest.raises(MalformedJson, match=re.escape(message)):

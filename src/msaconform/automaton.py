@@ -18,7 +18,7 @@ import re
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .errors import MalformedDot, NondeterministicTransition, UnreachableState
 
@@ -154,13 +154,3 @@ def accepts(sm: StateMachine, trace: Iterable[str]) -> bool:
         state = nxt[0]
     return True
 
-
-def transition_frequencies(
-    sm: StateMachine, symbol_filter: Callable[[str], bool] | None = None
-) -> list[tuple[str, int]]:
-    """Total frequency per symbol, descending, ties broken lexicographically."""
-    totals: dict[str, int] = {}
-    for (_src, sym), (_dst, freq) in sm.transitions.items():
-        if symbol_filter is None or symbol_filter(sym):
-            totals[sym] = totals.get(sym, 0) + freq
-    return sorted(totals.items(), key=lambda item: (-item[1], item[0]))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, fields
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import detector, evaluator, interpret, report
 from .automaton import StateMachine, parse_state_machine
-from .errors import ConformanceError, EmptyAfterNormalization, InputError
+from .errors import ConformanceError, EmptyAfterNormalization, InputError, MalformedSymbol
 from .events import GLOBAL_SCOPE, Trace, extract_traces, parse_event_log, parse_symbol
 from .learner import LearnerConfig, learn
 from .scenario import ScenarioSpec, generate
@@ -52,9 +53,24 @@ def _read_input(path: Path) -> str:
         raise InputError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
+def _flag(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError(text)
+    return text == "true"
+
+
+# converts a configuration value's text by its Config field's type; ValueError if bad
+_CONVERTERS = {"int": int, "float": float, "bool": _flag, "str": str}
+
+
+def _clip(text: str) -> str:
+    """``text`` cut to 40 characters and an ellipsis, to echo in a message."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def _parse_config_file(path: Path) -> Config:
     cfg = Config()
-    known = {f.name: f.type for f in fields(Config)}
+    convert = {f.name: _CONVERTERS[f.type] for f in fields(Config)}
     for line_no, raw in enumerate(_read_input(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -62,26 +78,23 @@ def _parse_config_file(path: Path) -> Config:
         key, sep, value = (part.strip() for part in line.partition("="))
         if not sep or not key:
             raise InputError(f"{path}:{line_no}: expected 'key = value'")
-        if key not in known:
-            raise InputError(f"{path}:{line_no}: unknown configuration key {key!r}")
+        if key not in convert:
+            raise InputError(f"{path}:{line_no}: unknown configuration key {_clip(key)!r}")
         try:
-            if key in ("session_gap_ms", "min_freq", "top_n_calls"):
-                setattr(cfg, key, int(value))
-            elif key == "alpha":
-                setattr(cfg, key, float(value))
-            elif key == "include_externals":
-                if value not in ("true", "false"):
-                    raise ValueError(value)
-                setattr(cfg, key, value == "true")
-            elif key == "trace_scope":
-                if value not in ("global", "per_service", "both"):
-                    raise ValueError(value)
-                setattr(cfg, key, value)
+            setattr(cfg, key, convert[key](value))
         except ValueError as exc:
-            raise InputError(f"{path}:{line_no}: bad value for {key!r}: {value!r}") from exc
+            # int() refuses a run of digits only for its length
+            if convert[key] is int and re.fullmatch(r"[+-]?\d+", value):
+                why = f"a number has more than {sys.get_int_max_str_digits()} digits"
+            else:
+                why = repr(_clip(value))
+            raise InputError(f"{path}:{line_no}: bad value for {key!r}: {why}") from exc
     # alpha and min_freq are checked by the LearnerConfig built from them
-    if cfg.session_gap_ms <= 0 or cfg.top_n_calls < 1:
-        raise InputError(f"{path}: configuration values out of range")
+    for key, ok in (("session_gap_ms", cfg.session_gap_ms > 0),
+                    ("top_n_calls", cfg.top_n_calls >= 1),
+                    ("trace_scope", cfg.trace_scope in ("global", "per_service", "both"))):
+        if not ok:
+            raise InputError(f"{path}: configuration value {key!r} is out of range")
     return cfg
 
 
@@ -115,13 +128,14 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> None:
 
 
 def _load_dot(dot_file: Path) -> StateMachine:
-    """A ``.dot`` machine, checked to name every service as the other inputs do."""
+    """A ``.dot`` machine, checked to label every transition with a call that
+    names its services as the other inputs do."""
     machine = parse_state_machine(_read_input(dot_file), name=dot_file.stem)
     for symbol in dict.fromkeys(symbol for _state, symbol in machine.transitions):
         try:
             src, dst, _method, _path = parse_symbol(symbol)
-        except ValueError:
-            continue  # detection reports the malformed symbol
+        except ValueError as exc:
+            raise MalformedSymbol(dot_file.stem, symbol) from exc
         for name in (src, dst):
             try:
                 normalized = normalize_name(name) == name

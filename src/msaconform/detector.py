@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .automaton import StateMachine
-from .errors import MalformedSymbol
 from .events import parse_symbol
 from .static_model import StaticModel
 
@@ -36,11 +35,6 @@ class NcKind(Enum):
 class ArchView:
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
-
-    def __post_init__(self):
-        for sender, receiver in self.edges:
-            if sender not in self.nodes or receiver not in self.nodes:
-                raise ValueError(f"edge ({sender}, {receiver}) has endpoint outside nodes")
 
 
 @dataclass(frozen=True)
@@ -91,11 +85,8 @@ def extract_dynamic_view(machines: list[StateMachine]) -> ArchView:
     nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
     for sm in machines:
-        for (_src, symbol), _target in sm.transitions.items():
-            try:
-                a, b, _method, _path = parse_symbol(symbol)
-            except ValueError as exc:
-                raise MalformedSymbol(sm.name or "<unnamed>", symbol) from exc
+        for _src, symbol in sm.transitions:
+            a, b, _method, _path = parse_symbol(symbol)
             nodes.add(a)
             nodes.add(b)
             edges.add((a, b))

@@ -42,28 +42,22 @@ class EvalMetrics:
 
 def mutate_trace(
     trace: Trace | Sequence[str],
-    alphabet: Sequence[str] | set[str],
+    alphabet: Sequence[str],
     rng_seed: int,
     exclude: set[tuple[str, ...]] | frozenset[tuple[str, ...]] = frozenset(),
-    *,
-    presorted: bool = False,
 ) -> Trace:
-    """Replace one symbol by a different one, avoiding the excluded traces.
-
-    ``presorted`` says ``alphabet`` is already a sorted list of distinct
-    symbols, so it is not sorted again.
-    """
+    """Replace one symbol by a different one from ``alphabet``, a sorted list of
+    distinct symbols, avoiding the excluded traces."""
     symbols = trace.symbols if isinstance(trace, Trace) else tuple(trace)
     if not symbols:
         raise ValueError("cannot mutate an empty trace")
-    alpha = alphabet if presorted else sorted(set(alphabet))
-    if len(alpha) < 2:
+    if len(alphabet) < 2:
         raise AlphabetTooSmall("need at least 2 symbols to mutate")
     rng = random.Random(rng_seed)
     start = rng.randrange(len(symbols))
     for offset in range(len(symbols)):
         pos = (start + offset) % len(symbols)
-        choices = [s for s in alpha if s != symbols[pos]]
+        choices = [s for s in alphabet if s != symbols[pos]]
         rng.shuffle(choices)
         for replacement in choices:
             mutant = symbols[:pos] + (replacement,) + symbols[pos + 1:]
@@ -120,7 +114,7 @@ def evaluate(
         accepted = sum(1 for t in test if accepts(model, t.symbols))
         negatives = [
             mutate_trace(t, alphabet, rng_seed=rng_seed * 10007 + fold_no * 101 + j,
-                         exclude=exclude, presorted=True)
+                         exclude=exclude)
             for j, t in enumerate(test)
         ]
         rejected = sum(1 for t in negatives if not accepts(model, t.symbols))

@@ -147,10 +147,6 @@ def extract_traces(
     Each distinct call is formatted once; a service's events are the
     positions of the calls it takes part in, merged in time order.
     """
-    if gap_ms <= 0:
-        raise ValueError("gap_ms must be positive")
-    if scope not in ("global", "per_service", "both"):
-        raise ValueError(f"unknown scope {scope!r}")
     ordered = sorted(events, key=attrgetter("ts"))  # stable: keeps input order on ties
     stamps = [ev.ts for ev in ordered]
     positions: dict[tuple[str, str, str, str], list[int]] = defaultdict(list)

@@ -92,29 +92,22 @@ class CallIndex:
     Built in one pass over the transitions that parses each distinct symbol
     once, plus two sorts; after that, a sub-machine or a call list costs in
     proportion to the finding's neighbourhood, not to the machine. It holds
-    the machine's own ``(state, symbol)`` keys. Malformed symbols are skipped.
+    the machine's own ``(state, symbol)`` keys.
     """
 
     def __init__(self, sm: StateMachine):
         self.machine = sm
         transitions = sm.transitions
-        # well-formed transition keys per communication (caller, callee)
+        # transition keys per communication (caller, callee)
         self.involved: dict[tuple[str, str], list[tuple[int, str]]] = {}
-        calls: dict[str, tuple[str, str, str, str] | None] = {}
+        calls: dict[str, tuple[str, str, str, str]] = {}
         totals: dict[tuple[str, str, str, str], int] = {}
         for key, (_dst, freq) in transitions.items():
-            sym = key[1]
-            if sym in calls:
-                call = calls[sym]
-            else:
-                try:
-                    call = parse_symbol(sym)
-                except ValueError:
-                    call = None
-                calls[sym] = call
-            if call is not None:
-                self.involved.setdefault(call[:2], []).append(key)
-                totals[call] = totals.get(call, 0) + freq
+            call = calls.get(key[1])
+            if call is None:
+                call = calls[key[1]] = parse_symbol(key[1])
+            self.involved.setdefault(call[:2], []).append(key)
+            totals[call] = totals.get(call, 0) + freq
 
         # calls by descending count, then by call; each bucket keeps that order
         self.calls_by_pair: dict[tuple[str, str], list[CallSummary]] = {}
@@ -155,7 +148,14 @@ class CallIndex:
         return self._by_target[bisect_left(targets, state):bisect_right(targets, state)]
 
     def submachine(self, a: str, b: str) -> StateMachine:
-        """See :func:`unexpected_behavior_submachine`."""
+        """Sub-machine around the transitions whose symbol communicates a→b.
+
+        Keeps the involved transitions plus every transition touching one of
+        their endpoint states, re-rooted at the kept state nearest the
+        original initial state that still reaches an involved transition.
+        States the new root cannot reach within the cut are dropped so the
+        result is a valid machine.
+        """
         involved = self.involved.get((a, b))
         if not involved:
             raise NoInvolvedTransitions(a, b)
@@ -190,36 +190,12 @@ class CallIndex:
         return canonicalize(StateMachine(frozenset(reachable), root, cut, name=self.machine.name))
 
     def most_frequent_calls(self, a: str, b: str, top_n: int = 5) -> list[CallSummary]:
-        """See :func:`most_frequent_calls`."""
-        if top_n < 1:
-            raise ValueError("top_n must be >= 1")
+        """Top calls a→b, grouped by (method, path template), descending count."""
         return self.calls_by_pair.get((a, b), [])[:top_n]
 
     def calls_involving(self, service: str, top_n: int = 5) -> list[CallSummary]:
-        """See :func:`calls_involving`."""
+        """Top calls where the service is caller or callee (node-level details)."""
         return self.calls_by_service.get(service, [])[:top_n]
-
-
-def unexpected_behavior_submachine(sm: StateMachine, a: str, b: str) -> StateMachine:
-    """Sub-machine around the transitions whose symbol communicates a→b.
-
-    Keeps the involved transitions plus every transition touching one of
-    their endpoint states, re-rooted at the kept state nearest the
-    original initial state that still reaches an involved transition.
-    States the new root cannot reach within the cut are dropped so the
-    result is a valid machine.
-    """
-    return CallIndex(sm).submachine(a, b)
-
-
-def most_frequent_calls(sm: StateMachine, a: str, b: str, top_n: int = 5) -> list[CallSummary]:
-    """Top calls a→b, grouped by (method, path template), descending count."""
-    return CallIndex(sm).most_frequent_calls(a, b, top_n)
-
-
-def calls_involving(sm: StateMachine, service: str, top_n: int = 5) -> list[CallSummary]:
-    """Top calls where the service is caller or callee (node-level details)."""
-    return CallIndex(sm).calls_involving(service, top_n)
 
 
 def _entry_nodes(model: StaticModel) -> list[str]:
@@ -313,27 +289,22 @@ def dynamic_nc_details(model: StaticModel, nc: NonConformance) -> NcDetails:
     )
 
 
-def static_nc_details(
-    sm: StateMachine | CallIndex | None, nc: NonConformance, top_n: int = 5
-) -> NcDetails:
-    """Sub-machine plus frequent calls for a static non-conformance.
-
-    ``sm`` is the machine to take them from, or its :class:`CallIndex`.
-    """
+def static_nc_details(sm: CallIndex | None, nc: NonConformance, top_n: int = 5) -> NcDetails:
+    """Sub-machine plus frequent calls for a static non-conformance, taken from
+    ``sm``, the call index of a machine that holds its subject, if any."""
     if nc.kind is not NcKind.Static:
         raise ValueError("static_nc_details requires a static non-conformance")
     if sm is None:
         return NcDetails(kind=NcKind.Static)
-    index = sm if isinstance(sm, CallIndex) else CallIndex(sm)
     if nc.subject_type == "edge":
         a, b = nc.names
         try:
-            sub = index.submachine(a, b)
+            sub = sm.submachine(a, b)
         except NoInvolvedTransitions:
             sub = None
-        calls = tuple(index.most_frequent_calls(a, b, top_n=top_n))
+        calls = tuple(sm.most_frequent_calls(a, b, top_n=top_n))
     else:
         (name,) = nc.names
         sub = None
-        calls = tuple(index.calls_involving(name, top_n=top_n))
+        calls = tuple(sm.calls_involving(name, top_n=top_n))
     return NcDetails(kind=NcKind.Static, submachine=sub, frequent_calls=calls)

@@ -13,7 +13,6 @@ rendering the same inputs twice produces byte-identical text.
 from __future__ import annotations
 
 import html
-import re
 from dataclasses import dataclass
 
 from .automaton import StateMachine
@@ -56,20 +55,6 @@ def render_architecture_puml(tv: TaggedView) -> str:
         lines.append(f"{_alias(sender)} {arrow} {_alias(receiver)}")
     lines.append("@enduml")
     return "\n".join(lines) + "\n"
-
-
-_PUML_LINE_RES = [
-    re.compile(r'^component "[a-z0-9-]+" as c_\w+( #line:(blue|orange);line\.(dotted|dashed))?$'),
-    re.compile(r"^c_\w+ -\[#(black|blue,dotted|orange,dashed)\]-> c_\w+$"),
-]
-
-
-def validate_architecture_puml(text: str) -> bool:
-    """Smoke-check that the emitted subset parses line by line."""
-    lines = text.splitlines()
-    if not lines or lines[0] != "@startuml" or lines[-1] != "@enduml":
-        return False
-    return all(any(r.match(line) for r in _PUML_LINE_RES) for line in lines[1:-1])
 
 
 def _submachine_puml(sm: StateMachine) -> str:

@@ -43,10 +43,6 @@ class Traceability:
     line: int
     snippet: str | None = None
 
-    def __post_init__(self):
-        if self.line < 1:
-            raise MalformedJson(f"traceability line must be >= 1, got {self.line}")
-
 
 @dataclass(frozen=True)
 class ServiceNode:

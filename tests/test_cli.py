@@ -6,13 +6,14 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from msaconform import interpret
 from msaconform.automaton import serialize_state_machine
-from msaconform.cli import run
+from msaconform.cli import Config, _parse_config_file, run
 from msaconform.learner import build_pta
 from msaconform.scenario import ScenarioSpec, generate
 from msaconform.static_model import serialize_static_model
@@ -263,6 +264,45 @@ class TestConfigFile:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "alpha" in err
 
+    # per Config field: a text other than the default, the value it parses to, and bad texts
+    FIELD_CASES = {
+        "session_gap_ms": ("250", 250, ["0", "1.5", "x"]),
+        "alpha": ("0.1", 0.1, ["2", "0", "banana"]),
+        "min_freq": ("3", 3, ["-1", "2.5"]),
+        "top_n_calls": ("7", 7, ["0", "seven"]),
+        "include_externals": ("true", True, ["yes", "True", ""]),
+        "trace_scope": ("per_service", "per_service", ["all", ""]),
+    }
+
+    @pytest.mark.parametrize("field", fields(Config), ids=lambda f: f.name)
+    def test_every_field(self, tmp_path, capsys, field):
+        text, value, bad_texts = self.FIELD_CASES[field.name]
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"{field.name} = {text}\n", "utf-8")
+        parsed = getattr(_parse_config_file(cfg), field.name)
+        assert parsed == value != field.default
+        assert type(parsed).__name__ == field.type
+        for bad in bad_texts:
+            cfg.write_text(f"{field.name} = {bad}\n", "utf-8")
+            code = invoke(tmp_path / "model.json", tmp_path, tmp_path / "out", "--config", str(cfg))
+            err = capsys.readouterr().err
+            assert_one_error_line(code, err)
+            assert field.name in err.replace(str(tmp_path), "")  # the path may hold it
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("min_freq", "9" * 5000, "bad value for 'min_freq': a number has more than 4300 digits"),
+        ("top_n_calls", "-" + "9" * 5000, "a number has more than 4300 digits"),
+        ("alpha", "x" * 5000, "bad value for 'alpha': '" + "x" * 40 + "...'"),
+    ], ids=["digits", "negative-digits", "text"])
+    def test_long_value_short_error(self, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(f"{key} = {value}\n", "utf-8")
+        code = invoke(tmp_path / "model.json", tmp_path, tmp_path / "out", "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert len(err) < 300
+        assert message in err
+
 
 class TestScenarioMode:
     def test_generates_inputs_then_analyzes(self, tmp_path, capsys):
@@ -361,6 +401,19 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert_one_error_line(code, err)
         assert "malformed transition symbol 'hello'" in err
+
+    def test_malformed_dot_symbol_before_log_error(self, clean_inputs, capsys):
+        # a .dot file's labels are checked as it is loaded, before the log is read
+        static_path, dyn_dir, out_dir = clean_inputs
+        (dyn_dir / "global.dot").write_text(
+            'digraph sm {\n__start -> 0;\n0 -> 1 [label="hello | 3"];\n}\n', "utf-8"
+        )
+        with (dyn_dir / "events.jsonl").open("a", encoding="utf-8") as log:
+            log.write("{broken\n")
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "machine 'global': malformed transition symbol 'hello'" in err
 
     @pytest.mark.parametrize("name", ["../../escaped", "Web", "svc_1", "a b", "!!!"])
     def test_dot_service_name_not_normalized(self, clean_inputs, capsys, name):

@@ -1,0 +1,49 @@
+"""Every top-level function and class of ``src/msaconform``, and every public
+method of a top-level class, is named somewhere in the package outside its
+own definition. Code that only tests call belongs in ``tests/``."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "msaconform"
+
+ALLOWED = {  # qualified name: why nothing in the package names it
+    "serialize_state_machine": "the DOT writer that shows a learned machine is unchanged",
+    "build_pta": "the acceptance suite imports it from the package to size prefix trees",
+}
+
+
+def definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level def and class and each public method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def unnamed_definitions() -> list[str]:
+    modules = {path.name: ast.parse(path.read_text("utf-8")) for path in sorted(SRC.glob("*.py"))}
+    named: dict[str, list[tuple[str, int]]] = {}  # identifier -> (module, line) of each use
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                ident = node.id if isinstance(node, ast.Name) else node.attr
+                named.setdefault(ident, []).append((module, node.lineno))
+    unnamed = []
+    for module, tree in modules.items():
+        for qualname, node in definitions(tree):
+            if all(m == module and node.lineno <= line <= node.end_lineno
+                   for m, line in named.get(node.name, ())):
+                unnamed.append(qualname)
+    return unnamed
+
+
+def test_every_definition_is_used():
+    assert sorted(set(unnamed_definitions()) - set(ALLOWED)) == []
+
+
+def test_allowlist_is_needed():
+    assert sorted(set(ALLOWED) - set(unnamed_definitions())) == []

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from msaconform.automaton import StateMachine
 from msaconform.detector import (
     ArchView,
@@ -14,7 +12,6 @@ from msaconform.detector import (
     extract_dynamic_view,
     extract_static_view,
 )
-from msaconform.errors import MalformedSymbol
 from msaconform.static_model import parse_static_model
 import json
 
@@ -76,12 +73,6 @@ class TestDynamicView:
         sm2 = machine({(0, "a→b:GET /x"): (1, 3), (1, "b→c:GET /y"): (0, 1)})
         v = extract_dynamic_view([sm1, sm2])
         assert v.edges == {("a", "b"), ("b", "c")}
-
-    def test_malformed_symbol(self):
-        sm = machine({(0, "not-a-symbol"): (1, 1)}, name="m1")
-        with pytest.raises(MalformedSymbol) as exc:
-            extract_dynamic_view([sm])
-        assert exc.value.machine_name == "m1"
 
 
 def brute_force_detect(static_view, dynamic_view):

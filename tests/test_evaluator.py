@@ -17,11 +17,11 @@ def tr(*symbols):
 
 class TestMutateTrace:
     def test_only_possible_mutation(self):
-        assert mutate_trace(tr("a"), {"a", "b"}, rng_seed=0).symbols == ("b",)
+        assert mutate_trace(tr("a"), ["a", "b"], rng_seed=0).symbols == ("b",)
 
     def test_deterministic(self):
         t = tr("a", "b", "c")
-        alphabet = {"a", "b", "c", "d"}
+        alphabet = ["a", "b", "c", "d"]
         assert mutate_trace(t, alphabet, 99).symbols == mutate_trace(t, alphabet, 99).symbols
 
     def test_never_equals_source(self):
@@ -32,13 +32,13 @@ class TestMutateTrace:
             assert mutate_trace(t, alphabet, i).symbols != t.symbols
 
     def test_exclusion(self):
-        # trace [a]; alphabet {a,b,c}; excluding [b] forces [c]
-        mutant = mutate_trace(tr("a"), {"a", "b", "c"}, 0, exclude={("b",)})
+        # trace [a]; alphabet [a,b,c]; excluding [b] forces [c]
+        mutant = mutate_trace(tr("a"), ["a", "b", "c"], 0, exclude={("b",)})
         assert mutant.symbols == ("c",)
 
     def test_alphabet_too_small(self):
         with pytest.raises(AlphabetTooSmall):
-            mutate_trace(tr("a"), {"a"}, 0)
+            mutate_trace(tr("a"), ["a"], 0)
 
     def test_single_position_changed(self):
         rng = random.Random(12)

@@ -8,12 +8,11 @@ from msaconform.automaton import StateMachine
 from msaconform.detector import NcKind, NonConformance
 from msaconform.errors import NoInvolvedTransitions
 from msaconform.interpret import (
+    CallIndex,
     CallSummary,
     dynamic_nc_details,
     interpretations_for,
-    most_frequent_calls,
     static_nc_details,
-    unexpected_behavior_submachine,
 )
 from msaconform.static_model import parse_static_model
 
@@ -69,7 +68,7 @@ CHAIN = {
 class TestSubmachine:
     def test_distance_one_closure(self):
         sm = machine(CHAIN)
-        sub = unexpected_behavior_submachine(sm, "a", "b")
+        sub = CallIndex(sm).submachine("a", "b")
         # oracle: brute-force filter on the handcrafted machine — involved
         # transition (3,4); adjacent transitions touch 3 or 4: (2→3), (4→5)
         symbols = {sym for (_s, sym) in sub.transitions}
@@ -80,11 +79,11 @@ class TestSubmachine:
     def test_no_involved_transitions(self):
         sm = machine(CHAIN)
         with pytest.raises(NoInvolvedTransitions):
-            unexpected_behavior_submachine(sm, "nope", "nothere")
+            CallIndex(sm).submachine("nope", "nothere")
 
     def test_all_involved_equals_whole(self):
         sm = machine({(0, "a→b:GET /x"): (1, 1), (1, "a→b:GET /y"): (0, 3)})
-        sub = unexpected_behavior_submachine(sm, "a", "b")
+        sub = CallIndex(sm).submachine("a", "b")
         assert len(sub.states) == len(sm.states)
         assert sorted(sym for (_s, sym) in sub.transitions) == sorted(
             sym for (_s, sym) in sm.transitions
@@ -92,7 +91,7 @@ class TestSubmachine:
 
     def test_transitions_subset_with_frequencies(self):
         sm = machine(CHAIN)
-        sub = unexpected_behavior_submachine(sm, "a", "b")
+        sub = CallIndex(sm).submachine("a", "b")
         original = {(sym, f) for (_s, sym), (_t, f) in sm.transitions.items()}
         assert {(sym, f) for (_s, sym), (_t, f) in sub.transitions.items()} <= original
 
@@ -100,16 +99,17 @@ class TestSubmachine:
 class TestMostFrequentCalls:
     def test_top_n(self):
         sm = machine({(0, "a→b:GET /x"): (1, 5), (1, "a→b:POST /y"): (0, 2)})
-        calls = most_frequent_calls(sm, "a", "b", top_n=1)
+        calls = CallIndex(sm).most_frequent_calls("a", "b", top_n=1)
         assert calls == [CallSummary("a", "b", "GET", "/x", 5)]
 
     def test_no_calls(self):
         sm = machine({(0, "c→d:GET /x"): (1, 5)})
-        assert most_frequent_calls(sm, "a", "b") == []
+        assert CallIndex(sm).most_frequent_calls("a", "b") == []
 
     def test_grouping(self):
         sm = machine({(0, "a→b:GET /x"): (1, 3), (1, "a→b:GET /x"): (0, 4)})
-        assert most_frequent_calls(sm, "a", "b") == [CallSummary("a", "b", "GET", "/x", 7)]
+        calls = CallIndex(sm).most_frequent_calls("a", "b")
+        assert calls == [CallSummary("a", "b", "GET", "/x", 7)]
 
     def test_counts_sum_to_total(self):
         sm = machine(
@@ -119,7 +119,7 @@ class TestMostFrequentCalls:
                 (2, "c→d:GET /z"): (0, 9),
             }
         )
-        calls = most_frequent_calls(sm, "a", "b", top_n=100)
+        calls = CallIndex(sm).most_frequent_calls("a", "b", top_n=100)
         assert sum(c.count for c in calls) == 7
 
 
@@ -227,14 +227,14 @@ class TestStaticDetails:
     def test_edge_subject(self):
         sm = machine(CHAIN)
         nc = NonConformance(NcKind.Static, "edge", ("a", "b"))
-        details = static_nc_details(sm, nc)
+        details = static_nc_details(CallIndex(sm), nc)
         assert details.submachine is not None
         assert details.frequent_calls == (CallSummary("a", "b", "GET", "/hit", 2),)
 
     def test_node_subject(self):
         sm = machine(CHAIN)
         nc = NonConformance(NcKind.Static, "node", ("y",))
-        details = static_nc_details(sm, nc)
+        details = static_nc_details(CallIndex(sm), nc)
         assert details.submachine is None
         assert all("y" in (c.caller, c.callee) for c in details.frequent_calls)
 

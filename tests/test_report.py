@@ -1,5 +1,6 @@
 """Rendering contract tests: PlantUML tokens, HTML sections, golden files."""
 
+import re
 from pathlib import Path
 
 import pytest
@@ -17,11 +18,23 @@ from msaconform.report import (
     render_architecture_puml,
     render_index,
     render_nc_page,
-    validate_architecture_puml,
 )
 from msaconform.static_model import Flow, Traceability
 
 GOLDEN = Path(__file__).parent / "golden"
+
+_PUML_LINE_RES = [
+    re.compile(r'^component "[a-z0-9-]+" as c_\w+( #line:(blue|orange);line\.(dotted|dashed))?$'),
+    re.compile(r"^c_\w+ -\[#(black|blue,dotted|orange,dashed)\]-> c_\w+$"),
+]
+
+
+def validate_architecture_puml(text: str) -> bool:
+    """Smoke-check that the emitted subset parses line by line."""
+    lines = text.splitlines()
+    if not lines or lines[0] != "@startuml" or lines[-1] != "@enduml":
+        return False
+    return all(any(r.match(line) for r in _PUML_LINE_RES) for line in lines[1:-1])
 
 
 def fixture_tagged_view() -> TaggedView:

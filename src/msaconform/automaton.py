@@ -15,12 +15,11 @@ there is no accepting-state set.
 from __future__ import annotations
 
 import re
-import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import MalformedDot, NondeterministicTransition, UnreachableState
+from .errors import MalformedDot, NondeterministicTransition, UnreachableState, clip, too_many_digits
 
 @dataclass(frozen=True)
 class StateMachine:
@@ -55,10 +54,6 @@ _START_RE = re.compile(r"^__start\s*->\s*(\d+)$")
 _TRANS_RE = re.compile(r'^(\d+)\s*->\s*(\d+)\s*\[label="([^"|]*) \| (\d+)"\]$')
 
 
-def _too_many_digits(line_no: int) -> MalformedDot:
-    return MalformedDot(line_no, f"a number has more than {sys.get_int_max_str_digits()} digits")
-
-
 def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
     """Parse the DOT subset into a StateMachine, checking that frequencies are
     positive and that every state is reachable from the initial one."""
@@ -85,17 +80,17 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
             try:
                 initial = int(m.group(1))
             except ValueError:  # more digits than int() converts
-                raise _too_many_digits(line_no) from None
+                raise MalformedDot(line_no, too_many_digits()) from None
             continue
         m = _TRANS_RE.match(stmt)
         if m is None:
-            raise MalformedDot(line_no, f"unrecognized statement {stmt!r}")
+            raise MalformedDot(line_no, f"unrecognized statement {clip(stmt)!r}")
         if initial is None:
             raise MalformedDot(line_no, "transition before __start line")
         try:
             src, dst, freq = int(m.group(1)), int(m.group(2)), int(m.group(4))
         except ValueError:  # more digits than int() converts
-            raise _too_many_digits(line_no) from None
+            raise MalformedDot(line_no, too_many_digits()) from None
         symbol = m.group(3)
         if freq < 1:
             raise MalformedDot(line_no, "frequency must be positive")
@@ -124,12 +119,16 @@ def serialize_state_machine(sm: StateMachine) -> str:
     return "\n".join(lines) + "\n"
 
 
-def canonicalize(sm: StateMachine) -> StateMachine:
-    """Renumber states breadth-first, exploring symbols in sorted order."""
-    order: dict[int, int] = {sm.initial: 0}
-    queue = deque([sm.initial])
+def canonicalize(
+    initial: int, transitions: dict[tuple[int, str], tuple[int, int]], name: str | None = None
+) -> StateMachine:
+    """The machine ``initial`` reaches over ``transitions``, with states renumbered
+    breadth-first, exploring symbols in sorted order. A transition that leaves
+    a state ``initial`` does not reach is dropped."""
+    order: dict[int, int] = {initial: 0}
+    queue = deque([initial])
     succ: dict[int, list[tuple[str, int]]] = {}
-    for (src, sym), (dst, _f) in sm.transitions.items():
+    for (src, sym), (dst, _f) in transitions.items():
         succ.setdefault(src, []).append((sym, dst))
     while queue:
         s = queue.popleft()
@@ -137,11 +136,12 @@ def canonicalize(sm: StateMachine) -> StateMachine:
             if dst not in order:
                 order[dst] = len(order)
                 queue.append(dst)
-    transitions = {
+    renumbered = {
         (order[src], sym): (order[dst], freq)
-        for (src, sym), (dst, freq) in sm.transitions.items()
+        for (src, sym), (dst, freq) in transitions.items()
+        if src in order
     }
-    return StateMachine(frozenset(order.values()), 0, transitions, name=sm.name)
+    return StateMachine(frozenset(order.values()), 0, renumbered, name=name)
 
 
 def accepts(sm: StateMachine, trace: Iterable[str]) -> bool:

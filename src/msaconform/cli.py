@@ -23,7 +23,8 @@ from pathlib import Path
 
 from . import detector, evaluator, interpret, report
 from .automaton import StateMachine, parse_state_machine
-from .errors import ConformanceError, EmptyAfterNormalization, InputError, MalformedSymbol
+from .errors import (ConformanceError, EmptyAfterNormalization, InputError, MalformedSymbol,
+                     clip, too_many_digits)
 from .events import GLOBAL_SCOPE, Trace, extract_traces, parse_event_log, parse_symbol
 from .learner import LearnerConfig, learn
 from .scenario import ScenarioSpec, generate
@@ -63,11 +64,6 @@ def _flag(text: str) -> bool:
 _CONVERTERS = {"int": int, "float": float, "bool": _flag, "str": str}
 
 
-def _clip(text: str) -> str:
-    """``text`` cut to 40 characters and an ellipsis, to echo in a message."""
-    return text if len(text) <= 40 else text[:40] + "..."
-
-
 def _parse_config_file(path: Path) -> Config:
     cfg = Config()
     convert = {f.name: _CONVERTERS[f.type] for f in fields(Config)}
@@ -79,15 +75,15 @@ def _parse_config_file(path: Path) -> Config:
         if not sep or not key:
             raise InputError(f"{path}:{line_no}: expected 'key = value'")
         if key not in convert:
-            raise InputError(f"{path}:{line_no}: unknown configuration key {_clip(key)!r}")
+            raise InputError(f"{path}:{line_no}: unknown configuration key {clip(key)!r}")
         try:
             setattr(cfg, key, convert[key](value))
         except ValueError as exc:
             # int() refuses a run of digits only for its length
             if convert[key] is int and re.fullmatch(r"[+-]?\d+", value):
-                why = f"a number has more than {sys.get_int_max_str_digits()} digits"
+                why = too_many_digits()
             else:
-                why = repr(_clip(value))
+                why = repr(clip(value))
             raise InputError(f"{path}:{line_no}: bad value for {key!r}: {why}") from exc
     # alpha and min_freq are checked by the LearnerConfig built from them
     for key, ok in (("session_gap_ms", cfg.session_gap_ms > 0),
@@ -142,8 +138,9 @@ def _load_dot(dot_file: Path) -> StateMachine:
             except EmptyAfterNormalization:
                 normalized = False
             if not normalized:
-                raise InputError(f"{dot_file}: label {symbol!r} has service name {name!r}, "
-                                 "which is not in normalized form (lowercase kebab-case)")
+                raise InputError(f"{dot_file}: label {clip(symbol)!r} has service name "
+                                 f"{clip(name)!r}, which is not in normalized form "
+                                 "(lowercase kebab-case)")
     return machine
 
 
@@ -259,22 +256,13 @@ def _run_analysis(args, cfg: Config) -> int:
     print(_summary_line(n_static, n_dynamic))
 
     print("Generating non-conformance interpretations...")
-    interps_by_kind = {
-        kind: interpret.interpretations_for(kind) for kind in detector.NcKind
-    }
     details_by_id = _finding_details(machines, model, ncs, cfg.top_n_calls)
 
     print("Generating non-conformance visualizations...")
-    bundle = report.render_bundle(tagged, ncs, interps_by_kind, details_by_id)
+    files = report.render_bundle(tagged, ncs, details_by_id)
 
     print("Generating interpretation visualizations...")
     out_dir = Path(args.output_path)
-    files = {
-        "architecture.puml": bundle.architecture_puml,
-        "index.html": bundle.index_html,
-        **{report.page_filename(nc_id): html_text
-           for nc_id, html_text in sorted(bundle.nc_pages.items())},
-    }
     metrics = None
     if args.evaluate:
         if global_traces is None:

@@ -55,10 +55,6 @@ class NonConformance:
         # double-hyphen joiner is unambiguous
         return f"{self.kind.value}-{self.subject_type}-" + "--".join(self.names)
 
-    @property
-    def involved(self) -> list[str]:
-        return list(self.names)
-
     def sort_key(self) -> tuple:
         return (
             0 if self.kind is NcKind.Static else 1,

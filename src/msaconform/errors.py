@@ -19,6 +19,16 @@ class InputError(ConformanceError):
     """A user-supplied input (file, flag, config) is invalid."""
 
 
+def clip(text: str) -> str:
+    """``text`` cut to 40 characters and an ellipsis, to echo in a message."""
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
+def too_many_digits() -> str:
+    """Why ``int()`` refused a run of digits: its length."""
+    return f"a number has more than {sys.get_int_max_str_digits()} digits"
+
+
 def load_json(text: str, error: Callable[[Exception], InputError]) -> Any:
     """``json.loads``, raising ``error(exc)`` for a document it cannot load.
 
@@ -31,8 +41,7 @@ def load_json(text: str, error: Callable[[Exception], InputError]) -> Any:
     except (json.JSONDecodeError, RecursionError) as exc:
         raise error(exc) from exc
     except ValueError as exc:
-        too_long = ValueError(f"a number has more than {sys.get_int_max_str_digits()} digits")
-        raise error(too_long) from exc
+        raise error(ValueError(too_many_digits())) from exc
 
 
 # static model parsing
@@ -44,26 +53,23 @@ class MalformedJson(InputError):
 class MissingField(InputError):
     def __init__(self, path: str):
         super().__init__(f"missing required field: {path}")
-        self.path = path
 
 
 class DuplicateService(InputError):
     def __init__(self, name: str):
-        super().__init__(f"duplicate service after normalization: {name!r}")
-        self.name = name
+        super().__init__(f"duplicate service after normalization: {clip(name)!r}")
 
 
 class UnknownEndpoint(InputError):
     def __init__(self, flow_index: int, name: str):
-        super().__init__(f"flow #{flow_index}: endpoint {name!r} is not a declared service")
+        super().__init__(f"flow #{flow_index}: endpoint {clip(name)!r} is not a declared service")
         self.flow_index = flow_index
         self.name = name
 
 
 class EmptyAfterNormalization(InputError):
     def __init__(self, raw: str):
-        super().__init__(f"name {raw!r} is empty after normalization")
-        self.raw = raw
+        super().__init__(f"name {clip(raw)!r} is empty after normalization")
 
 
 # event log parsing
@@ -97,22 +103,17 @@ class MalformedDot(InputError):
 
 class NondeterministicTransition(InputError):
     def __init__(self, state: int, symbol: str):
-        super().__init__(f"state {state} has two transitions on {symbol!r}")
-        self.state = state
-        self.symbol = symbol
+        super().__init__(f"state {clip(str(state))} has two transitions on {clip(symbol)!r}")
 
 
 class UnreachableState(InputError):
     def __init__(self, state: int):
-        super().__init__(f"state {state} is unreachable from the initial state")
-        self.state = state
+        super().__init__(f"state {clip(str(state))} is unreachable from the initial state")
 
 
 class MalformedSymbol(InputError):
     def __init__(self, machine_name: str, symbol: str):
-        super().__init__(f"machine {machine_name!r}: malformed transition symbol {symbol!r}")
-        self.machine_name = machine_name
-        self.symbol = symbol
+        super().__init__(f"machine {machine_name!r}: malformed transition symbol {clip(symbol)!r}")
 
 
 # learning / evaluation
@@ -139,8 +140,6 @@ class TooFewTraces(InputError):
 class NoInvolvedTransitions(ConformanceError):
     def __init__(self, a: str, b: str):
         super().__init__(f"no transitions between {a!r} and {b!r} in the machine")
-        self.a = a
-        self.b = b
 
 
 # scenario generation

@@ -62,7 +62,7 @@ def mutate_trace(
         for replacement in choices:
             mutant = symbols[:pos] + (replacement,) + symbols[pos + 1:]
             if mutant not in exclude and mutant != symbols:
-                return Trace(mutant, origin="mutant")
+                return Trace(mutant)
     raise CannotAvoidPositives("every single-symbol mutant collides with a training trace")
 
 

@@ -17,7 +17,7 @@ from collections import defaultdict
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import MalformedLine, MissingEventField, load_json
+from .errors import MalformedLine, MissingEventField, clip, load_json
 from .static_model import normalize_name
 
 HTTP_METHODS = frozenset({"GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS"})
@@ -42,7 +42,6 @@ class HttpEvent(NamedTuple):
 
 class Trace(NamedTuple):
     symbols: tuple[str, ...]
-    origin: str = ""
 
 
 def format_symbol(src: str, dst: str, method: str, path: str) -> str:
@@ -107,7 +106,8 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
             raise MalformedLine(line_no, "ts must be a non-negative integer")
         method = str(raw_method).upper()
         if method not in HTTP_METHODS:
-            raise MalformedLine(line_no, f"unknown HTTP method {raw_method!r}")
+            # any JSON value: its repr is what gets cut
+            raise MalformedLine(line_no, f"unknown HTTP method {clip(repr(raw_method))}")
         path = str(path)
         if not path.startswith("/"):
             raise MalformedLine(line_no, "path must begin with '/'")
@@ -124,15 +124,12 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
     return events
 
 
-def _segment(stamps: list[int], symbols: list[str], gap_ms: int, origin: str) -> list[Trace]:
+def _segment(stamps: list[int], symbols: list[str], gap_ms: int) -> list[Trace]:
     """Cut one scope's time-ordered events wherever the idle gap exceeds ``gap_ms``."""
     cuts = [i for i in range(1, len(stamps)) if stamps[i] - stamps[i - 1] > gap_ms]
     bounds = [0, *cuts, len(stamps)]
     ordered = tuple(symbols)  # so each trace is one slice
-    return [
-        Trace(ordered[start:end], f"{origin}[{start}:{end}]")
-        for start, end in zip(bounds, bounds[1:])
-    ]
+    return [Trace(ordered[start:end]) for start, end in zip(bounds, bounds[1:])]
 
 
 def extract_traces(
@@ -142,10 +139,9 @@ def extract_traces(
 
     ``scope`` is ``"global"`` (one key covering all events), ``"per_service"``
     (one key per service, in sorted order, keeping events where it is src or
-    dst), or ``"both"`` (global first). A trace's ``origin`` is
-    ``<scope>[start:end]``, its slice of that scope's time-ordered events.
-    Each distinct call is formatted once; a service's events are the
-    positions of the calls it takes part in, merged in time order.
+    dst), or ``"both"`` (global first). Each distinct call is formatted once;
+    a service's events are the positions of the calls it takes part in,
+    merged in time order.
     """
     ordered = sorted(events, key=attrgetter("ts"))  # stable: keeps input order on ties
     stamps = [ev.ts for ev in ordered]
@@ -163,10 +159,9 @@ def extract_traces(
             calls_of[dst].append(at)
     out: dict[str, list[Trace]] = {}
     if ordered and scope in ("global", "both"):
-        out[GLOBAL_SCOPE] = _segment(stamps, symbols, gap_ms, GLOBAL_SCOPE)
+        out[GLOBAL_SCOPE] = _segment(stamps, symbols, gap_ms)
     if scope in ("per_service", "both"):
         for svc in sorted(calls_of):
             mine = sorted([i for at in calls_of[svc] for i in at])
-            out[svc] = _segment([stamps[i] for i in mine], [symbols[i] for i in mine],
-                                gap_ms, svc)
+            out[svc] = _segment([stamps[i] for i in mine], [symbols[i] for i in mine], gap_ms)
     return out

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter
 
-from .automaton import StateMachine, canonicalize, reachable_states
+from .automaton import StateMachine, canonicalize
 from .detector import NcKind, NonConformance
 from .errors import NoInvolvedTransitions
 from .events import parse_symbol
@@ -182,12 +182,7 @@ class CallIndex:
                     reaching.add(p)
                     stack.append(p)
         root = min(reaching, key=lambda s: (self.dist[s], s))
-
-        reachable = reachable_states(root, kept)
-        cut = {
-            key: val for key, val in kept.items() if key[0] in reachable and val[0] in reachable
-        }
-        return canonicalize(StateMachine(frozenset(reachable), root, cut, name=self.machine.name))
+        return canonicalize(root, kept, name=self.machine.name)
 
     def most_frequent_calls(self, a: str, b: str, top_n: int = 5) -> list[CallSummary]:
         """Top calls a→b, grouped by (method, path template), descending count."""

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automaton import StateMachine, canonicalize
-from .errors import EmptyTraceSet
+from .errors import EmptyTraceSet, clip
 from .events import Trace
 
 
@@ -80,7 +80,7 @@ class LearnerConfig:
         if not (0 < self.alpha <= 1):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.min_freq < 0:
-            raise ValueError(f"min_freq must be non-negative, got {self.min_freq}")
+            raise ValueError(f"min_freq must be non-negative, got {clip(str(self.min_freq))}")
 
 
 class PrefixTree:
@@ -314,7 +314,7 @@ class _RedBlue:
             for s, row in self.trans.items()
             for sym, (t, f) in row.items()
         }
-        return canonicalize(StateMachine(frozenset(self.trans), 0, transitions, name=name))
+        return canonicalize(0, transitions, name=name)
 
 
 def build_pta(traces: Sequence[Trace | Sequence[str]], name: str | None = None) -> StateMachine:

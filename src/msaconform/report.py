@@ -13,20 +13,13 @@ rendering the same inputs twice produces byte-identical text.
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass
+from operator import attrgetter
 
 from .automaton import StateMachine
 from .detector import NcKind, NonConformance, PresenceTag, TaggedView
-from .interpret import CallSummary, Interpretation, NcDetails
+from .interpret import CallSummary, Interpretation, NcDetails, interpretations_for
 
 NO_TRACEABILITY = "No traceability information available."
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    architecture_puml: str
-    index_html: str
-    nc_pages: dict[str, str]  # NonConformance.id -> html
 
 
 def _alias(name: str) -> str:
@@ -121,7 +114,7 @@ def render_nc_page(
         "<h2>1. Type and involved services</h2>",
         f"<p>This is a <strong>{label}</strong>: {definition}.</p>",
         "<p>Involved services: "
-        + ", ".join(f"<code>{html.escape(s)}</code>" for s in nc.involved)
+        + ", ".join(f"<code>{html.escape(s)}</code>" for s in nc.names)
         + "</p>",
         "<h2>2. Possible interpretations</h2>",
         "<ul>",
@@ -215,19 +208,14 @@ def render_index(
 
 
 def render_bundle(
-    tv: TaggedView,
-    ncs: list[NonConformance],
-    interps_by_kind: dict[NcKind, list[Interpretation]],
-    details_by_id: dict[str, NcDetails],
-) -> ReportBundle:
-    """Assemble the whole report bundle for a detection result."""
+    tv: TaggedView, ncs: list[NonConformance], details_by_id: dict[str, NcDetails]
+) -> dict[str, str]:
+    """The report bundle's text by file name: the architecture diagram, the
+    index page, then one page per non-conformance in id order."""
     puml = render_architecture_puml(tv)
-    pages = {
-        nc.id: render_nc_page(nc, interps_by_kind[nc.kind], details_by_id[nc.id])
-        for nc in ncs
-    }
-    return ReportBundle(
-        architecture_puml=puml,
-        index_html=render_index(tv, ncs, architecture_puml=puml),
-        nc_pages=pages,
-    )
+    files = {"architecture.puml": puml, "index.html": render_index(tv, ncs, puml)}
+    for nc in sorted(ncs, key=attrgetter("id")):
+        files[page_filename(nc.id)] = render_nc_page(
+            nc, interpretations_for(nc.kind), details_by_id[nc.id]
+        )
+    return files

@@ -48,7 +48,6 @@ class Traceability:
 class ServiceNode:
     name: str
     stereotypes: tuple[str, ...] = ()
-    is_external: bool = False
     traceability: Traceability | None = None
 
 
@@ -104,7 +103,7 @@ def _parse_traceability(obj, path: str) -> Traceability | None:
     return Traceability(file=str(obj["file"]), line=line, snippet=snippet)
 
 
-def _parse_node(obj, path: str, is_external: bool) -> ServiceNode:
+def _parse_node(obj, path: str) -> ServiceNode:
     if not isinstance(obj, dict):
         raise MalformedJson(f"{path}: expected an object")
     if "name" not in obj:
@@ -112,7 +111,6 @@ def _parse_node(obj, path: str, is_external: bool) -> ServiceNode:
     return ServiceNode(
         name=normalize_name(str(obj["name"])),
         stereotypes=tuple(str(s) for s in _list_field(obj, "stereotypes", f"{path}.")),
-        is_external=is_external,
         traceability=_parse_traceability(obj.get("traceability"), path),
     )
 
@@ -126,11 +124,11 @@ def parse_static_model(json_text: str) -> StaticModel:
         raise MalformedJson("static model document must be a JSON object")
 
     services = tuple(
-        _parse_node(obj, f"services[{i}]", is_external=False)
+        _parse_node(obj, f"services[{i}]")
         for i, obj in enumerate(_list_field(doc, "services", ""))
     )
     externals = tuple(
-        _parse_node(obj, f"external_entities[{i}]", is_external=True)
+        _parse_node(obj, f"external_entities[{i}]")
         for i, obj in enumerate(_list_field(doc, "external_entities", ""))
     )
 

@@ -106,7 +106,7 @@ def unexpected_behavior_submachine(sm: StateMachine, a: str, b: str) -> StateMac
     transitions = {
         key: val for key, val in kept.items() if key[0] in reachable and val[0] in reachable
     }
-    return canonicalize(StateMachine(frozenset(reachable), root, transitions, name=sm.name))
+    return canonicalize(root, transitions, name=sm.name)
 
 
 def _top_calls(

@@ -83,7 +83,7 @@ class _Fsm:
             for sym, (t, f) in row.items()
         }
         states = frozenset(self.trans)
-        return canonicalize(StateMachine(states, 0, transitions, name=name))
+        return canonicalize(0, transitions, name=name)
 
 
 def _build_pta(traces: Sequence[Trace | Sequence[str]]) -> _Fsm:

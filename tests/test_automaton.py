@@ -174,12 +174,20 @@ class TestTransitionFrequencies:
 class TestCanonicalize:
     def test_renumbers_bfs(self):
         sm = machine({(0, "b"): (7, 1), (0, "a"): (3, 1), (3, "x"): (7, 2)})
-        canon = canonicalize(sm)
+        canon = canonicalize(sm.initial, sm.transitions)
         # 'a' explored before 'b': state 3 becomes 1, state 7 becomes 2
         assert canon.transitions == {(0, "a"): (1, 1), (0, "b"): (2, 1), (1, "x"): (2, 2)}
 
     def test_idempotent(self):
         rng = random.Random(21)
         for _ in range(50):
-            canon = canonicalize(random_machine(rng))
-            assert canonicalize(canon) == canon
+            canon = canonicalize(0, random_machine(rng).transitions)
+            assert canonicalize(0, canon.transitions) == canon
+
+    def test_drops_what_initial_does_not_reach(self):
+        reached = {(0, "b"): (7, 1), (0, "a"): (3, 1), (3, "x"): (7, 2)}
+        unreached = {(5, "a"): (7, 1), (5, "y"): (6, 4), (6, "z"): (5, 1)}
+        canon = canonicalize(0, {**unreached, **reached}, name="m")
+        assert canon == canonicalize(0, reached, name="m")
+        assert canon.states == frozenset({0, 1, 2})
+        assert canon.transitions == {(0, "a"): (1, 1), (0, "b"): (2, 1), (1, "x"): (2, 2)}

@@ -497,6 +497,40 @@ class TestBadInput:
         assert_one_error_line(code, err)
         assert "scenario spec is not valid JSON: a number has more than 4300 digits" in err
 
+    LONG_VALUE_INPUTS = {  # case: (input, its text), which holds a value of 4,000+ characters
+        "dot-label": ("dot", f'0 -> 1 [label="{"x" * 5000} | 3"]'),
+        "dot-statement": ("dot", "x" * 5000),
+        "dot-service-name": ("dot", f'0 -> 1 [label="a→{"X" * 5000}:GET /x | 3"]'),
+        "event-method": ("events", json.dumps({"ts": 1, "src": "a", "dst": "b",
+                                               "method": "X" * 5000, "path": "/x"})),
+        "dot-unreachable-state": ("dot", f'{"9" * 4000} -> 0 [label="a→b:GET /x | 3"]'),
+        "dot-two-transitions": ("dot", f'0 -> 1 [label="a→b:GET /{"x" * 5000} | 3"];\n'
+                                       f'0 -> 0 [label="a→b:GET /{"x" * 5000} | 3"]'),
+        "static-duplicate": ("static", json.dumps({"services": [{"name": "x" * 5000},
+                                                               {"name": "X" * 5000}]})),
+        "static-endpoint": ("static", json.dumps({
+            "services": [{"name": "a"}],
+            "information_flows": [{"sender": "a", "receiver": "x" * 5000}]})),
+        "static-empty-name": ("static", json.dumps({"services": [{"name": "-" * 5000}]})),
+        "config-min-freq": ("config", "min_freq = -" + "9" * 4000),
+    }
+
+    @pytest.mark.parametrize("case", LONG_VALUE_INPUTS)
+    def test_long_value_clipped_echo(self, clean_inputs, capsys, case):
+        static_path, dyn_dir, out_dir = clean_inputs
+        kind, text = self.LONG_VALUE_INPUTS[case]
+        cfg = out_dir.parent / "conf.txt"
+        if kind == "dot":
+            text = f"digraph sm {{\n__start -> 0;\n{text};\n}}"
+        path = {"dot": dyn_dir / "global.dot", "events": dyn_dir / "events.jsonl",
+                "static": static_path, "config": cfg}[kind]
+        path.write_text(text + "\n", "utf-8")
+        extra = ("--config", str(cfg)) if kind == "config" else ()
+        code = invoke(static_path, dyn_dir, out_dir, *extra)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert len(err.rstrip("\n")) <= 300
+
     def test_traceability_line_true(self, clean_inputs, capsys):
         # JSON true is a bool, which isinstance(..., int) would take as line 1
         static_path, dyn_dir, out_dir = clean_inputs

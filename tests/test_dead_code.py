@@ -1,6 +1,10 @@
 """Every top-level function and class of ``src/msaconform``, and every public
 method of a top-level class, is named somewhere in the package outside its
-own definition. Code that only tests call belongs in ``tests/``."""
+own definition. Code that only tests call belongs in ``tests/``.
+
+Every annotated field of a top-level class is read as an attribute somewhere
+in the package: a field that is only ever written is data nothing uses. A
+read of any attribute of the same name counts."""
 
 import ast
 from pathlib import Path
@@ -24,8 +28,18 @@ def definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
+FIELDS_ALLOWED = {  # Class.field: why nothing in the package reads it
+    "HttpEvent.status": "a validated input field; the event-log oracle compares whole events",
+    "Interpretation.cause_id": "the catalog key; a test checks that it is unique",
+}
+
+
+def parse_modules() -> dict[str, ast.Module]:
+    return {path.name: ast.parse(path.read_text("utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
 def unnamed_definitions() -> list[str]:
-    modules = {path.name: ast.parse(path.read_text("utf-8")) for path in sorted(SRC.glob("*.py"))}
+    modules = parse_modules()
     named: dict[str, list[tuple[str, int]]] = {}  # identifier -> (module, line) of each use
     for module, tree in modules.items():
         for node in ast.walk(tree):
@@ -47,3 +61,22 @@ def test_every_definition_is_used():
 
 def test_allowlist_is_needed():
     assert sorted(set(ALLOWED) - set(unnamed_definitions())) == []
+
+
+def unread_fields() -> list[str]:
+    modules = parse_modules().values()
+    read = {node.attr for tree in modules for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [f"{cls.name}.{item.target.id}"
+            for tree in modules for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for item in cls.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            and item.target.id not in read]
+
+
+def test_every_field_is_read():
+    assert sorted(set(unread_fields()) - set(FIELDS_ALLOWED)) == []
+
+
+def test_field_allowlist_is_needed():
+    assert sorted(set(FIELDS_ALLOWED) - set(unread_fields())) == []

@@ -241,7 +241,6 @@ def reference_traces(events, gap_ms, scope):
             Trace(
                 tuple(format_symbol(e.src, e.dst, e.method, template_path(e.path))
                       for e in selected[a:b]),
-                origin=f"{name}[{a}:{b}]",
             )
             for a, b in zip(cuts, cuts[1:])
         ]

@@ -2,13 +2,14 @@
 
 ``_reference_events`` keeps the former ``parse_event_log`` verbatim. Every
 case here requires equal event lists, or an error of the same type with the
-same ``line_no`` and message. One error is meant to differ: where the
+same ``line_no`` and message. Two errors are meant to differ: where the
 reference lets a number too long for ``int()`` escape as a bare
-``ValueError``, the parser must raise ``MalformedLine`` for that line. The
-lines are built as raw JSON text, so they can hold what ``json.dumps``
-never writes: duplicate keys, ``NaN``, lone surrogate escapes, numbers too
-long to convert, surrounding whitespace, a byte order mark and trailing
-data.
+``ValueError``, the parser must raise ``MalformedLine`` for that line; and
+where the reference echoes an unknown method longer than the bound of
+``errors.clip``, the parser echoes it clipped. The lines are built as raw
+JSON text, so they can hold what ``json.dumps`` never writes: duplicate
+keys, ``NaN``, lone surrogate escapes, numbers too long to convert,
+surrounding whitespace, a byte order mark and trailing data.
 """
 
 import json
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_events as reference
-from msaconform.errors import MalformedLine
+from msaconform.errors import MalformedLine, clip
 from msaconform.events import HttpEvent, parse_event_log
 from msaconform.scenario import ScenarioSpec, generate
 
@@ -29,6 +30,7 @@ SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"
 # far from the recursion limit on either side, so both parsers agree
 DEEP = "[" * 100_000
 NESTED = "[" * 40 + "]" * 40
+METHOD_ECHO = "unknown HTTP method "
 
 
 def outcome(parse, text):
@@ -41,6 +43,10 @@ def outcome(parse, text):
 
 def assert_same(text):
     got, want = outcome(parse_event_log, text), outcome(reference.parse_event_log, text)
+    # the parser cuts an unknown method's echo to the bound; the reference echoes it whole
+    if isinstance(want, tuple) and want[0] is MalformedLine and METHOD_ECHO in want[2]:
+        head, _, echo = want[2].partition(METHOD_ECHO)
+        want = (*want[:2], head + METHOD_ECHO + clip(echo))
     # the reference lets int()'s digit limit through as a bare ValueError, which
     # has no line number: the line is the first one that fails on its own
     if isinstance(want, tuple) and want[0] is ValueError and "Exceeds the limit" in want[2]:

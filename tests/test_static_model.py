@@ -161,7 +161,7 @@ def random_model(rng: random.Random) -> StaticModel:
         for name in names
     )
     externals = tuple(
-        ServiceNode(name=f"ext-{i}", is_external=True) for i in range(rng.randint(0, 2))
+        ServiceNode(name=f"ext-{i}") for i in range(rng.randint(0, 2))
     )
     all_names = [s.name for s in services] + [e.name for e in externals]
     flows = tuple(

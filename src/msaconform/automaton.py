@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Hashable, Iterable, Mapping, TypeVar
 
 from .errors import MalformedDot, NondeterministicTransition, UnreachableState, clip, too_many_digits
 
@@ -32,22 +32,36 @@ class StateMachine:
     name: str | None = None
 
 
+Node = TypeVar("Node", bound=Hashable)
+
+
+def breadth_first(
+    starts: Iterable[Node], successors: Mapping[Node, Iterable[Node]]
+) -> dict[Node, int]:
+    """Every node reachable from ``starts``, in the order a breadth-first search
+    finds it, with its distance from the nearest start. ``successors`` lists each
+    node's successors in visiting order; a node it lacks has none."""
+    dist = dict.fromkeys(starts, 0)
+    queue = deque(dist)
+    while queue:
+        node = queue.popleft()
+        step = dist[node] + 1
+        for nxt in successors.get(node, ()):
+            if nxt not in dist:
+                dist[nxt] = step
+                queue.append(nxt)
+    return dist
+
+
 def reachable_states(
     initial: int, transitions: dict[tuple[int, str], tuple[int, int]]
-) -> set[int]:
-    """States reachable from ``initial`` over ``transitions``, ``initial`` included."""
+) -> dict[int, int]:
+    """States reachable from ``initial`` over ``transitions``, ``initial`` included,
+    with their breadth-first distance from it."""
     adj: dict[int, list[int]] = {}
     for (src, _sym), (dst, _f) in transitions.items():
         adj.setdefault(src, []).append(dst)
-    seen = {initial}
-    queue = deque([initial])
-    while queue:
-        s = queue.popleft()
-        for t in adj.get(s, ()):
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return seen
+    return breadth_first([initial], adj)
 
 
 _START_RE = re.compile(r"^__start\s*->\s*(\d+)$")
@@ -105,7 +119,7 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
         states.add(src)
         states.add(dst)
     states = frozenset(states)
-    for state in states - reachable_states(initial, transitions):
+    for state in states.difference(reachable_states(initial, transitions)):
         raise UnreachableState(state)
     return StateMachine(states, initial, transitions, name=name)
 
@@ -125,17 +139,10 @@ def canonicalize(
     """The machine ``initial`` reaches over ``transitions``, with states renumbered
     breadth-first, exploring symbols in sorted order. A transition that leaves
     a state ``initial`` does not reach is dropped."""
-    order: dict[int, int] = {initial: 0}
-    queue = deque([initial])
-    succ: dict[int, list[tuple[str, int]]] = {}
-    for (src, sym), (dst, _f) in transitions.items():
-        succ.setdefault(src, []).append((sym, dst))
-    while queue:
-        s = queue.popleft()
-        for _sym, dst in sorted(succ.get(s, ())):
-            if dst not in order:
-                order[dst] = len(order)
-                queue.append(dst)
+    succ: dict[int, list[int]] = {}  # targets in symbol order
+    for (src, _sym), (dst, _f) in sorted(transitions.items()):
+        succ.setdefault(src, []).append(dst)
+    order = {state: i for i, state in enumerate(breadth_first([initial], succ))}
     renumbered = {
         (order[src], sym): (order[dst], freq)
         for (src, sym), (dst, freq) in transitions.items()

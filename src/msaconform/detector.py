@@ -63,6 +63,10 @@ class NonConformance:
         )
 
 
+# the finding an item raises, by its presence tag; an item in both views raises none
+_FINDING_KIND = {PresenceTag.DynamicOnly: NcKind.Static, PresenceTag.StaticOnly: NcKind.Dynamic}
+
+
 def extract_static_view(model: StaticModel, include_externals: bool = False) -> ArchView:
     """Nodes and edges of the dataflow diagram."""
     nodes = {s.name for s in model.services}
@@ -78,15 +82,11 @@ def extract_static_view(model: StaticModel, include_externals: bool = False) -> 
 
 def extract_dynamic_view(machines: list[StateMachine]) -> ArchView:
     """Union of the communication pairs appearing in transition symbols."""
-    nodes: set[str] = set()
     edges: set[tuple[str, str]] = set()
     for sm in machines:
-        for _src, symbol in sm.transitions:
-            a, b, _method, _path = parse_symbol(symbol)
-            nodes.add(a)
-            nodes.add(b)
-            edges.add((a, b))
-    return ArchView(frozenset(nodes), frozenset(edges))
+        for symbol in dict.fromkeys(symbol for _state, symbol in sm.transitions):
+            edges.add(parse_symbol(symbol)[:2])
+    return ArchView(frozenset(name for edge in edges for name in edge), frozenset(edges))
 
 
 def detect(static_view: ArchView, dynamic_view: ArchView) -> tuple[TaggedView, list[NonConformance]]:
@@ -106,16 +106,9 @@ def detect(static_view: ArchView, dynamic_view: ArchView) -> tuple[TaggedView, l
         for edge in sorted(static_view.edges | dynamic_view.edges)
     }
 
-    ncs: list[NonConformance] = []
-    for name, t in nodes.items():
-        if t is PresenceTag.DynamicOnly:
-            ncs.append(NonConformance(NcKind.Static, "node", (name,)))
-        elif t is PresenceTag.StaticOnly:
-            ncs.append(NonConformance(NcKind.Dynamic, "node", (name,)))
-    for edge, t in edges.items():
-        if t is PresenceTag.DynamicOnly:
-            ncs.append(NonConformance(NcKind.Static, "edge", edge))
-        elif t is PresenceTag.StaticOnly:
-            ncs.append(NonConformance(NcKind.Dynamic, "edge", edge))
+    ncs = [NonConformance(_FINDING_KIND[t], "node", (name,))
+           for name, t in nodes.items() if t in _FINDING_KIND]
+    ncs += [NonConformance(_FINDING_KIND[t], "edge", edge)
+            for edge, t in edges.items() if t in _FINDING_KIND]
     ncs.sort(key=NonConformance.sort_key)
     return TaggedView(nodes=nodes, edges=edges), ncs

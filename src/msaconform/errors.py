@@ -113,7 +113,8 @@ class UnreachableState(InputError):
 
 class MalformedSymbol(InputError):
     def __init__(self, machine_name: str, symbol: str):
-        super().__init__(f"machine {machine_name!r}: malformed transition symbol {clip(symbol)!r}")
+        super().__init__(
+            f"machine {clip(machine_name)!r}: malformed transition symbol {clip(symbol)!r}")
 
 
 # learning / evaluation

@@ -11,12 +11,11 @@ missing behavior.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
 from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter
 
-from .automaton import StateMachine, canonicalize
+from .automaton import StateMachine, breadth_first, canonicalize, reachable_states
 from .detector import NcKind, NonConformance
 from .errors import NoInvolvedTransitions
 from .events import parse_symbol
@@ -128,16 +127,7 @@ class CallIndex:
         self._by_target = sorted(transitions, key=lambda key: transitions[key][0])
         self._targets = [transitions[key][0] for key in self._by_target]
 
-        # breadth-first distance from the initial state
-        self.dist = {sm.initial: 0}
-        queue = deque([sm.initial])
-        while queue:
-            s = queue.popleft()
-            for key in self._leaving(s):
-                t = transitions[key][0]
-                if t not in self.dist:
-                    self.dist[t] = self.dist[s] + 1
-                    queue.append(t)
+        self.dist = reachable_states(sm.initial, transitions)
 
     def _leaving(self, state: int) -> list[tuple[int, str]]:
         keys = self._by_source
@@ -174,13 +164,7 @@ class CallIndex:
         preds: dict[int, list[int]] = {}
         for (src, _sym), (dst, _f) in kept.items():
             preds.setdefault(dst, []).append(src)
-        reaching = set(involved_sources)
-        stack = list(involved_sources)
-        while stack:
-            for p in preds.get(stack.pop(), ()):
-                if p not in reaching:
-                    reaching.add(p)
-                    stack.append(p)
+        reaching = breadth_first(involved_sources, preds)
         root = min(reaching, key=lambda s: (self.dist[s], s))
         return canonicalize(root, kept, name=self.machine.name)
 
@@ -213,14 +197,7 @@ def _shortest_flow_path(model: StaticModel, target: str) -> list[Flow]:
     pred: dict[str, list[str]] = {}
     for f in model.flows:
         pred.setdefault(f.receiver, []).append(f.sender)
-    rdist = {target: 0}
-    queue = deque([target])
-    while queue:
-        n = queue.popleft()
-        for p in pred.get(n, ()):
-            if p not in rdist:
-                rdist[p] = rdist[n] + 1
-                queue.append(p)
+    rdist = breadth_first([target], pred)
 
     candidates = [e for e in entries if e in rdist]
     if not candidates:

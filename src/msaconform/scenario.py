@@ -117,11 +117,12 @@ def generate(spec: ScenarioSpec) -> tuple[StaticModel, str, GroundTruth]:
 
     omitted = sorted(rng.sample(true_edges, spec.n_injected_static_nc))
     names = [_service_name(i) for i in range(spec.n_services)]
+    true_set = set(true_edges)
     non_edges = sorted(
         (a, b)
         for a in names
         for b in names
-        if a != b and (a, b) not in set(true_edges)
+        if a != b and (a, b) not in true_set
     )
     extra = sorted(rng.sample(non_edges, spec.n_injected_dynamic_nc))
 
@@ -138,7 +139,7 @@ def generate(spec: ScenarioSpec) -> tuple[StaticModel, str, GroundTruth]:
         )
         for i, name in enumerate(names)
     )
-    static_edges = sorted((set(true_edges) - set(omitted)) | set(extra))
+    static_edges = sorted((true_set - set(omitted)) | set(extra))
     flows = []
     for i, (sender, receiver) in enumerate(static_edges):
         method, path = calls.get((sender, receiver), ("GET", f"/{receiver}/planned{i}"))

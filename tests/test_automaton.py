@@ -3,15 +3,21 @@
 import random
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from msaconform.automaton import (
     StateMachine,
     accepts,
+    breadth_first,
     canonicalize,
     parse_state_machine,
+    reachable_states,
     serialize_state_machine,
 )
 from msaconform.errors import MalformedDot, NondeterministicTransition, UnreachableState
+from msaconform.interpret import CallIndex
+import _reference_automaton as reference
 from _reference_interpret import transition_frequencies
 
 
@@ -191,3 +197,78 @@ class TestCanonicalize:
         assert canon == canonicalize(0, reached, name="m")
         assert canon.states == frozenset({0, 1, 2})
         assert canon.transitions == {(0, "a"): (1, 1), (0, "b"): (2, 1), (1, "x"): (2, 2)}
+
+
+class TestBreadthFirst:
+    def test_distance_from_nearest_start(self):
+        succ = {"a": ["b", "c"], "b": ["e"], "c": ["d"], "d": ["e"], "x": ["d"]}
+        assert breadth_first(["a", "x"], succ) == {"a": 0, "x": 0, "b": 1, "c": 1, "d": 1, "e": 2}
+
+    def test_discovery_order(self):
+        succ = {0: [5, 2], 5: [9, 2], 2: [7], 9: [0]}
+        assert list(breadth_first([0], succ)) == [0, 5, 2, 9, 7]
+
+    def test_node_missing_from_mapping_has_no_successors(self):
+        assert breadth_first([1], {1: [2]}) == {1: 0, 2: 1}
+        assert breadth_first([3], {1: [2]}) == {3: 0}
+
+    def test_repeated_start_visited_once(self):
+        asked = []
+
+        class Recording(dict):
+            def get(self, key, default=None):
+                asked.append(key)
+                return super().get(key, default)
+
+        assert breadth_first([1, 1, 2, 1], Recording({1: [2, 1], 2: [1]})) == {1: 0, 2: 0}
+        assert sorted(asked) == [1, 2]
+
+
+SYMBOLS = ["a→b:GET /x", "a→b:POST /y", "b→a:GET /x", "b→c:GET /z", "c→c:PUT /w"]
+
+
+@st.composite
+def loose_machines(draw):
+    """A machine's initial state and transitions: state ids shuffled and far apart,
+    self-loops, and transitions out of states the initial state does not reach."""
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=10, unique=True))
+    state, symbol = st.sampled_from(ids), st.sampled_from(SYMBOLS)
+    edges = draw(st.lists(st.tuples(state, symbol, state, st.integers(1, 9)), max_size=25))
+    transitions = {}
+    for src, sym, dst, freq in edges:
+        transitions.setdefault((src, sym), (dst, freq))
+    return draw(state), transitions
+
+
+def level_distances(initial, transitions):
+    """Breadth-first distances found one level at a time, without a queue."""
+    dist, frontier, step = {initial: 0}, {initial}, 0
+    while frontier:
+        step += 1
+        frontier = {dst for (src, _sym), (dst, _f) in transitions.items()
+                    if src in frontier and dst not in dist}
+        dist.update(dict.fromkeys(frontier, step))
+    return dist
+
+
+class TestWalksAgainstReference:
+    def test_strategy_has_self_loops_and_unreached_sources(self):
+        def both(m):
+            initial, transitions = m
+            reached = reference.reachable_states(initial, transitions)
+            return (any(src == dst for (src, _sym), (dst, _f) in transitions.items())
+                    and any(src not in reached for src, _sym in transitions))
+
+        find(loose_machines(), both)
+
+    @settings(max_examples=300, deadline=None)
+    @given(loose_machines())
+    def test_same_as_reference(self, m):
+        initial, transitions = m
+        assert set(reachable_states(initial, transitions)) == reference.reachable_states(
+            initial, transitions)
+        assert canonicalize(initial, transitions, name="m") == reference.canonicalize(
+            initial, transitions, name="m")
+        states = {initial, *(s for s, _sym in transitions), *(t for t, _f in transitions.values())}
+        sm = StateMachine(frozenset(states), initial, transitions)
+        assert CallIndex(sm).dist == level_distances(initial, transitions)

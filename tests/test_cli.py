@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from msaconform import interpret
+from msaconform import detector, interpret
 from msaconform.automaton import serialize_state_machine
 from msaconform.cli import Config, _parse_config_file, run
 from msaconform.learner import build_pta
@@ -531,6 +531,16 @@ class TestBadInput:
         assert_one_error_line(code, err)
         assert len(err.rstrip("\n")) <= 300
 
+    def test_long_file_name_clipped_in_symbol_error(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        (dyn_dir / ("m" * 240 + ".dot")).write_text(
+            f'digraph sm {{\n__start -> 0;\n0 -> 1 [label="{"x" * 60} | 3"];\n}}\n', "utf-8")
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "malformed transition symbol" in err
+        assert len(err.rstrip("\n")) <= 200
+
     def test_traceability_line_true(self, clean_inputs, capsys):
         # JSON true is a bool, which isinstance(..., int) would take as line 1
         static_path, dyn_dir, out_dir = clean_inputs
@@ -574,6 +584,29 @@ def test_details_parse_each_symbol_once_per_machine(tmp_path, monkeypatch):
     n_static = len(list((tmp_path / "out").glob("nc_static-*.html")))
     assert n_static >= 50
     assert len(calls) <= sum(len(sm.transitions) for sm in machines.values())
+
+
+def test_dynamic_view_parses_each_symbol_once_per_machine(tmp_path, monkeypatch):
+    """The dynamic view parses each distinct symbol of a machine once, however many
+    of its transitions carry it."""
+    rng = random.Random(11)
+    walks = [[f"s{rng.randrange(4)}→s{rng.randrange(4)}:GET /{rng.randrange(3)}"
+              for _ in range(rng.randint(2, 6))] for _ in range(200)]
+    dyn_dir = tmp_path / "dynamic"
+    dyn_dir.mkdir()
+    machines = {"global": build_pta(walks), "s0": build_pta(walks[:80])}
+    for name, sm in machines.items():
+        (dyn_dir / f"{name}.dot").write_text(serialize_state_machine(sm), "utf-8")
+    static_path = tmp_path / "static_model.json"
+    static_path.write_text(json.dumps({"services": [{"name": "s0"}]}), "utf-8")
+
+    calls = []
+    original = detector.parse_symbol
+    monkeypatch.setattr(detector, "parse_symbol", lambda sym: calls.append(sym) or original(sym))
+    assert invoke(static_path, dyn_dir, tmp_path / "out") == 0
+    expected = [sym for sm in machines.values() for sym in {s for _state, s in sm.transitions}]
+    assert sorted(calls) == sorted(expected)
+    assert len(calls) < sum(len(sm.transitions) for sm in machines.values())
 
 
 def test_same_output_under_two_hash_seeds(faulty_inputs):

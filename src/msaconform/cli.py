@@ -19,6 +19,7 @@ import re
 import sys
 import tempfile
 from dataclasses import dataclass, fields
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 from . import detector, evaluator, interpret, report
@@ -107,20 +108,40 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> None:
     """Write each file, by name, into ``out_dir`` through a temporary file.
 
     A first pass encodes every text and writes nothing, so a text that cannot
-    be encoded leaves no file. The second pass encodes each text again rather
-    than keep every file's bytes in memory at once."""
+    be encoded leaves no file. The second pass encodes each text again, rather
+    than keep every file's bytes in memory at once, into its temporary file.
+    Only when all are written do they replace the files of their names, so a
+    failure part-way leaves the former files as they were."""
     for name, text in files.items():
         _encode(name, text)
-    for name, text in files.items():
-        fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
-        try:
+    tmps: dict[str, str] = {}
+    try:
+        for name, text in files.items():
+            fd, tmps[name] = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(_encode(name, text))
+        for name, tmp in tmps.items():
             os.replace(tmp, out_dir / name)
-        except BaseException:
+    except BaseException:
+        for tmp in tmps.values():
             if os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
+        raise
+
+
+# the names of the files an analysis writes into its output directory; a run
+# removes those that it did not write, so that no earlier run's file lingers
+OUTPUT_NAMES = ("architecture.puml", "index.html", "nc_*.html", "evaluation.txt",
+                "evaluation.json")
+
+
+def _remove_stale(out_dir: Path, written: dict[str, str]) -> None:
+    """Delete each file in ``out_dir`` that has one of ``OUTPUT_NAMES`` but
+    is not in ``written``; every other file or directory stays."""
+    for path in out_dir.iterdir():
+        if (path.name not in written and not path.is_dir()
+                and any(fnmatchcase(path.name, pattern) for pattern in OUTPUT_NAMES)):
+            path.unlink()
 
 
 def _load_dot(dot_file: Path) -> StateMachine:
@@ -278,6 +299,7 @@ def _run_analysis(args, cfg: Config) -> int:
     # every file is made before the first is written, so a bad input leaves none
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_files(out_dir, files)
+    _remove_stale(out_dir, files)
     if metrics is not None:
         print(metrics.to_table(), end="")
 

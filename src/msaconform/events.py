@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
+from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -71,19 +72,39 @@ def template_path(path: str) -> str:
     return "/".join(out)
 
 
+# the log's lines are split about this many characters at a time
+_BLOCK_CHARS = 1 << 20
+
+
+def _line_blocks(text: str):
+    """The lines of ``text`` exactly as ``str.splitlines`` gives them, as one
+    list per block, so that only one block's lines are alive at once.
+
+    Each block ends just after a ``"\\n"``, which always ends a line (a
+    ``"\\r\\n"`` pair at its ``"\\n"``); every other separator is one
+    character, so no line or separator straddles a cut."""
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
+        yield text[start:end].splitlines()
+        start = end
+
+
 def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
     """Parse a JSON Lines event log; blank lines are skipped.
 
-    Lines are split with ``str.splitlines``. Each goes to the JSON scanner
-    directly; one it does not consume whole (a syntax error, surrounding
-    whitespace, a byte order mark, trailing data) is read again with
-    ``load_json``, which skips it if blank, else accepts it or raises
-    the error it always raised.
+    Lines are split as ``str.splitlines`` splits them. Each goes to the JSON
+    scanner directly; one it does not consume whole (a syntax error,
+    surrounding whitespace, a byte order mark, trailing data) is read again
+    with ``load_json``, which skips it if blank, else accepts it or raises
+    the error it always raised. Events share one copy of each distinct
+    method and path.
     """
     scan_once = json.JSONDecoder().scan_once
     events: list[HttpEvent] = []
     names: dict[str, str] = {}  # raw service name -> normalized, per distinct name
-    for line_no, line in enumerate(jsonl_text.splitlines(), start=1):
+    shared: dict[str, str] = {}  # one copy of each distinct method and path
+    for line_no, line in enumerate(chain.from_iterable(_line_blocks(jsonl_text)), start=1):
         try:
             obj, end = scan_once(line, 0)
         except (StopIteration, ValueError, RecursionError):
@@ -119,6 +140,7 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
         dst = names.get(raw_dst) or names.setdefault(raw_dst, normalize_name(raw_dst))
         if GLOBAL_SCOPE in (src, dst):
             raise MalformedLine(line_no, f"service name {GLOBAL_SCOPE!r} is reserved")
+        method, path = shared.setdefault(method, method), shared.setdefault(path, path)
         # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
         events.append(tuple.__new__(HttpEvent, (ts, src, dst, method, path, status)))
     return events

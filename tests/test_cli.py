@@ -6,12 +6,14 @@ import random
 import shutil
 import subprocess
 import sys
+import tempfile
 from dataclasses import fields
+from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
 
-from msaconform import detector, interpret
+from msaconform import cli, detector, interpret
 from msaconform.automaton import serialize_state_machine
 from msaconform.cli import Config, _parse_config_file, run
 from msaconform.learner import build_pta
@@ -629,3 +631,91 @@ def test_same_output_under_two_hash_seeds(faulty_inputs):
     assert results[0][0] == 0, results[0][2]
     assert "evaluation.json" in results[0][3]
     assert results[0] == results[1]
+
+
+def write_inputs(root: Path, n_static: int, n_dynamic: int):
+    """The 5-service scenario with the given numbers of injected findings."""
+    spec = ScenarioSpec(n_services=5, n_edges=6, n_injected_static_nc=n_static,
+                        n_injected_dynamic_nc=n_dynamic, n_events=200, rng_seed=7)
+    model, log, _truth = generate(spec)
+    dyn_dir = root / "dynamic"
+    dyn_dir.mkdir(parents=True)
+    (root / "static_model.json").write_text(serialize_static_model(model), "utf-8")
+    (dyn_dir / "events.jsonl").write_text(log, "utf-8")
+    return root / "static_model.json", dyn_dir
+
+
+def listing(out_dir: Path) -> dict[str, bytes | None]:
+    """Each entry's name and bytes; None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in sorted(out_dir.iterdir())}
+
+
+class TestOutputDirectory:
+    """A run leaves in its output directory its own files, and no file of an
+    earlier run that it did not write again; other files stay."""
+
+    def test_rerun_leaves_what_a_fresh_run_leaves(self, tmp_path, capsys):
+        faulty = write_inputs(tmp_path / "faulty", 2, 1)
+        clean = write_inputs(tmp_path / "clean", 0, 0)
+        out_dir = tmp_path / "out"
+        assert invoke(*faulty, out_dir, "--evaluate") == 0
+        first = sorted(listing(out_dir))
+        assert len([name for name in first if name.startswith("nc_")]) == 3
+        assert {"evaluation.txt", "evaluation.json"} <= set(first)
+        # every file a run writes has one of the names a later run may remove
+        assert all(any(fnmatchcase(name, pattern) for pattern in cli.OUTPUT_NAMES)
+                   for name in first)
+        capsys.readouterr()
+        assert invoke(*clean, out_dir) == 0
+        assert "Detected 0 static non-conformances and 0 dynamic" in capsys.readouterr().out
+        assert invoke(*clean, tmp_path / "fresh") == 0
+        assert listing(out_dir) == listing(tmp_path / "fresh")
+
+    def test_skipped_evaluation_removes_old_evaluation(self, faulty_inputs, capsys):
+        static_path, dyn_dir, out_dir, _truth = faulty_inputs
+        assert invoke(static_path, dyn_dir, out_dir, "--evaluate") == 0
+        assert (out_dir / "evaluation.json").is_file()
+        (dyn_dir / "events.jsonl").write_text(
+            '{"ts": 0, "src": "a", "dst": "b", "method": "GET", "path": "/x"}\n', "utf-8")
+        capsys.readouterr()
+        assert invoke(static_path, dyn_dir, out_dir, "--evaluate") == 0
+        assert "Skipping evaluation:" in capsys.readouterr().out
+        assert not {"evaluation.txt", "evaluation.json"} & set(listing(out_dir))
+
+    def test_other_files_survive(self, tmp_path):
+        """Only the former run's own files go; files and directories that merely
+        look like them stay."""
+        faulty = write_inputs(tmp_path / "faulty", 2, 1)
+        clean = write_inputs(tmp_path / "clean", 0, 0)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        others = {"notes.txt": b"mine", "evaluation.csv": b"1,2", "nc_x.html.bak": b"old",
+                  "Index.html": b"<p>"}
+        for name, data in others.items():
+            (out_dir / name).write_bytes(data)
+        (out_dir / "nc_dir.html").mkdir()
+        assert invoke(*faulty, out_dir, "--evaluate") == 0
+        assert invoke(*clean, out_dir) == 0
+        assert invoke(*clean, tmp_path / "fresh") == 0
+        assert listing(out_dir) == {**listing(tmp_path / "fresh"), **others, "nc_dir.html": None}
+
+    def test_failed_write_leaves_former_files(self, faulty_inputs, monkeypatch, capsys):
+        """A run whose writing fails part-way replaces none of the former files."""
+        static_path, dyn_dir, out_dir, _truth = faulty_inputs
+        assert invoke(static_path, dyn_dir, out_dir, "--evaluate") == 0
+        before = listing(out_dir)
+        made, real_mkstemp = [], tempfile.mkstemp
+
+        def mkstemp(**kwargs):  # the third temporary file cannot be made
+            if len(made) == 2:
+                raise OSError("disk full")
+            made.append(kwargs["prefix"])
+            return real_mkstemp(**kwargs)
+
+        monkeypatch.setattr(cli.tempfile, "mkstemp", mkstemp)
+        (dyn_dir / "events.jsonl").write_text(
+            '{"ts": 0, "src": "a", "dst": "b", "method": "GET", "path": "/x"}\n', "utf-8")
+        capsys.readouterr()
+        assert invoke(static_path, dyn_dir, out_dir) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert listing(out_dir) == before

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from msaconform.events import (
     parse_symbol,
     template_path,
 )
+from msaconform.scenario import ScenarioSpec, generate
 
 
 def line(ts, src="web", dst="order", method="GET", path="/x", status=200):
@@ -267,3 +269,33 @@ http_events = st.builds(
 def test_every_scope_matches_reference(events, gap_ms, scope):
     got = extract_traces(events, gap_ms, scope=scope)
     assert list(got.items()) == list(reference_traces(events, gap_ms, scope).items())
+
+
+@pytest.fixture(scope="module")
+def log_20k():
+    spec = ScenarioSpec(n_services=20, n_edges=60, n_events=20_000, rng_seed=1)
+    return generate(spec)[1]
+
+
+def test_parse_peak_memory_bounded(log_20k):
+    """The events and the parse's working memory stay within 2.5 times the
+    text: the lines are split block by block, never all at once."""
+    tracemalloc.start()
+    try:
+        parse_event_log(log_20k)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * len(log_20k)
+
+
+def test_events_share_method_and_path(log_20k):
+    events = parse_event_log(log_20k)
+    first = {}  # (method, path) -> the first event with them
+    repeats = 0
+    for ev in events:
+        other = first.setdefault((ev.method, ev.path), ev)
+        if other is not ev:
+            assert other.method is ev.method and other.path is ev.path
+            repeats += 1
+    assert repeats > len(events) // 2

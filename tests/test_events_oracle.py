@@ -13,12 +13,15 @@ surrounding whitespace, a byte order mark and trailing data.
 """
 
 import json
+from itertools import chain
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_events as reference
+from msaconform import events
 from msaconform.errors import MalformedLine, clip
 from msaconform.events import HttpEvent, parse_event_log
 from msaconform.scenario import ScenarioSpec, generate
@@ -182,3 +185,38 @@ def test_scenario_log_matches_reference():
     events = parse_event_log(log)
     assert len(events) == 3000
     assert events == reference.parse_event_log(log)
+
+
+# every separator once, and "\r\n" and "\n" beside each other and doubled
+ALL_SEPARATORS = "".join(f"a{sep}" for sep in SEPARATORS) + "\r\n\n\r\n\r\n\n\nb\r\r\n"
+
+
+def block_lines(text):
+    return list(chain.from_iterable(events._line_blocks(text)))
+
+
+def test_every_block_size_gives_the_same_lines():
+    for block in range(1, len(ALL_SEPARATORS) + 2):
+        with mock.patch.object(events, "_BLOCK_CHARS", block):
+            assert block_lines(ALL_SEPARATORS) == ALL_SEPARATORS.splitlines(), block
+
+
+@st.composite
+def logs_across_cuts(draw):
+    r"""A log that ends its lines with every separator, in any order, and some
+    more "\n" and "\r\n"; its lines are mostly a valid event or blank, now
+    and then any line of the oracle test, so an error comes after some cuts."""
+    seps = draw(st.permutations(
+        [*SEPARATORS, *draw(st.lists(st.sampled_from(["\n", "\r\n"]), max_size=8))]))
+    line = mostly(st.sampled_from([VALID, VALID.replace("7", "8"), "", " "]), lines)
+    return "".join(draw(line) + sep for sep in seps) + draw(st.sampled_from(["", VALID]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(logs_across_cuts(), st.integers(1, 200))
+def test_block_cuts_match_reference(log, block):
+    r"""Blocks of 1 to 200 characters cut the log after most "\n"; the
+    lines, events, errors and line numbers stay those of the reference."""
+    with mock.patch.object(events, "_BLOCK_CHARS", block):
+        assert block_lines(log) == log.splitlines()
+        assert_same(log)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import defaultdict
 from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
@@ -161,29 +160,28 @@ def extract_traces(
 
     ``scope`` is ``"global"`` (one key covering all events), ``"per_service"``
     (one key per service, in sorted order, keeping events where it is src or
-    dst), or ``"both"`` (global first). Each distinct call is formatted once;
-    a service's events are the positions of the calls it takes part in,
-    merged in time order.
+    dst), or ``"both"`` (global first). One pass in time order appends each
+    event to the streams of the scopes it joins; each distinct call is
+    formatted once, when first seen. Precondition: no service is named
+    ``GLOBAL_SCOPE`` (``parse_event_log`` rejects that name), or its stream
+    and the global one would be one.
     """
-    ordered = sorted(events, key=attrgetter("ts"))  # stable: keeps input order on ties
-    stamps = [ev.ts for ev in ordered]
-    positions: dict[tuple[str, str, str, str], list[int]] = defaultdict(list)
-    for i, ev in enumerate(ordered):
-        positions[ev.src, ev.dst, ev.method, ev.path].append(i)
-    symbols: list[str] = [""] * len(ordered)
-    calls_of: dict[str, list[list[int]]] = defaultdict(list)  # service -> its calls' positions
-    for (src, dst, method, path), at in positions.items():
-        symbol = format_symbol(src, dst, method, template_path(path))
-        for i in at:
-            symbols[i] = symbol
-        calls_of[src].append(at)
-        if dst != src:
-            calls_of[dst].append(at)
-    out: dict[str, list[Trace]] = {}
-    if ordered and scope in ("global", "both"):
-        out[GLOBAL_SCOPE] = _segment(stamps, symbols, gap_ms)
-    if scope in ("per_service", "both"):
-        for svc in sorted(calls_of):
-            mine = sorted([i for at in calls_of[svc] for i in at])
-            out[svc] = _segment([stamps[i] for i in mine], [symbols[i] for i in mine], gap_ms)
-    return out
+    streams: dict[str, tuple[list[int], list[str]]] = {}  # scope key -> stamps, symbols
+    calls: dict[tuple[str, str, str, str], tuple] = {}  # call -> its symbol, its streams
+    for ev in sorted(events, key=attrgetter("ts")):  # stable: keeps input order on ties
+        call = (ev.src, ev.dst, ev.method, ev.path)
+        seen = calls.get(call)
+        if seen is None:
+            keys = [GLOBAL_SCOPE] if scope in ("global", "both") else []
+            if scope in ("per_service", "both"):
+                keys += {ev.src, ev.dst}  # a self-call joins its service once
+            seen = calls[call] = (
+                format_symbol(ev.src, ev.dst, ev.method, template_path(ev.path)),
+                [streams.setdefault(key, ([], [])) for key in keys],
+            )
+        symbol, joined = seen
+        for stamps, symbols in joined:
+            stamps.append(ev.ts)
+            symbols.append(symbol)
+    return {key: _segment(*streams.pop(key), gap_ms)
+            for key in sorted(streams, key=lambda key: (key != GLOBAL_SCOPE, key))}

@@ -42,11 +42,20 @@ class ScenarioSpec:
             raise InfeasibleSpec("injected counts must not exceed n_edges")
         if self.n_injected_static_nc < 0 or self.n_injected_dynamic_nc < 0:
             raise InfeasibleSpec("injected counts must not be negative")
+        if self.n_services < 2 or self.n_edges < 1:
+            raise InfeasibleSpec("need at least 2 services and 1 edge")
+        if self.n_edges < self.n_services - 1:
+            raise InfeasibleSpec("too few edges for a connected graph")
+        free_slots = self.n_services * (self.n_services - 1) - self.n_edges
+        if self.n_injected_dynamic_nc > free_slots:
+            raise InfeasibleSpec("not enough free node pairs for the extra static-only edges")
+        if self.n_events < 3 * self.n_edges:
+            raise InfeasibleSpec("n_events must allow every edge to appear at least 3 times")
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
-        """Parse a spec document; bad JSON, a missing key or a non-integer value
-        is an InputError."""
+        """Parse a spec document; bad JSON, a missing key, a non-integer value
+        or a spec that cannot be generated is an InputError."""
         doc = load_json(text, lambda exc: InputError(f"scenario spec is not valid JSON: {exc}"))
         if not isinstance(doc, dict):
             raise InputError("scenario spec must be a JSON object")
@@ -102,16 +111,6 @@ def _random_connected_edges(n: int, n_edges: int, rng: random.Random) -> list[tu
 
 def generate(spec: ScenarioSpec) -> tuple[StaticModel, str, GroundTruth]:
     """Build (static model, event log text, ground truth) for the spec."""
-    if spec.n_services < 2 or spec.n_edges < 1:
-        raise InfeasibleSpec("need at least 2 services and 1 edge")
-    if spec.n_edges < spec.n_services - 1:
-        raise InfeasibleSpec("too few edges for a connected graph")
-    free_slots = spec.n_services * (spec.n_services - 1) - spec.n_edges
-    if spec.n_injected_dynamic_nc > free_slots:
-        raise InfeasibleSpec("not enough free node pairs for the extra static-only edges")
-    if spec.n_events < 3 * spec.n_edges:
-        raise InfeasibleSpec("n_events must allow every edge to appear at least 3 times")
-
     rng = random.Random(spec.rng_seed)
     true_edges = _random_connected_edges(spec.n_services, spec.n_edges, rng)
 

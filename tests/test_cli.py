@@ -454,8 +454,9 @@ class TestBadInput:
         (NOT_UTF8, "not valid UTF-8"),
         (b'{"n_services": 2, "n_edges": 1, "n_injected_static_nc": -1, "n_events": 3}',
          "injected counts must not be negative"),
+        (b'{"n_services": 5, "n_edges": 2}', "too few edges for a connected graph"),
     ], ids=["truncated", "deep", "missing-key", "string", "float", "bool", "null", "array",
-            "not-utf8", "negative"])
+            "not-utf8", "negative", "infeasible"])
     def test_bad_scenario_spec(self, tmp_path, capsys, spec_text, message):
         spec_file = tmp_path / "spec.json"
         spec_file.write_bytes(spec_text)

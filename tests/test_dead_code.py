@@ -4,7 +4,10 @@ own definition. Code that only tests call belongs in ``tests/``.
 
 Every annotated field of a top-level class is read as an attribute somewhere
 in the package: a field that is only ever written is data nothing uses. A
-read of any attribute of the same name counts."""
+read of any attribute of the same name counts.
+
+Every name a module imports is used in that module, ``from __future__``
+imports aside."""
 
 import ast
 from pathlib import Path
@@ -80,3 +83,23 @@ def test_every_field_is_read():
 
 def test_field_allowlist_is_needed():
     assert sorted(set(FIELDS_ALLOWED) - set(unread_fields())) == []
+
+
+def unused_imports() -> list[str]:
+    """module:name of each name a module imports and never uses."""
+    unused = []
+    for module, tree in parse_modules().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = (alias.asname or alias.name).split(".")[0]  # ``import a.b`` binds ``a``
+                    if bound not in used:
+                        unused.append(f"{module}:{bound}")
+    return unused
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []

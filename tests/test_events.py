@@ -277,6 +277,20 @@ def log_20k():
     return generate(spec)[1]
 
 
+@pytest.mark.parametrize("order", ["logged", "shuffled", "shuffled-ties"])
+@pytest.mark.parametrize("scope", ["global", "per_service", "both"])
+def test_every_scope_matches_reference_at_scale(log_20k, scope, order):
+    """The log's stamps are distinct; rounding them down to 50 ms makes
+    ties, which must keep their (shuffled) input order."""
+    events = parse_event_log(log_20k)
+    if order == "shuffled-ties":
+        events = [ev._replace(ts=ev.ts - ev.ts % 50) for ev in events]
+    if order != "logged":
+        random.Random(12).shuffle(events)
+    got = extract_traces(events, 1000, scope=scope)
+    assert list(got.items()) == list(reference_traces(events, 1000, scope).items())
+
+
 def test_parse_peak_memory_bounded(log_20k):
     """The events and the parse's working memory stay within 2.5 times the
     text: the lines are split block by block, never all at once."""

@@ -30,6 +30,10 @@ class TestSpecValidation:
         with pytest.raises(InfeasibleSpec):
             generate(ScenarioSpec(n_services=5, n_edges=2))
 
+    def test_infeasible_at_construction(self):
+        with pytest.raises(InfeasibleSpec, match="too few edges for a connected graph"):
+            ScenarioSpec(n_services=5, n_edges=2)
+
     def test_too_few_events(self):
         with pytest.raises(InfeasibleSpec):
             generate(ScenarioSpec(n_services=3, n_edges=3, n_events=5))

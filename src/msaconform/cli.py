@@ -107,13 +107,11 @@ def _encode(name: str, text: str) -> bytes:
 def _write_files(out_dir: Path, files: dict[str, str]) -> None:
     """Write each file, by name, into ``out_dir`` through a temporary file.
 
-    A first pass encodes every text and writes nothing, so a text that cannot
-    be encoded leaves no file. The second pass encodes each text again, rather
-    than keep every file's bytes in memory at once, into its temporary file.
-    Only when all are written do they replace the files of their names, so a
-    failure part-way leaves the former files as they were."""
-    for name, text in files.items():
-        _encode(name, text)
+    Each text is encoded as its temporary file is written, so no more than one
+    file's bytes are in memory at once. Only when all are written do they
+    replace the files of their names, and a failure part-way, such as a text
+    that cannot be encoded, removes the temporary files: the former files stay
+    as they were."""
     tmps: dict[str, str] = {}
     try:
         for name, text in files.items():

@@ -168,11 +168,11 @@ class CallIndex:
         root = min(reaching, key=lambda s: (self.dist[s], s))
         return canonicalize(root, kept, name=self.machine.name)
 
-    def most_frequent_calls(self, a: str, b: str, top_n: int = 5) -> list[CallSummary]:
+    def most_frequent_calls(self, a: str, b: str, top_n: int) -> list[CallSummary]:
         """Top calls a→b, grouped by (method, path template), descending count."""
         return self.calls_by_pair.get((a, b), [])[:top_n]
 
-    def calls_involving(self, service: str, top_n: int = 5) -> list[CallSummary]:
+    def calls_involving(self, service: str, top_n: int) -> list[CallSummary]:
         """Top calls where the service is caller or callee (node-level details)."""
         return self.calls_by_service.get(service, [])[:top_n]
 
@@ -261,7 +261,7 @@ def dynamic_nc_details(model: StaticModel, nc: NonConformance) -> NcDetails:
     )
 
 
-def static_nc_details(sm: CallIndex | None, nc: NonConformance, top_n: int = 5) -> NcDetails:
+def static_nc_details(sm: CallIndex | None, nc: NonConformance, top_n: int) -> NcDetails:
     """Sub-machine plus frequent calls for a static non-conformance, taken from
     ``sm``, the call index of a machine that holds its subject, if any."""
     if nc.kind is not NcKind.Static:

@@ -16,30 +16,35 @@ every leaf would be vacuously mergeable with everything.
 Merging is deterministic: blue states are considered in breadth-first id
 order and fold into the lowest-id compatible red state.
 
-The prefix tree is kept as flat lists. States are numbered breadth-first
-with symbols in sorted order, so every state ``t > 0`` is described by its
-one incoming edge: ``src[t-1]``, ``sym[t-1]`` and ``freq[t-1]``, the number
-of traces that pass through ``t``. ``end[t]`` counts the traces that end
-in ``t``, and ``leaf[i]`` is the state where trace ``i`` ends. A
+The prefix tree is kept as flat lists with one entry per state. States
+are numbered breadth-first with symbols in sorted order. State ``t`` is
+entered from ``src[t]`` on ``sym[t]`` by ``freq[t]`` traces, the number
+that pass through it; the root has ``src[0] = -1``, ``sym[0] = ""`` and
+``freq[0]`` the number of traces. ``leaf[i]`` is the state where trace
+``i`` ends, which is all the tree keeps of terminations. A
 cross-validation fold does not build its own tree: ``without`` copies the
-counts and walks each held-out trace up from its leaf, decrementing. An
-edge whose count reaches 0 leaves the fold's tree, and so does its whole
-subtree. On the states that remain, the global breadth-first order is the
-fold's own. The merge loop builds each state's row in the order its
-symbols were first inserted, which it recovers by walking each trace up
-from its leaf to the first state an earlier trace made. Ids and rows are
-then those of a tree built from the fold's traces, so the merge order,
-and the learned machine, is the same.
+counts and walks each held-out trace from its leaf up to the root,
+decrementing. A state whose count reaches 0 leaves the fold's tree, and so
+does its whole subtree. On the states that remain, the global
+breadth-first order is the fold's own. The merge loop builds each state's
+row in the order its symbols were first inserted, in one pass over the
+leaves that also counts each state's terminations: a trace makes the
+states between its leaf and the first state an earlier trace made. Ids
+and rows are then those of a tree built from the fold's traces, so the
+merge order, and the learned machine, is the same.
 
 Each merge step does work bounded by the states it touches, not by the
 size of the automaton. Every non-red state is a node of a prefix subtree
 hanging off the red core, so it has exactly one parent edge; the loop
-keeps that edge per state, and redirecting a merged blue state rewrites
-only it. Each state's total frequency is cached and grows by the folded
-state's total. The blue fringe is a min-heap fed when a state turns red
-and when a fold moves a subtree under a red state; stale entries are
-dropped when popped. The merge order, and so the learned machine, is the
-same as rebuilding the fringe from scratch on every step.
+keeps that edge's source per state, and redirecting a merged blue state
+rewrites only that edge. The edge's symbol is always the state's own
+``sym`` in the tree, since a fold moves a state under its row key and a
+redirect only ever points an edge at a red. Each state's total frequency
+is cached and grows by the folded state's total. The blue fringe is a
+min-heap fed when a state turns red and when a fold moves a subtree under
+a red state; stale entries are dropped when popped. The merge order, and
+so the learned machine, is the same as rebuilding the fringe from scratch
+on every step.
 
 Most reds fail a blue at the root pair, on a symbol the blue lacks: there
 that symbol's frequency counts as 0 in the blue, and the test is
@@ -84,22 +89,24 @@ class LearnerConfig:
 
 
 class PrefixTree:
-    """Prefix tree acceptor of a trace list, as flat breadth-first lists.
+    """Prefix tree acceptor of a trace list, as flat breadth-first lists with
+    one entry per state.
 
-    State ``t > 0`` is entered from ``src[t-1]`` on ``sym[t-1]`` by
-    ``freq[t-1]`` traces; ``end[t]`` traces end there; trace ``i`` ends in
-    ``leaf[i]``. A tree made by :meth:`without` shares ``src`` and ``sym``
-    and keeps the states its traces left behind with count 0.
+    State ``t`` is entered from ``src[t]`` on ``sym[t]`` by ``freq[t]``
+    traces; the root's entry is ``-1``, ``""`` and the number of traces.
+    Trace ``i`` ends in ``leaf[i]``. A tree made by :meth:`without` shares
+    ``src`` and ``sym`` and keeps the states its traces left behind with
+    count 0.
     """
 
-    __slots__ = ("src", "sym", "freq", "end", "leaf")
+    __slots__ = ("src", "sym", "freq", "leaf")
 
     def __init__(self, traces: Sequence[Trace | Sequence[str]]):
         if not traces:
             raise EmptyTraceSet("cannot learn from an empty trace set")
         # insertion-numbered trie first: a child dict and an incoming count per node
         children: list[dict[str, int]] = [{}]
-        count = [0]
+        count = [len(traces)]
         leaves = []
         for trace in traces:
             node = 0
@@ -116,9 +123,9 @@ class PrefixTree:
         # then breadth-first, symbols sorted
         bfs_id = [0] * len(children)
         order = [0]
-        self.src: list[int] = []
-        self.sym: list[str] = []
-        self.freq: list[int] = []
+        self.src: list[int] = [-1]
+        self.sym: list[str] = [""]
+        self.freq: list[int] = [count[0]]
         for state, node in enumerate(order):  # order grows as the loop runs
             row = children[node]
             for symbol in sorted(row):
@@ -129,42 +136,22 @@ class PrefixTree:
                 self.sym.append(symbol)
                 self.freq.append(count[child])
         self.leaf = [bfs_id[node] for node in leaves]
-        self.end = [0] * len(order)
-        for state in self.leaf:
-            self.end[state] += 1
 
     def without(self, held: Iterable[int]) -> PrefixTree:
         """The tree of the traces not indexed by ``held``, in their order."""
         held = set(held)
         if len(held) >= len(self.leaf):
             raise EmptyTraceSet("cannot learn from an empty trace set")
-        freq, end, src = self.freq.copy(), self.end.copy(), self.src
+        freq, src = self.freq.copy(), self.src
         for i in held:
             state = self.leaf[i]
-            end[state] -= 1
-            while state:
-                state -= 1
+            while state >= 0:
                 freq[state] -= 1
                 state = src[state]
         tree = object.__new__(PrefixTree)
-        tree.src, tree.sym, tree.freq, tree.end = src, self.sym, freq, end
+        tree.src, tree.sym, tree.freq = src, self.sym, freq
         tree.leaf = [state for i, state in enumerate(self.leaf) if i not in held]
         return tree
-
-    def insertion_order(self) -> list[int]:
-        """The states but the root, in the order inserting the traces one by one
-        into an empty tree creates them. A state with count 0 is never created."""
-        made = bytearray(len(self.end))
-        made[0] = 1
-        order: list[int] = []
-        for state in self.leaf:
-            path = []  # the states this trace creates, deepest first
-            while not made[state]:
-                made[state] = 1
-                path.append(state)
-                state = self.src[state - 1]
-            order += reversed(path)
-        return order
 
 
 class _RedBlue:
@@ -173,28 +160,36 @@ class _RedBlue:
     ``trans`` maps each live state to its row ``symbol -> (target, freq)``.
     The lists are indexed by the tree's state ids: ``end`` holds each
     state's termination count, and ``total`` caches its outgoing plus
-    terminating frequency. Every non-red state has one incoming edge, from
-    ``parent_src`` on ``parent_sym``; a state is blue when that source is
-    red, and ``parent_src`` is -1 for a red or merged state. ``fringe``
-    holds every blue state, possibly alongside stale ids.
+    terminating frequency. Every non-red state ``t`` has one incoming edge,
+    from ``parent_src[t]`` on ``sym[t]``, the tree's own symbol: a fold
+    moves ``t`` under the same row key, and a redirect only ever points an
+    edge at a red. A state is blue when its parent is red, and
+    ``parent_src`` is -1 for a red or merged state. ``fringe`` holds every
+    blue state, possibly alongside stale ids.
     """
 
     def __init__(self, tree: PrefixTree, cfg: LearnerConfig):
         self.min_freq = cfg.min_freq
         self.coeff = math.sqrt(0.5 * math.log(2.0 / cfg.alpha))
-        src, sym, freq = tree.src, tree.sym, tree.freq
+        src, freq = tree.src, tree.freq
+        self.sym = sym = tree.sym
         # each row in insertion order: the order _merge walks a row in decides
-        # which states a fold keeps, and so the ids that order later merges
-        trans: dict[int, dict[str, tuple[int, int]]] = {0: {}}
-        for t in tree.insertion_order():
-            trans[src[t - 1]][sym[t - 1]] = (t, freq[t - 1])
-            trans[t] = {}
-        self.trans = trans
-        self.parent_src = [-1, *tree.src]
-        self.parent_sym = ["", *tree.sym]
-        self.end = tree.end.copy()
+        # which states a fold keeps, and so the ids that order later merges.
+        # A state is made once it has a row.
+        self.end = end = [0] * len(src)
+        self.trans = trans = {0: {}}
+        for state in tree.leaf:
+            end[state] += 1
+            path = []  # the states this trace makes, deepest first
+            while state not in trans:
+                path.append(state)
+                state = src[state]
+            for t in reversed(path):
+                trans[src[t]][sym[t]] = (t, freq[t])
+                trans[t] = {}
+        self.parent_src = src.copy()
         # in a prefix tree a state's total is the count of its incoming edge
-        self.total = [len(tree.leaf), *tree.freq]
+        self.total = freq.copy()
         self.red: set[int] = set()
         self.red_order: list[int] = []  # ascending: merge candidates in id order
         # red -> (n1, symbol, f / n1, 1 / sqrt(n1)) at its promotion, for the
@@ -262,9 +257,8 @@ class _RedBlue:
 
     def _merge(self, red: int, blue: int) -> None:
         """Redirect blue's parent edge to red, then fold blue's subtree in."""
-        trans, end, total = self.trans, self.end, self.total
-        parent_src, parent_sym = self.parent_src, self.parent_sym
-        src, sym = parent_src[blue], parent_sym[blue]
+        trans, end, total, parent_src = self.trans, self.end, self.total, self.parent_src
+        src, sym = parent_src[blue], self.sym[blue]
         parent_src[blue] = -1
         trans[src][sym] = (red, trans[src][sym][1])
         stack = [(red, blue)]
@@ -283,7 +277,7 @@ class _RedBlue:
                         stack.append((t2, t))
                 else:
                     row_a[sym] = (t, f)
-                    parent_src[t], parent_sym[t] = a, sym
+                    parent_src[t] = a
                     if a_red:
                         heapq.heappush(self.fringe, t)
 

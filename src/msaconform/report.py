@@ -169,12 +169,8 @@ def page_filename(nc_id: str) -> str:
     return f"nc_{nc_id}.html"
 
 
-def render_index(
-    tv: TaggedView, ncs: list[NonConformance], architecture_puml: str | None = None
-) -> str:
+def render_index(tv: TaggedView, ncs: list[NonConformance], architecture_puml: str) -> str:
     """Index page: counts by kind, links to every page, embedded diagram."""
-    if architecture_puml is None:
-        architecture_puml = render_architecture_puml(tv)
     n_static = sum(1 for nc in ncs if nc.kind is NcKind.Static)
     n_dynamic = sum(1 for nc in ncs if nc.kind is NcKind.Dynamic)
     parts = [

@@ -720,3 +720,20 @@ class TestOutputDirectory:
         assert invoke(static_path, dyn_dir, out_dir) == 2
         assert capsys.readouterr().err == "error: disk full\n"
         assert listing(out_dir) == before
+
+        def counting_mkstemp(**kwargs):
+            made.append(kwargs["prefix"])
+            return real_mkstemp(**kwargs)
+
+        # then a text that cannot be encoded, in a file after the first
+        made.clear()
+        monkeypatch.setattr(cli.tempfile, "mkstemp", counting_mkstemp)
+        with (dyn_dir / "events.jsonl").open("a", encoding="utf-8") as log:
+            log.write('{"ts": 1, "src": "a", "dst": "ghost", "method": "GET", '
+                      '"path": "/x/\\ud800"}\n')
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "lone surrogate" in err
+        assert len(made) > 1, made
+        assert listing(out_dir) == before

@@ -2,9 +2,10 @@
 method of a top-level class, is named somewhere in the package outside its
 own definition. Code that only tests call belongs in ``tests/``.
 
-Every annotated field of a top-level class is read as an attribute somewhere
-in the package: a field that is only ever written is data nothing uses. A
-read of any attribute of the same name counts.
+Every annotated field of a top-level class, and every attribute a method
+assigns on ``self``, is read as an attribute somewhere in the package: one
+that is only ever written is data nothing uses. A read of any attribute of
+the same name counts.
 
 Every name a module imports is used in that module, ``from __future__``
 imports aside."""
@@ -66,10 +67,14 @@ def test_allowlist_is_needed():
     assert sorted(set(ALLOWED) - set(unnamed_definitions())) == []
 
 
+def read_attributes(modules) -> set[str]:
+    return {node.attr for tree in modules for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def unread_fields() -> list[str]:
     modules = parse_modules().values()
-    read = {node.attr for tree in modules for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    read = read_attributes(modules)
     return [f"{cls.name}.{item.target.id}"
             for tree in modules for cls in tree.body if isinstance(cls, ast.ClassDef)
             for item in cls.body
@@ -83,6 +88,40 @@ def test_every_field_is_read():
 
 def test_field_allowlist_is_needed():
     assert sorted(set(FIELDS_ALLOWED) - set(unread_fields())) == []
+
+
+SELF_ALLOWED = {  # attribute: why nothing in the package reads it
+    "line_no": "the input line an error names; tests check it against the input",
+    "field": "the event field MissingEventField names; a test checks it",
+    "flow_index": "the flow UnknownEndpoint names; a test checks it",
+}
+
+
+def unread_self_attributes(modules: dict[str, ast.Module]) -> list[str]:
+    """Each attribute name assigned on ``self`` that nothing in ``modules`` reads."""
+    read = read_attributes(modules.values())
+    return sorted({node.attr for tree in modules.values() for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and isinstance(node.value, ast.Name) and node.value.id == "self"
+                   and node.attr not in read})
+
+
+def test_every_self_attribute_is_read():
+    assert sorted(set(unread_self_attributes(parse_modules())) - set(SELF_ALLOWED)) == []
+
+
+def test_self_allowlist_is_needed():
+    assert sorted(set(SELF_ALLOWED) - set(unread_self_attributes(parse_modules()))) == []
+
+
+def test_unread_self_attribute_is_caught():
+    """A list built and never read, like a copy of each state's incoming
+    symbol kept beside the tree's own, is flagged."""
+    modules = parse_modules()
+    modules["extra.py"] = ast.parse("class Loop:\n"
+                                    "    def __init__(self, tree):\n"
+                                    "        self.parent_sym = list(tree.sym)\n")
+    assert unread_self_attributes(modules) == sorted({"parent_sym", *SELF_ALLOWED})
 
 
 def unused_imports() -> list[str]:

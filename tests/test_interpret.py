@@ -104,11 +104,11 @@ class TestMostFrequentCalls:
 
     def test_no_calls(self):
         sm = machine({(0, "c→d:GET /x"): (1, 5)})
-        assert CallIndex(sm).most_frequent_calls("a", "b") == []
+        assert CallIndex(sm).most_frequent_calls("a", "b", top_n=5) == []
 
     def test_grouping(self):
         sm = machine({(0, "a→b:GET /x"): (1, 3), (1, "a→b:GET /x"): (0, 4)})
-        calls = CallIndex(sm).most_frequent_calls("a", "b")
+        calls = CallIndex(sm).most_frequent_calls("a", "b", top_n=5)
         assert calls == [CallSummary("a", "b", "GET", "/x", 7)]
 
     def test_counts_sum_to_total(self):
@@ -227,18 +227,18 @@ class TestStaticDetails:
     def test_edge_subject(self):
         sm = machine(CHAIN)
         nc = NonConformance(NcKind.Static, "edge", ("a", "b"))
-        details = static_nc_details(CallIndex(sm), nc)
+        details = static_nc_details(CallIndex(sm), nc, top_n=5)
         assert details.submachine is not None
         assert details.frequent_calls == (CallSummary("a", "b", "GET", "/hit", 2),)
 
     def test_node_subject(self):
         sm = machine(CHAIN)
         nc = NonConformance(NcKind.Static, "node", ("y",))
-        details = static_nc_details(CallIndex(sm), nc)
+        details = static_nc_details(CallIndex(sm), nc, top_n=5)
         assert details.submachine is None
         assert all("y" in (c.caller, c.callee) for c in details.frequent_calls)
 
     def test_without_machine(self):
         nc = NonConformance(NcKind.Static, "edge", ("a", "b"))
-        details = static_nc_details(None, nc)
+        details = static_nc_details(None, nc, top_n=5)
         assert details.submachine is None and details.frequent_calls == ()

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_learner as reference
-from msaconform import evaluator
+from msaconform import evaluator, learner
 from msaconform.automaton import serialize_state_machine
 from msaconform.evaluator import _fold_indices, evaluate
 from msaconform.events import (
@@ -138,6 +138,48 @@ def test_fold_tree_learns_like_its_own_pta(case):
     for alpha in ALPHAS:
         for min_freq in MIN_FREQS:
             assert_fold_learns_like_reference(tree, traces, held, LearnerConfig(alpha, min_freq))
+
+
+@settings(max_examples=300, deadline=None)
+@given(held_out_folds())
+def test_fold_tree_is_the_tree_of_its_traces(case):
+    """The states a fold's tree keeps a count on, in id order, are the tree of
+    the fold's own traces entry for entry, with ``src`` renumbered."""
+    traces, held = case
+    fold = PrefixTree(traces).without(held)
+    train = [t for i, t in enumerate(traces) if i not in held]
+    own = PrefixTree(train)
+    kept = [t for t, f in enumerate(fold.freq) if f > 0]
+    renumbered = {-1: -1, **{t: i for i, t in enumerate(kept)}}
+    assert [fold.sym[t] for t in kept] == own.sym
+    assert [fold.freq[t] for t in kept] == own.freq
+    assert own.freq[0] == len(train)
+    assert [renumbered[fold.src[t]] for t in kept] == own.src
+    assert [renumbered[t] for t in fold.leaf] == own.leaf
+
+
+@settings(max_examples=200, deadline=None)
+@given(held_out_folds())
+def test_parent_edge_keeps_the_tree_symbol(case):
+    """After every merge, each live non-red state with a parent sits in the
+    parent's row under its own symbol in the tree."""
+    traces, held = case
+    fold = PrefixTree(traces).without(held)
+    train = [t for i, t in enumerate(traces) if i not in held]
+    merge = learner._RedBlue._merge
+
+    def checking_merge(self, red, blue):
+        merge(self, red, blue)
+        for t in self.trans:
+            parent = self.parent_src[t]
+            if t not in self.red and parent >= 0:
+                assert self.trans[parent][fold.sym[t]][0] == t, (t, parent)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(learner._RedBlue, "_merge", checking_merge)
+        for alpha in ALPHAS:
+            for min_freq in MIN_FREQS:
+                learn(train, LearnerConfig(alpha, min_freq), pta=fold)
 
 
 # Found by random search. A merge walks each row in the order its symbols

@@ -195,7 +195,7 @@ class TestIndex:
         ncs = fixture_ncs()
         n_static = sum(1 for nc in ncs if nc.kind is NcKind.Static)
         n_dynamic = len(ncs) - n_static
-        html = render_index(tv, ncs)
+        html = render_index(tv, ncs, render_architecture_puml(tv))
         assert f"{n_static} static" in html
         assert f"{n_dynamic} dynamic" in html
         assert html.count("<a href=") == len(ncs)
@@ -203,18 +203,20 @@ class TestIndex:
     def test_zero_ncs_full_conformance(self):
         v = ArchView(frozenset({"a"}), frozenset())
         tv, ncs = detect(v, v)
-        html = render_index(tv, ncs)
+        html = render_index(tv, ncs, render_architecture_puml(tv))
         assert "fully conforms" in html
         assert "<a href=" not in html
 
     def test_links_match_page_filenames(self):
         ncs = fixture_ncs()
-        html = render_index(fixture_tagged_view(), ncs)
+        tv = fixture_tagged_view()
+        html = render_index(tv, ncs, render_architecture_puml(tv))
         for nc in ncs:
             assert f'href="{page_filename(nc.id)}"' in html
 
     def test_each_id_once(self):
         ncs = fixture_ncs()
-        html = render_index(fixture_tagged_view(), ncs)
+        tv = fixture_tagged_view()
+        html = render_index(tv, ncs, render_architecture_puml(tv))
         for nc in ncs:
             assert html.count(f'href="{page_filename(nc.id)}"') == 1

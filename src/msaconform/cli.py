@@ -18,8 +18,10 @@ import os
 import re
 import sys
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass, fields
 from fnmatch import fnmatchcase
+from itertools import takewhile
 from pathlib import Path
 
 from . import detector, evaluator, interpret, report
@@ -29,12 +31,7 @@ from .errors import (ConformanceError, EmptyAfterNormalization, InputError, Malf
 from .events import GLOBAL_SCOPE, Trace, extract_traces, parse_event_log, parse_symbol
 from .learner import LearnerConfig, learn
 from .scenario import ScenarioSpec, generate
-from .static_model import (
-    StaticModel,
-    normalize_name,
-    parse_static_model,
-    serialize_static_model,
-)
+from .static_model import normalize_name, parse_static_model, serialize_static_model
 
 
 @dataclass
@@ -191,39 +188,6 @@ def _load_dynamic_models(
     return machines, global_traces
 
 
-def _detail_indexes(
-    machines: dict[str, StateMachine],
-) -> dict[tuple[str, ...], interpret.CallIndex]:
-    """Per edge ``(src, dst)`` and service ``(name,)``, the call index of the machine whose
-    details a static finding on it shows: global if it has the subject, else the
-    lowest-named machine that does."""
-    chosen: dict[tuple[str, ...], interpret.CallIndex] = {}
-    for scope in sorted(machines, key=lambda name: (name != GLOBAL_SCOPE, name)):
-        index = interpret.CallIndex(machines[scope])
-        for subject in [*index.calls_by_pair, *((name,) for name in index.calls_by_service)]:
-            chosen.setdefault(subject, index)
-    return chosen
-
-
-def _finding_details(
-    machines: dict[str, StateMachine],
-    model: StaticModel,
-    ncs: list[detector.NonConformance],
-    top_n: int,
-) -> dict[str, interpret.NcDetails]:
-    """Details per finding id. The call indexes die with this call, before rendering."""
-    indexes = _detail_indexes(machines)
-    details_by_id = {}
-    for nc in ncs:
-        if nc.kind is detector.NcKind.Static:
-            details_by_id[nc.id] = interpret.static_nc_details(
-                indexes.get(nc.names), nc, top_n=top_n
-            )
-        else:
-            details_by_id[nc.id] = interpret.dynamic_nc_details(model, nc)
-    return details_by_id
-
-
 def _summary_line(n_static: int, n_dynamic: int) -> str:
     s = "s" if n_static != 1 else ""
     d = "s" if n_dynamic != 1 else ""
@@ -275,7 +239,7 @@ def _run_analysis(args, cfg: Config) -> int:
     print(_summary_line(n_static, n_dynamic))
 
     print("Generating non-conformance interpretations...")
-    details_by_id = _finding_details(machines, model, ncs, cfg.top_n_calls)
+    details_by_id = interpret.finding_details(machines, model, ncs, cfg.top_n_calls)
 
     print("Generating non-conformance visualizations...")
     files = report.render_bundle(tagged, ncs, details_by_id)
@@ -294,9 +258,17 @@ def _run_analysis(args, cfg: Config) -> int:
             metrics = evaluator.evaluate(global_traces, learner_cfg, k=k, rng_seed=0)
             files["evaluation.txt"] = metrics.to_table()
             files["evaluation.json"] = metrics.to_json()
-    # every file is made before the first is written, so a bad input leaves none
+    # every file is made before the first is written, so a bad input leaves none;
+    # a failed write also removes the directories this run made, deepest first
+    made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_files(out_dir, files)
+    try:
+        _write_files(out_dir, files)
+    except BaseException:
+        for directory in made:
+            with suppress(OSError):  # one that is no longer empty stays
+                directory.rmdir()
+        raise
     _remove_stale(out_dir, files)
     if metrics is not None:
         print(metrics.to_table(), end="")

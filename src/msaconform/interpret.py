@@ -5,7 +5,8 @@ by non-conformance kind). Details differ by kind: static non-conformances
 get the sub-machine showing the unexpected communication plus the most
 frequent calls; dynamic non-conformances get a code pointer from the
 static model's traceability and the flow sequence expected to trigger the
-missing behavior.
+missing behavior. ``finding_details`` builds the details of every finding,
+choosing for each static one the machine that holds its subject.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import itemgetter
 from .automaton import StateMachine, breadth_first, canonicalize, reachable_states
 from .detector import NcKind, NonConformance
 from .errors import NoInvolvedTransitions
-from .events import parse_symbol
+from .events import GLOBAL_SCOPE, parse_symbol
 from .static_model import Flow, StaticModel, Traceability
 
 
@@ -168,14 +169,6 @@ class CallIndex:
         root = min(reaching, key=lambda s: (self.dist[s], s))
         return canonicalize(root, kept, name=self.machine.name)
 
-    def most_frequent_calls(self, a: str, b: str, top_n: int) -> list[CallSummary]:
-        """Top calls a→b, grouped by (method, path template), descending count."""
-        return self.calls_by_pair.get((a, b), [])[:top_n]
-
-    def calls_involving(self, service: str, top_n: int) -> list[CallSummary]:
-        """Top calls where the service is caller or callee (node-level details)."""
-        return self.calls_by_service.get(service, [])[:top_n]
-
 
 def _entry_nodes(model: StaticModel) -> list[str]:
     if model.external_entities:
@@ -274,9 +267,26 @@ def static_nc_details(sm: CallIndex | None, nc: NonConformance, top_n: int) -> N
             sub = sm.submachine(a, b)
         except NoInvolvedTransitions:
             sub = None
-        calls = tuple(sm.most_frequent_calls(a, b, top_n=top_n))
+        calls = tuple(sm.calls_by_pair.get((a, b), [])[:top_n])
     else:
         (name,) = nc.names
         sub = None
-        calls = tuple(sm.calls_involving(name, top_n=top_n))
+        calls = tuple(sm.calls_by_service.get(name, [])[:top_n])
     return NcDetails(kind=NcKind.Static, submachine=sub, frequent_calls=calls)
+
+
+def finding_details(
+    machines: dict[str, StateMachine], model: StaticModel, ncs: list[NonConformance], top_n: int
+) -> dict[str, NcDetails]:
+    """Details per finding id. A static finding's come from the global machine
+    if it holds the subject, else from the lowest-named machine that does; a
+    dynamic finding's from the static model. The call indexes die with this
+    call, before rendering."""
+    indexes: dict[tuple[str, ...], CallIndex] = {}  # per edge (src, dst) and service (name,)
+    for scope in sorted(machines, key=lambda name: (name != GLOBAL_SCOPE, name)):
+        index = CallIndex(machines[scope])
+        for subject in [*index.calls_by_pair, *((name,) for name in index.calls_by_service)]:
+            indexes.setdefault(subject, index)
+    return {nc.id: static_nc_details(indexes.get(nc.names), nc, top_n=top_n)
+            if nc.kind is NcKind.Static else dynamic_nc_details(model, nc)
+            for nc in ncs}

@@ -17,7 +17,7 @@ from operator import attrgetter
 
 from .automaton import StateMachine
 from .detector import NcKind, NonConformance, PresenceTag, TaggedView
-from .interpret import CallSummary, Interpretation, NcDetails, interpretations_for
+from .interpret import CallSummary, NcDetails, interpretations_for
 
 NO_TRACEABILITY = "No traceability information available."
 
@@ -93,23 +93,29 @@ _DEFINITIONS = {
 }
 
 
+def _page(title: str, parts: list[str]) -> str:
+    """A self-contained HTML page: the shell around ``parts``, one per line."""
+    return "\n".join([
+        "<!DOCTYPE html>",
+        f'<html lang="en"><head><meta charset="utf-8">'
+        f"<title>{html.escape(title)}</title>{_PAGE_STYLE}</head><body>",
+        *parts,
+        "</body></html>",
+    ]) + "\n"
+
+
 def _describe_subject(nc: NonConformance) -> str:
     if nc.subject_type == "edge":
         return f"edge {nc.names[0]} → {nc.names[1]}"
     return f"node {nc.names[0]}"
 
 
-def render_nc_page(
-    nc: NonConformance, interps: list[Interpretation], details: NcDetails
-) -> str:
-    """Self-contained HTML page for one non-conformance."""
+def render_nc_page(nc: NonConformance, details: NcDetails) -> str:
+    """Self-contained HTML page for one non-conformance, with its kind's interpretations."""
     if details.kind is not nc.kind:
         raise ValueError("details variant does not match non-conformance kind")
     label, definition = _DEFINITIONS[nc.kind]
     parts = [
-        "<!DOCTYPE html>",
-        f'<html lang="en"><head><meta charset="utf-8">'
-        f"<title>{html.escape(nc.id)}</title>{_PAGE_STYLE}</head><body>",
         f"<h1>{html.escape(label.capitalize())}: {html.escape(_describe_subject(nc))}</h1>",
         "<h2>1. Type and involved services</h2>",
         f"<p>This is a <strong>{label}</strong>: {definition}.</p>",
@@ -119,7 +125,7 @@ def render_nc_page(
         "<h2>2. Possible interpretations</h2>",
         "<ul>",
     ]
-    for interp in interps:
+    for interp in interpretations_for(nc.kind):
         parts.append(
             f"<li><strong>{html.escape(interp.title)}</strong>: "
             f"{html.escape(interp.body)} <em>[{html.escape(interp.source)}]</em></li>"
@@ -160,25 +166,18 @@ def render_nc_page(
             parts.append("<p>No trigger sequence could be reconstructed.</p>")
         parts.append("<h3>Call details</h3>")
         parts.append(_calls_table(details.call_details))
-
-    parts.append("</body></html>")
-    return "\n".join(parts) + "\n"
+    return _page(nc.id, parts)
 
 
 def page_filename(nc_id: str) -> str:
     return f"nc_{nc_id}.html"
 
 
-def render_index(tv: TaggedView, ncs: list[NonConformance], architecture_puml: str) -> str:
+def render_index(ncs: list[NonConformance], architecture_puml: str) -> str:
     """Index page: counts by kind, links to every page, embedded diagram."""
     n_static = sum(1 for nc in ncs if nc.kind is NcKind.Static)
     n_dynamic = sum(1 for nc in ncs if nc.kind is NcKind.Dynamic)
-    parts = [
-        "<!DOCTYPE html>",
-        f'<html lang="en"><head><meta charset="utf-8">'
-        f"<title>Conformance analysis report</title>{_PAGE_STYLE}</head><body>",
-        "<h1>Conformance analysis report</h1>",
-    ]
+    parts = ["<h1>Conformance analysis report</h1>"]
     if ncs:
         parts.append(
             f"<p>Detected <strong>{n_static} static</strong> and "
@@ -199,8 +198,7 @@ def render_index(tv: TaggedView, ncs: list[NonConformance], architecture_puml: s
         )
     parts.append("<h2>Architecture</h2>")
     parts.append('<pre class="plantuml">' + html.escape(architecture_puml) + "</pre>")
-    parts.append("</body></html>")
-    return "\n".join(parts) + "\n"
+    return _page("Conformance analysis report", parts)
 
 
 def render_bundle(
@@ -209,9 +207,7 @@ def render_bundle(
     """The report bundle's text by file name: the architecture diagram, the
     index page, then one page per non-conformance in id order."""
     puml = render_architecture_puml(tv)
-    files = {"architecture.puml": puml, "index.html": render_index(tv, ncs, puml)}
+    files = {"architecture.puml": puml, "index.html": render_index(ncs, puml)}
     for nc in sorted(ncs, key=attrgetter("id")):
-        files[page_filename(nc.id)] = render_nc_page(
-            nc, interpretations_for(nc.kind), details_by_id[nc.id]
-        )
+        files[page_filename(nc.id)] = render_nc_page(nc, details_by_id[nc.id])
     return files

@@ -440,7 +440,20 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert_one_error_line(code, err)
         assert "lone surrogate" in err
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
+
+    def test_lone_surrogate_removes_the_parents_it_made(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        with (dyn_dir / "events.jsonl").open("a", encoding="utf-8") as log:
+            log.write('{"ts": 0, "src": "ghost", "dst": "rider", "method": "GET", '
+                      '"path": "/x/\\ud800"}\n')
+        code = invoke(static_path, dyn_dir, out_dir / "a" / "b")
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "lone surrogate" in err
+        assert not out_dir.exists()
+        assert sorted(p.name for p in out_dir.parent.iterdir()) == ["dynamic",
+                                                                   "static_model.json"]
 
     @pytest.mark.parametrize("spec_text, message", [
         (b'{"n_services": 4, "n_edges"', "not valid JSON"),

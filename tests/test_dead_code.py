@@ -8,7 +8,10 @@ that is only ever written is data nothing uses. A read of any attribute of
 the same name counts.
 
 Every name a module imports is used in that module, ``from __future__``
-imports aside."""
+imports aside.
+
+Every parameter of a ``def`` or ``lambda`` is read in its body: one that
+is only passed along to be ignored is an input nothing uses."""
 
 import ast
 from pathlib import Path
@@ -142,3 +145,37 @@ def unused_imports() -> list[str]:
 
 def test_every_import_is_used():
     assert unused_imports() == []
+
+
+def unread_parameters(modules: dict[str, ast.Module]) -> list[str]:
+    """module:function:parameter of each parameter of a ``def`` or ``lambda``
+    that its body never reads; ``self``, ``cls`` and ``_``-prefixed names aside."""
+    unread = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *(arg for arg in (args.vararg, args.kwarg) if arg is not None)]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{module}:{name}:{param.arg}" for param in params
+                       if param.arg not in ("self", "cls") and not param.arg.startswith("_")
+                       and param.arg not in read]
+    return sorted(unread)
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(parse_modules()) == []
+
+
+def test_unread_parameter_is_caught():
+    """A parameter that the body never reads, like a view passed to a page
+    renderer that draws only from the findings, is flagged; so is one of a lambda."""
+    modules = {"extra.py": ast.parse("def page(tv, ncs, *, _spare=0):\n"
+                                     "    return [nc.id for nc in ncs]\n"
+                                     "key = lambda self, kv: 0\n")}
+    assert unread_parameters(modules) == ["extra.py:<lambda>:kv", "extra.py:page:tv"]

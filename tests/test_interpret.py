@@ -3,17 +3,25 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from msaconform.automaton import StateMachine
-from msaconform.detector import NcKind, NonConformance
+import _reference_interpret as reference
+import test_interpret_oracle as oracle
+from msaconform.automaton import StateMachine, serialize_state_machine
+from msaconform.detector import (NcKind, NonConformance, detect, extract_dynamic_view,
+                                 extract_static_view)
 from msaconform.errors import NoInvolvedTransitions
+from msaconform.events import parse_symbol
 from msaconform.interpret import (
     CallIndex,
     CallSummary,
     dynamic_nc_details,
+    finding_details,
     interpretations_for,
     static_nc_details,
 )
+from msaconform.report import render_nc_page
 from msaconform.static_model import parse_static_model
 
 
@@ -99,16 +107,16 @@ class TestSubmachine:
 class TestMostFrequentCalls:
     def test_top_n(self):
         sm = machine({(0, "a→b:GET /x"): (1, 5), (1, "a→b:POST /y"): (0, 2)})
-        calls = CallIndex(sm).most_frequent_calls("a", "b", top_n=1)
+        calls = CallIndex(sm).calls_by_pair.get(("a", "b"), [])[:1]
         assert calls == [CallSummary("a", "b", "GET", "/x", 5)]
 
     def test_no_calls(self):
         sm = machine({(0, "c→d:GET /x"): (1, 5)})
-        assert CallIndex(sm).most_frequent_calls("a", "b", top_n=5) == []
+        assert CallIndex(sm).calls_by_pair.get(("a", "b"), [])[:5] == []
 
     def test_grouping(self):
         sm = machine({(0, "a→b:GET /x"): (1, 3), (1, "a→b:GET /x"): (0, 4)})
-        calls = CallIndex(sm).most_frequent_calls("a", "b", top_n=5)
+        calls = CallIndex(sm).calls_by_pair.get(("a", "b"), [])[:5]
         assert calls == [CallSummary("a", "b", "GET", "/x", 7)]
 
     def test_counts_sum_to_total(self):
@@ -119,7 +127,7 @@ class TestMostFrequentCalls:
                 (2, "c→d:GET /z"): (0, 9),
             }
         )
-        calls = CallIndex(sm).most_frequent_calls("a", "b", top_n=100)
+        calls = CallIndex(sm).calls_by_pair.get(("a", "b"), [])[:100]
         assert sum(c.count for c in calls) == 7
 
 
@@ -242,3 +250,71 @@ class TestStaticDetails:
         nc = NonConformance(NcKind.Static, "edge", ("a", "b"))
         details = static_nc_details(None, nc, top_n=5)
         assert details.submachine is None and details.frequent_calls == ()
+
+
+# scope names that sort both below and above "global"
+SCOPES = ("global", "a-svc", "m-svc", "z-svc")
+
+
+@st.composite
+def static_models(draw):
+    """A static model declaring a random subset of the machines' services and,
+    among those, a random subset of the edges."""
+    services = sorted(draw(st.sets(st.sampled_from(oracle.SERVICES))))
+    edges = sorted(draw(st.sets(st.tuples(st.sampled_from(services), st.sampled_from(services))))
+                   if services else ())
+    flows = [{"sender": s, "receiver": r, "stereotypes": ["self-call"] if s == r else []}
+             for s, r in edges]
+    return parse_static_model(json.dumps({"services": [{"name": n} for n in services],
+                                          "information_flows": flows}))
+
+
+def holds(sm: StateMachine, nc: NonConformance) -> bool:
+    """Whether a transition of ``sm`` is a call on the finding's subject."""
+    pairs = {parse_symbol(sym)[:2] for _src, sym in sm.transitions}
+    if nc.subject_type == "edge":
+        return nc.names in pairs
+    return any(nc.names[0] in pair for pair in pairs)
+
+
+class TestFindingDetails:
+    @settings(max_examples=200, deadline=None)
+    @given(machines=st.dictionaries(st.sampled_from(SCOPES), oracle.machines(),
+                                    min_size=1, max_size=4),
+           model=static_models(), top_n=st.sampled_from((1, 3, 100)))
+    def test_details_come_from_a_machine_holding_the_subject(self, machines, model, top_n):
+        _tv, ncs = detect(extract_static_view(model),
+                          extract_dynamic_view(list(machines.values())))
+        details = finding_details(machines, model, ncs, top_n)
+        assert sorted(details) == sorted(nc.id for nc in ncs)
+        for nc in ncs:
+            if nc.kind is not NcKind.Static:
+                continue
+            got = details[nc.id]
+            holders = [scope for scope in machines if holds(machines[scope], nc)]
+            picked = machines["global" if "global" in holders else min(holders)]
+            assert got.frequent_calls
+            if nc.subject_type == "edge":
+                a, b = nc.names
+                assert all((c.caller, c.callee) == (a, b) for c in got.frequent_calls)
+                assert any(parse_symbol(sym)[:2] == (a, b)
+                           for _src, sym in got.submachine.transitions)
+                assert serialize_state_machine(got.submachine) == serialize_state_machine(
+                    reference.unexpected_behavior_submachine(picked, a, b))
+                want = reference.most_frequent_calls(picked, a, b, top_n=top_n)
+            else:
+                (name,) = nc.names
+                assert all(name in (c.caller, c.callee) for c in got.frequent_calls)
+                want = reference.calls_involving(picked, name, top_n=top_n)
+            assert list(got.frequent_calls) == want
+
+    def test_page_shows_the_global_machines_counts(self):
+        machines = {"alpha": machine({(0, "a→b:GET /x"): (1, 3)}),
+                    "global": machine({(0, "a→b:GET /x"): (1, 7)})}
+        model = parse_static_model(json.dumps({"services": [], "information_flows": []}))
+        nc = NonConformance(NcKind.Static, "edge", ("a", "b"))
+        details = finding_details(machines, model, [nc], top_n=5)
+        assert details[nc.id].frequent_calls == (CallSummary("a", "b", "GET", "/x", 7),)
+        page = render_nc_page(nc, details[nc.id])
+        assert "<td>7</td>" in page and "(7)" in page
+        assert "<td>3</td>" not in page and "(3)" not in page

@@ -140,7 +140,7 @@ class TestNcPage:
     def test_static_page_content(self):
         nc, details = static_nc_and_details()
         interps = interpretations_for(NcKind.Static)
-        page = render_nc_page(nc, interps, details)
+        page = render_nc_page(nc, details)
         assert "static non-conformance" in page
         for interp in interps:
             assert interp.title in page
@@ -154,13 +154,13 @@ class TestNcPage:
             trigger_sequence=details.trigger_sequence,
             call_details=details.call_details,
         )
-        page = render_nc_page(nc, interpretations_for(NcKind.Dynamic), details)
+        page = render_nc_page(nc, details)
         assert NO_TRACEABILITY in page
         assert "dynamic non-conformance" in page
 
     def test_section_order(self):
         nc, details = static_nc_and_details()
-        page = render_nc_page(nc, interpretations_for(NcKind.Static), details)
+        page = render_nc_page(nc, details)
         i1 = page.index("1. Type and involved services")
         i2 = page.index("2. Possible interpretations")
         i3 = page.index("3. Additional details")
@@ -170,22 +170,22 @@ class TestNcPage:
         nc, _ = static_nc_and_details()
         _, dyn_details = dynamic_nc_and_details()
         with pytest.raises(ValueError):
-            render_nc_page(nc, [], dyn_details)
+            render_nc_page(nc, dyn_details)
 
     def test_golden_static(self):
         nc, details = static_nc_and_details()
-        page = render_nc_page(nc, interpretations_for(NcKind.Static), details)
+        page = render_nc_page(nc, details)
         assert page == (GOLDEN / "nc_static.html").read_text("utf-8")
 
     def test_golden_dynamic(self):
         nc, details = dynamic_nc_and_details()
-        page = render_nc_page(nc, interpretations_for(NcKind.Dynamic), details)
+        page = render_nc_page(nc, details)
         assert page == (GOLDEN / "nc_dynamic.html").read_text("utf-8")
 
     def test_byte_identical_across_runs(self):
         nc, details = static_nc_and_details()
-        a = render_nc_page(nc, interpretations_for(NcKind.Static), details)
-        b = render_nc_page(nc, interpretations_for(NcKind.Static), details)
+        a = render_nc_page(nc, details)
+        b = render_nc_page(nc, details)
         assert a == b
 
 
@@ -195,7 +195,7 @@ class TestIndex:
         ncs = fixture_ncs()
         n_static = sum(1 for nc in ncs if nc.kind is NcKind.Static)
         n_dynamic = len(ncs) - n_static
-        html = render_index(tv, ncs, render_architecture_puml(tv))
+        html = render_index(ncs, render_architecture_puml(tv))
         assert f"{n_static} static" in html
         assert f"{n_dynamic} dynamic" in html
         assert html.count("<a href=") == len(ncs)
@@ -203,20 +203,29 @@ class TestIndex:
     def test_zero_ncs_full_conformance(self):
         v = ArchView(frozenset({"a"}), frozenset())
         tv, ncs = detect(v, v)
-        html = render_index(tv, ncs, render_architecture_puml(tv))
+        html = render_index(ncs, render_architecture_puml(tv))
         assert "fully conforms" in html
         assert "<a href=" not in html
 
     def test_links_match_page_filenames(self):
         ncs = fixture_ncs()
         tv = fixture_tagged_view()
-        html = render_index(tv, ncs, render_architecture_puml(tv))
+        html = render_index(ncs, render_architecture_puml(tv))
         for nc in ncs:
             assert f'href="{page_filename(nc.id)}"' in html
 
     def test_each_id_once(self):
         ncs = fixture_ncs()
         tv = fixture_tagged_view()
-        html = render_index(tv, ncs, render_architecture_puml(tv))
+        html = render_index(ncs, render_architecture_puml(tv))
         for nc in ncs:
             assert html.count(f'href="{page_filename(nc.id)}"') == 1
+
+    def test_golden(self):
+        tv = fixture_tagged_view()
+        html = render_index(fixture_ncs(), render_architecture_puml(tv))
+        assert html == (GOLDEN / "index.html").read_text("utf-8")
+        v = ArchView(frozenset({"a"}), frozenset())
+        tv, ncs = detect(v, v)
+        html = render_index(ncs, render_architecture_puml(tv))
+        assert html == (GOLDEN / "index_conforming.html").read_text("utf-8")

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, TypeVar
 
-from .errors import MalformedDot, NondeterministicTransition, UnreachableState, clip, too_many_digits
+from .errors import InputError, clip, too_many_digits
 
 @dataclass(frozen=True)
 class StateMachine:
@@ -64,6 +64,10 @@ def reachable_states(
     return breadth_first([initial], adj)
 
 
+def _malformed(line_no: int, reason: str) -> InputError:
+    return InputError(f"malformed dot at line {line_no}: {reason}")
+
+
 _START_RE = re.compile(r"^__start\s*->\s*(\d+)$")
 _TRANS_RE = re.compile(r'^(\d+)\s*->\s*(\d+)\s*\[label="([^"|]*) \| (\d+)"\]$')
 
@@ -73,7 +77,7 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
     positive and that every state is reachable from the initial one."""
     stripped = dot_text.strip()
     if not stripped.startswith("digraph sm {") or not stripped.endswith("}"):
-        raise MalformedDot(1, "expected 'digraph sm { ... }'")
+        raise _malformed(1, "expected 'digraph sm { ... }'")
     body = stripped[len("digraph sm {"): -1]
 
     initial: int | None = None
@@ -90,29 +94,29 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
         m = _START_RE.match(stmt)
         if m:
             if initial is not None:
-                raise MalformedDot(line_no, "duplicate __start line")
+                raise _malformed(line_no, "duplicate __start line")
             try:
                 initial = int(m.group(1))
             except ValueError:  # more digits than int() converts
-                raise MalformedDot(line_no, too_many_digits()) from None
+                raise _malformed(line_no, too_many_digits()) from None
             continue
         m = _TRANS_RE.match(stmt)
         if m is None:
-            raise MalformedDot(line_no, f"unrecognized statement {clip(stmt)!r}")
+            raise _malformed(line_no, f"unrecognized statement {clip(stmt)!r}")
         if initial is None:
-            raise MalformedDot(line_no, "transition before __start line")
+            raise _malformed(line_no, "transition before __start line")
         try:
             src, dst, freq = int(m.group(1)), int(m.group(2)), int(m.group(4))
         except ValueError:  # more digits than int() converts
-            raise MalformedDot(line_no, too_many_digits()) from None
+            raise _malformed(line_no, too_many_digits()) from None
         symbol = m.group(3)
         if freq < 1:
-            raise MalformedDot(line_no, "frequency must be positive")
+            raise _malformed(line_no, "frequency must be positive")
         if (src, symbol) in transitions:
-            raise NondeterministicTransition(src, symbol)
+            raise InputError(f"state {clip(str(src))} has two transitions on {clip(symbol)!r}")
         transitions[(src, symbol)] = (dst, freq)
     if initial is None:
-        raise MalformedDot(1, "missing __start line")
+        raise _malformed(1, "missing __start line")
 
     states = {initial}
     for (src, _sym), (dst, _f) in transitions.items():
@@ -120,7 +124,7 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
         states.add(dst)
     states = frozenset(states)
     for state in states.difference(reachable_states(initial, transitions)):
-        raise UnreachableState(state)
+        raise InputError(f"state {clip(str(state))} is unreachable from the initial state")
     return StateMachine(states, initial, transitions, name=name)
 
 

@@ -26,8 +26,7 @@ from pathlib import Path
 
 from . import detector, evaluator, interpret, report
 from .automaton import StateMachine, parse_state_machine
-from .errors import (ConformanceError, EmptyAfterNormalization, InputError, MalformedSymbol,
-                     clip, too_many_digits)
+from .errors import InputError, clip, too_many_digits
 from .events import GLOBAL_SCOPE, Trace, extract_traces, parse_event_log, parse_symbol
 from .learner import LearnerConfig, learn
 from .scenario import ScenarioSpec, generate
@@ -37,8 +36,8 @@ from .static_model import normalize_name, parse_static_model, serialize_static_m
 @dataclass
 class Config:
     session_gap_ms: int = 1000
-    alpha: float = 0.05
-    min_freq: int = 0
+    alpha: float = LearnerConfig.alpha
+    min_freq: int = LearnerConfig.min_freq
     top_n_calls: int = 5
     include_externals: bool = False
     trace_scope: str = "both"
@@ -147,11 +146,12 @@ def _load_dot(dot_file: Path) -> StateMachine:
         try:
             src, dst, _method, _path = parse_symbol(symbol)
         except ValueError as exc:
-            raise MalformedSymbol(dot_file.stem, symbol) from exc
+            raise InputError(f"machine {clip(dot_file.stem)!r}: "
+                             f"malformed transition symbol {clip(symbol)!r}") from exc
         for name in (src, dst):
             try:
                 normalized = normalize_name(name) == name
-            except EmptyAfterNormalization:
+            except InputError:
                 normalized = False
             if not normalized:
                 raise InputError(f"{dot_file}: label {clip(symbol)!r} has service name "
@@ -326,9 +326,6 @@ def run(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConformanceError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .automaton import StateMachine, accepts
-from .errors import AlphabetTooSmall, CannotAvoidPositives, TooFewTraces
+from .errors import InputError
 from .events import Trace
 from .learner import LearnerConfig, PrefixTree, learn
 
@@ -41,18 +41,18 @@ class EvalMetrics:
 
 
 def mutate_trace(
-    trace: Trace | Sequence[str],
+    trace: Trace,
     alphabet: Sequence[str],
     rng_seed: int,
     exclude: set[tuple[str, ...]] | frozenset[tuple[str, ...]] = frozenset(),
 ) -> Trace:
     """Replace one symbol by a different one from ``alphabet``, a sorted list of
     distinct symbols, avoiding the excluded traces."""
-    symbols = trace.symbols if isinstance(trace, Trace) else tuple(trace)
+    symbols = trace.symbols
     if not symbols:
         raise ValueError("cannot mutate an empty trace")
     if len(alphabet) < 2:
-        raise AlphabetTooSmall("need at least 2 symbols to mutate")
+        raise InputError("need at least 2 symbols to mutate")
     rng = random.Random(rng_seed)
     start = rng.randrange(len(symbols))
     for offset in range(len(symbols)):
@@ -63,7 +63,8 @@ def mutate_trace(
             mutant = symbols[:pos] + (replacement,) + symbols[pos + 1:]
             if mutant not in exclude and mutant != symbols:
                 return Trace(mutant)
-    raise CannotAvoidPositives("every single-symbol mutant collides with a training trace")
+    # the log is too uniform to evaluate, like one with too few traces or symbols
+    raise InputError("every single-symbol mutant collides with a training trace")
 
 
 def _fold_indices(n: int, k: int, rng: random.Random) -> list[list[int]]:
@@ -93,7 +94,7 @@ def evaluate(
     derived from one tree of all ``traces``.
     """
     if k < 2 or len(traces) < k:
-        raise TooFewTraces(f"need at least k={k} traces, got {len(traces)}")
+        raise InputError(f"need at least k={k} traces, got {len(traces)}")
     tree = PrefixTree(traces) if model_fn is None else None
 
     alphabet = sorted({sym for t in traces for sym in t.symbols})

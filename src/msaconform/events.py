@@ -17,7 +17,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import MalformedLine, MissingEventField, clip, load_json
+from .errors import InputError, clip, load_json
 from .static_model import normalize_name
 
 HTTP_METHODS = frozenset({"GET", "POST", "PUT", "DELETE", "PATCH", "HEAD", "OPTIONS"})
@@ -71,6 +71,10 @@ def template_path(path: str) -> str:
     return "/".join(out)
 
 
+def _malformed(line_no: int, reason: str) -> InputError:
+    return InputError(f"malformed event log line {line_no}: {reason}")
+
+
 # the log's lines are split about this many characters at a time
 _BLOCK_CHARS = 1 << 20
 
@@ -111,34 +115,37 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
         if end != len(line):
             if not line.strip():
                 continue
-            obj = load_json(line, lambda exc: MalformedLine(
+            obj = load_json(line, lambda exc: _malformed(
                 line_no, "nested too deeply" if isinstance(exc, RecursionError) else str(exc)))
         if not isinstance(obj, dict):
-            raise MalformedLine(line_no, "expected a JSON object")
+            raise _malformed(line_no, "expected a JSON object")
         try:  # read in this order, so the first missing field is reported
             ts, raw_src, raw_dst, raw_method, path = (
                 obj["ts"], obj["src"], obj["dst"], obj["method"], obj["path"]
             )
         except KeyError as exc:
-            raise MissingEventField(line_no, exc.args[0]) from None
+            raise InputError(f"event log line {line_no}: missing field {exc.args[0]!r}") from None
         # type() and not isinstance(): JSON true/false load as bool, an int subclass
         if type(ts) is not int or ts < 0:
-            raise MalformedLine(line_no, "ts must be a non-negative integer")
+            raise _malformed(line_no, "ts must be a non-negative integer")
         method = str(raw_method).upper()
         if method not in HTTP_METHODS:
             # any JSON value: its repr is what gets cut
-            raise MalformedLine(line_no, f"unknown HTTP method {clip(repr(raw_method))}")
+            raise _malformed(line_no, f"unknown HTTP method {clip(repr(raw_method))}")
         path = str(path)
         if not path.startswith("/"):
-            raise MalformedLine(line_no, "path must begin with '/'")
+            raise _malformed(line_no, "path must begin with '/'")
         status = obj.get("status")
         if status is not None and type(status) is not int:
-            raise MalformedLine(line_no, "status must be an integer")
-        raw_src, raw_dst = str(raw_src), str(raw_dst)
+            raise _malformed(line_no, "status must be an integer")
+        if not isinstance(raw_src, str):
+            raise _malformed(line_no, "src must be a string")
+        if not isinstance(raw_dst, str):
+            raise _malformed(line_no, "dst must be a string")
         src = names.get(raw_src) or names.setdefault(raw_src, normalize_name(raw_src))
         dst = names.get(raw_dst) or names.setdefault(raw_dst, normalize_name(raw_dst))
         if GLOBAL_SCOPE in (src, dst):
-            raise MalformedLine(line_no, f"service name {GLOBAL_SCOPE!r} is reserved")
+            raise _malformed(line_no, f"service name {GLOBAL_SCOPE!r} is reserved")
         method, path = shared.setdefault(method, method), shared.setdefault(path, path)
         # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
         events.append(tuple.__new__(HttpEvent, (ts, src, dst, method, path, status)))

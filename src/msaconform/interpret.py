@@ -18,7 +18,6 @@ from operator import itemgetter
 
 from .automaton import StateMachine, breadth_first, canonicalize, reachable_states
 from .detector import NcKind, NonConformance
-from .errors import NoInvolvedTransitions
 from .events import GLOBAL_SCOPE, parse_symbol
 from .static_model import Flow, StaticModel, Traceability
 
@@ -138,18 +137,18 @@ class CallIndex:
         targets = self._targets
         return self._by_target[bisect_left(targets, state):bisect_right(targets, state)]
 
-    def submachine(self, a: str, b: str) -> StateMachine:
+    def submachine(self, a: str, b: str) -> StateMachine | None:
         """Sub-machine around the transitions whose symbol communicates a→b.
 
         Keeps the involved transitions plus every transition touching one of
         their endpoint states, re-rooted at the kept state nearest the
         original initial state that still reaches an involved transition.
         States the new root cannot reach within the cut are dropped so the
-        result is a valid machine.
+        result is a valid machine. ``None`` if no transition communicates a→b.
         """
         involved = self.involved.get((a, b))
         if not involved:
-            raise NoInvolvedTransitions(a, b)
+            return None
         transitions = self.machine.transitions
         involved_sources = {src for src, _sym in involved}
         core = involved_sources | {transitions[key][0] for key in involved}
@@ -263,10 +262,7 @@ def static_nc_details(sm: CallIndex | None, nc: NonConformance, top_n: int) -> N
         return NcDetails(kind=NcKind.Static)
     if nc.subject_type == "edge":
         a, b = nc.names
-        try:
-            sub = sm.submachine(a, b)
-        except NoInvolvedTransitions:
-            sub = None
+        sub = sm.submachine(a, b)
         calls = tuple(sm.calls_by_pair.get((a, b), [])[:top_n])
     else:
         (name,) = nc.names

@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .automaton import StateMachine, canonicalize
-from .errors import EmptyTraceSet, clip
+from .errors import InputError, clip
 from .events import Trace
 
 
@@ -103,7 +103,7 @@ class PrefixTree:
 
     def __init__(self, traces: Sequence[Trace | Sequence[str]]):
         if not traces:
-            raise EmptyTraceSet("cannot learn from an empty trace set")
+            raise InputError("cannot learn from an empty trace set")
         # insertion-numbered trie first: a child dict and an incoming count per node
         children: list[dict[str, int]] = [{}]
         count = [len(traces)]
@@ -141,7 +141,7 @@ class PrefixTree:
         """The tree of the traces not indexed by ``held``, in their order."""
         held = set(held)
         if len(held) >= len(self.leaf):
-            raise EmptyTraceSet("cannot learn from an empty trace set")
+            raise InputError("cannot learn from an empty trace set")
         freq, src = self.freq.copy(), self.src
         for i in held:
             state = self.leaf[i]

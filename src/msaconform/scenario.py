@@ -15,7 +15,7 @@ import random
 from dataclasses import MISSING, dataclass, fields
 
 from .detector import NcKind, NonConformance
-from .errors import InfeasibleSpec, InputError, load_json
+from .errors import InputError, load_json
 from .static_model import Flow, ServiceNode, StaticModel, Traceability
 
 _METHODS = ("GET", "POST", "PUT", "DELETE")
@@ -35,22 +35,22 @@ class ScenarioSpec:
 
     def __post_init__(self):
         if self.n_services < 1 or self.n_events < 1:
-            raise InfeasibleSpec("n_services and n_events must be positive")
+            raise InputError("n_services and n_events must be positive")
         if self.n_edges > self.n_services * (self.n_services - 1):
-            raise InfeasibleSpec("n_edges exceeds the simple directed graph maximum")
+            raise InputError("n_edges exceeds the simple directed graph maximum")
         if self.n_injected_static_nc > self.n_edges or self.n_injected_dynamic_nc > self.n_edges:
-            raise InfeasibleSpec("injected counts must not exceed n_edges")
+            raise InputError("injected counts must not exceed n_edges")
         if self.n_injected_static_nc < 0 or self.n_injected_dynamic_nc < 0:
-            raise InfeasibleSpec("injected counts must not be negative")
+            raise InputError("injected counts must not be negative")
         if self.n_services < 2 or self.n_edges < 1:
-            raise InfeasibleSpec("need at least 2 services and 1 edge")
+            raise InputError("need at least 2 services and 1 edge")
         if self.n_edges < self.n_services - 1:
-            raise InfeasibleSpec("too few edges for a connected graph")
+            raise InputError("too few edges for a connected graph")
         free_slots = self.n_services * (self.n_services - 1) - self.n_edges
         if self.n_injected_dynamic_nc > free_slots:
-            raise InfeasibleSpec("not enough free node pairs for the extra static-only edges")
+            raise InputError("not enough free node pairs for the extra static-only edges")
         if self.n_events < 3 * self.n_edges:
-            raise InfeasibleSpec("n_events must allow every edge to appear at least 3 times")
+            raise InputError("n_events must allow every edge to appear at least 3 times")
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":

@@ -17,14 +17,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .errors import (
-    DuplicateService,
-    EmptyAfterNormalization,
-    MalformedJson,
-    MissingField,
-    UnknownEndpoint,
-    load_json,
-)
+from .errors import InputError, clip, load_json
 
 _NON_ALNUM = re.compile(r"[^a-z0-9]+")
 
@@ -33,7 +26,7 @@ def normalize_name(raw: str) -> str:
     """Lowercase, collapse runs of non-alphanumerics to a single hyphen."""
     name = _NON_ALNUM.sub("-", raw.lower()).strip("-")
     if not name:
-        raise EmptyAfterNormalization(raw)
+        raise InputError(f"name {clip(raw)!r} is empty after normalization")
     return name
 
 
@@ -81,47 +74,61 @@ class StaticModel:
 def _list_field(obj: dict, key: str, path: str) -> list:
     value = obj.get(key, [])
     if not isinstance(value, list):
-        raise MalformedJson(f"{path}{key} must be a list")
+        raise InputError(f"{path}{key} must be a list")
     return value
+
+
+def _require(obj: dict, keys: tuple[str, ...], path: str) -> None:
+    for key in keys:
+        if key not in obj:
+            raise InputError(f"missing required field: {path}.{key}")
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise InputError(f"{path} must be a string")
+    return value
+
+
+def _stereotypes(obj: dict, path: str) -> tuple[str, ...]:
+    return tuple(_string(s, f"{path}.stereotypes[{i}]")
+                 for i, s in enumerate(_list_field(obj, "stereotypes", f"{path}.")))
 
 
 def _parse_traceability(obj, path: str) -> Traceability | None:
     if obj is None:
         return None
     if not isinstance(obj, dict):
-        raise MalformedJson(f"{path}: traceability must be an object")
-    for key in ("file", "line"):
-        if key not in obj:
-            raise MissingField(f"{path}.{key}")
+        raise InputError(f"{path}: traceability must be an object")
+    _require(obj, ("file", "line"), path)
     line = obj["line"]
     # type() and not isinstance(): JSON true loads as bool, an int subclass
     if type(line) is not int or line < 1:
-        raise MalformedJson(f"{path}.line must be a positive integer")
+        raise InputError(f"{path}.line must be a positive integer")
     snippet = obj.get("snippet")
-    if snippet is not None and not isinstance(snippet, str):
-        raise MalformedJson(f"{path}.snippet must be a string")
-    return Traceability(file=str(obj["file"]), line=line, snippet=snippet)
+    if snippet is not None:
+        _string(snippet, f"{path}.snippet")
+    return Traceability(file=_string(obj["file"], f"{path}.file"), line=line, snippet=snippet)
 
 
 def _parse_node(obj, path: str) -> ServiceNode:
     if not isinstance(obj, dict):
-        raise MalformedJson(f"{path}: expected an object")
-    if "name" not in obj:
-        raise MissingField(f"{path}.name")
+        raise InputError(f"{path}: expected an object")
+    _require(obj, ("name",), path)
     return ServiceNode(
-        name=normalize_name(str(obj["name"])),
-        stereotypes=tuple(str(s) for s in _list_field(obj, "stereotypes", f"{path}.")),
+        name=normalize_name(_string(obj["name"], f"{path}.name")),
+        stereotypes=_stereotypes(obj, path),
         traceability=_parse_traceability(obj.get("traceability"), path),
     )
 
 
 def parse_static_model(json_text: str) -> StaticModel:
     """Parse and validate the static model JSON document."""
-    doc = load_json(json_text, lambda exc: MalformedJson(
+    doc = load_json(json_text, lambda exc: InputError(
         "static model is nested too deeply" if isinstance(exc, RecursionError)
         else f"static model is not valid JSON: {exc}"))
     if not isinstance(doc, dict):
-        raise MalformedJson("static model document must be a JSON object")
+        raise InputError("static model document must be a JSON object")
 
     services = tuple(
         _parse_node(obj, f"services[{i}]")
@@ -135,26 +142,23 @@ def parse_static_model(json_text: str) -> StaticModel:
     seen: set[str] = set()
     for node in services + externals:
         if node.name in seen:
-            raise DuplicateService(node.name)
+            raise InputError(f"duplicate service after normalization: {clip(node.name)!r}")
         seen.add(node.name)
 
     flows = []
     for i, obj in enumerate(_list_field(doc, "information_flows", "")):
         path = f"information_flows[{i}]"
         if not isinstance(obj, dict):
-            raise MalformedJson(f"{path}: expected an object")
-        for key in ("sender", "receiver"):
-            if key not in obj:
-                raise MissingField(f"{path}.{key}")
-        sender = normalize_name(str(obj["sender"]))
-        receiver = normalize_name(str(obj["receiver"]))
-        if sender not in seen:
-            raise UnknownEndpoint(i, sender)
-        if receiver not in seen:
-            raise UnknownEndpoint(i, receiver)
-        stereotypes = tuple(str(s) for s in _list_field(obj, "stereotypes", f"{path}."))
+            raise InputError(f"{path}: expected an object")
+        _require(obj, ("sender", "receiver"), path)
+        sender, receiver = (normalize_name(_string(obj[key], f"{path}.{key}"))
+                            for key in ("sender", "receiver"))
+        for name in (sender, receiver):
+            if name not in seen:
+                raise InputError(f"flow #{i}: endpoint {clip(name)!r} is not a declared service")
+        stereotypes = _stereotypes(obj, path)
         if sender == receiver and "self-call" not in stereotypes:
-            raise MalformedJson(f"{path}: self-flow without 'self-call' stereotype")
+            raise InputError(f"{path}: self-flow without 'self-call' stereotype")
         flows.append(
             Flow(
                 sender=sender,

@@ -10,9 +10,18 @@ from __future__ import annotations
 
 import json
 
-from msaconform.errors import MalformedLine, MissingEventField
+from msaconform.errors import InputError
 from msaconform.events import GLOBAL_SCOPE, HTTP_METHODS, HttpEvent
 from msaconform.static_model import normalize_name
+
+
+# the former exception classes of these two errors, as the message each gave
+def MalformedLine(line_no: int, reason: str) -> InputError:
+    return InputError(f"malformed event log line {line_no}: {reason}")
+
+
+def MissingEventField(line_no: int, field: str) -> InputError:
+    return InputError(f"event log line {line_no}: missing field {field!r}")
 
 
 def parse_event_log(jsonl_text: str) -> list[HttpEvent]:

@@ -15,9 +15,12 @@ from collections import deque
 from typing import Callable
 
 from msaconform.automaton import StateMachine, canonicalize, reachable_states
-from msaconform.errors import NoInvolvedTransitions
 from msaconform.events import parse_symbol
 from msaconform.interpret import CallSummary
+
+
+class NoInvolvedTransitions(Exception):
+    """No transition of the machine communicates a→b."""
 
 
 def transition_frequencies(

@@ -15,7 +15,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from msaconform.automaton import StateMachine, canonicalize
-from msaconform.errors import EmptyTraceSet
+from msaconform.errors import InputError as EmptyTraceSet
 from msaconform.events import Trace
 from msaconform.learner import LearnerConfig
 

@@ -568,6 +568,32 @@ class TestBadInput:
         assert_one_error_line(code, err)
         assert "services[0].line must be a positive integer" in err
 
+    EVENT = {"ts": 0, "src": "a", "dst": "b", "method": "GET", "path": "/x"}
+
+    @pytest.mark.parametrize("target, value, message", [
+        ("src", None, "malformed event log line 2: src must be a string"),
+        ("dst", {"Order": [1]}, "malformed event log line 2: dst must be a string"),
+        ("name", None, "services[0].name must be a string"),
+        ("sender", 1, "information_flows[0].sender must be a string"),
+    ])
+    def test_service_name_not_a_string(self, clean_inputs, capsys, target, value, message):
+        # str() would turn null into a service named "none"
+        static_path, dyn_dir, out_dir = clean_inputs
+        if target in ("src", "dst"):
+            (dyn_dir / "events.jsonl").write_text(
+                json.dumps(self.EVENT) + "\n" + json.dumps({**self.EVENT, target: value}) + "\n",
+                "utf-8")
+        else:
+            model = json.loads(static_path.read_text("utf-8"))
+            part = model["services" if target == "name" else "information_flows"][0]
+            part[target] = value
+            static_path.write_text(json.dumps(model), "utf-8")
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
+
 
 def test_details_parse_each_symbol_once_per_machine(tmp_path, monkeypatch):
     """Building every finding's details parses each transition's symbol at most once

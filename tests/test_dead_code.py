@@ -11,9 +11,14 @@ Every name a module imports is used in that module, ``from __future__``
 imports aside.
 
 Every parameter of a ``def`` or ``lambda`` is read in its body: one that
-is only passed along to be ignored is an input nothing uses."""
+is only passed along to be ignored is an input nothing uses.
+
+Every exception class is named in some ``except`` clause and derives from a
+built-in exception, not from another class of the package: a class that no
+handler tells apart from its base carries nothing its message does not."""
 
 import ast
+import builtins
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "msaconform"
@@ -93,11 +98,7 @@ def test_field_allowlist_is_needed():
     assert sorted(set(FIELDS_ALLOWED) - set(unread_fields())) == []
 
 
-SELF_ALLOWED = {  # attribute: why nothing in the package reads it
-    "line_no": "the input line an error names; tests check it against the input",
-    "field": "the event field MissingEventField names; a test checks it",
-    "flow_index": "the flow UnknownEndpoint names; a test checks it",
-}
+SELF_ALLOWED: dict[str, str] = {}  # attribute: why nothing in the package reads it
 
 
 def unread_self_attributes(modules: dict[str, ast.Module]) -> list[str]:
@@ -179,3 +180,42 @@ def test_unread_parameter_is_caught():
                                      "    return [nc.id for nc in ncs]\n"
                                      "key = lambda self, kv: 0\n")}
     assert unread_parameters(modules) == ["extra.py:<lambda>:kv", "extra.py:page:tv"]
+
+
+BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()
+                      if isinstance(value, type) and issubclass(value, BaseException)}
+
+
+def unneeded_exceptions(modules: dict[str, ast.Module]) -> list[str]:
+    """Each exception class of ``modules`` that no ``except`` clause names, or
+    that derives from another exception class of ``modules``."""
+    bases = {cls.name: {base.id for base in cls.bases if isinstance(base, ast.Name)}
+             for tree in modules.values() for cls in ast.walk(tree)
+             if isinstance(cls, ast.ClassDef)}
+    exceptions: set[str] = set()
+    for _ in bases:  # one more level of subclasses each time
+        exceptions |= {name for name, of in bases.items()
+                       if of & BUILTIN_EXCEPTIONS or of & exceptions}
+    caught = {node.id for tree in modules.values() for handler in ast.walk(tree)
+              if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+              for node in ast.walk(handler.type) if isinstance(node, ast.Name)}
+    return sorted(name for name in exceptions if name not in caught or bases[name] & exceptions)
+
+
+def test_every_exception_is_caught_by_name():
+    assert unneeded_exceptions(parse_modules()) == []
+
+
+def test_unneeded_exception_is_caught():
+    """A subclass of the package's own exception class is flagged even where a
+    handler names it, like an error per input file beside the input error;
+    so is a class that no handler names. A class that is no exception is not."""
+    modules = {"extra.py": ast.parse("class InputError(Exception): pass\n"
+                                     "class BadLine(InputError): pass\n"
+                                     "class Spare(ValueError): pass\n"
+                                     "class Plain: pass\n"
+                                     "try:\n"
+                                     "    pass\n"
+                                     "except (InputError, BadLine):\n"
+                                     "    pass\n")}
+    assert unneeded_exceptions(modules) == ["BadLine", "Spare"]

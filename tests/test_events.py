@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from msaconform.errors import MalformedLine, MissingEventField
+from msaconform.errors import InputError
 from msaconform.events import (
     HttpEvent,
     Trace,
@@ -40,15 +40,13 @@ class TestParseEventLog:
 
     def test_missing_dst(self):
         text = '{"ts":1,"src":"a","method":"GET","path":"/x"}'
-        with pytest.raises(MissingEventField) as exc:
+        with pytest.raises(InputError, match="^event log line 1: missing field 'dst'$"):
             parse_event_log(text)
-        assert exc.value.field == "dst"
 
     def test_malformed_line_number(self):
         text = line(1) + "\n{broken"
-        with pytest.raises(MalformedLine) as exc:
+        with pytest.raises(InputError, match="^malformed event log line 2: "):
             parse_event_log(text)
-        assert exc.value.line_no == 2
 
     def test_status_optional(self):
         text = '{"ts":1,"src":"a","dst":"b","method":"GET","path":"/x"}'
@@ -63,29 +61,41 @@ class TestParseEventLog:
     @pytest.mark.parametrize("ts", [True, False])
     def test_boolean_ts_rejected(self, ts):
         text = json.dumps({"ts": ts, "src": "a", "dst": "b", "method": "GET", "path": "/x"})
-        with pytest.raises(MalformedLine, match="ts must be"):
+        with pytest.raises(InputError, match="^malformed event log line 1: ts must be"):
             parse_event_log(text)
 
     @pytest.mark.parametrize("status", [True, False])
     def test_boolean_status_rejected(self, status):
-        with pytest.raises(MalformedLine, match="status must be"):
+        with pytest.raises(InputError, match="^malformed event log line 1: status must be"):
             parse_event_log(line(1, status=status))
 
     def test_bad_method(self):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(InputError,
+                           match="^malformed event log line 1: unknown HTTP method 'FROB'$"):
             parse_event_log(line(1, method="FROB"))
 
     def test_path_must_start_with_slash(self):
-        with pytest.raises(MalformedLine):
+        with pytest.raises(InputError,
+                           match="^malformed event log line 1: path must begin with '/'$"):
             parse_event_log(line(1, path="x"))
 
     @pytest.mark.parametrize("src, dst", [("global", "c"), ("a", "Global")])
     def test_global_service_name_reserved(self, src, dst):
         # a service named "global" would replace the global scope's traces
         text = line(0, src="a", dst="b") + "\n" + line(10, src=src, dst=dst)
-        with pytest.raises(MalformedLine, match="service name 'global' is reserved") as exc:
+        with pytest.raises(InputError,
+                           match="^malformed event log line 2: service name 'global' is reserved$"):
             parse_event_log(text)
-        assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("src, dst, field", [
+        (None, {"Order": [1]}, "src"), (1.5, "b", "src"), ("a", ["b"], "dst"), ("a", True, "dst"),
+    ])
+    def test_service_names_must_be_strings(self, src, dst, field):
+        # str() would turn null into the service "none" and a number into "1-5"
+        text = line(0) + "\n" + line(10, src=src, dst=dst)
+        with pytest.raises(InputError,
+                           match=f"^malformed event log line 2: {field} must be a string$"):
+            parse_event_log(text)
 
     def test_input_order_preserved(self):
         text = "\n".join(line(t) for t in (5, 3, 9))

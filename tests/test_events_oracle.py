@@ -1,18 +1,21 @@
 """The event-log parser gives exactly what the former one did.
 
 ``_reference_events`` keeps the former ``parse_event_log`` verbatim. Every
-case here requires equal event lists, or an error of the same type with the
-same ``line_no`` and message. Two errors are meant to differ: where the
+case here requires equal event lists, or an error of the same type and
+message, which names the line. Three errors are meant to differ: where the
 reference lets a number too long for ``int()`` escape as a bare
-``ValueError``, the parser must raise ``MalformedLine`` for that line; and
+``ValueError``, the parser must reject that line with an ``InputError``;
 where the reference echoes an unknown method longer than the bound of
-``errors.clip``, the parser echoes it clipped. The lines are built as raw
-JSON text, so they can hold what ``json.dumps`` never writes: duplicate
-keys, ``NaN``, lone surrogate escapes, numbers too long to convert,
-surrounding whitespace, a byte order mark and trailing data.
+``errors.clip``, the parser echoes it clipped; and where the reference
+turns a ``src`` or ``dst`` that is not a JSON string into a name with
+``str()``, the parser rejects the line. The lines are built as raw JSON
+text, so they can hold what ``json.dumps`` never writes: duplicate keys,
+``NaN``, lone surrogate escapes, numbers too long to convert, surrounding
+whitespace, a byte order mark and trailing data.
 """
 
 import json
+import re
 from itertools import chain
 from unittest import mock
 
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 import _reference_events as reference
 from msaconform import events
-from msaconform.errors import MalformedLine, clip
+from msaconform.errors import InputError, clip
 from msaconform.events import HttpEvent, parse_event_log
 from msaconform.scenario import ScenarioSpec, generate
 
@@ -34,28 +37,46 @@ SEPARATORS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85"
 DEEP = "[" * 100_000
 NESTED = "[" * 40 + "]" * 40
 METHOD_ECHO = "unknown HTTP method "
+NOT_A_STRING = re.compile(r"malformed event log line (\d+): (src|dst) must be a string")
 
 
 def outcome(parse, text):
-    """The events, or the error's type, line number and message."""
+    """The events, or the error's type and message."""
     try:
         return parse(text)
     except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
-        return type(exc), getattr(exc, "line_no", None), str(exc)
+        return type(exc), str(exc)
 
 
 def assert_same(text):
     got, want = outcome(parse_event_log, text), outcome(reference.parse_event_log, text)
+    # the parser rejects a line whose src or dst is not a string, which the
+    # reference turns into one: with those names made strings, the two agree
+    # up to that line, and the parser gets past every check before the names'
+    rejected = isinstance(got, tuple) and NOT_A_STRING.fullmatch(got[1])
+    if rejected:
+        line_no, field = int(rejected[1]), rejected[2]
+        lines = text.splitlines()
+        obj = json.loads(lines[line_no - 1])
+        assert not isinstance(obj[field], str)
+        assert field == "src" or isinstance(obj["src"], str)
+        obj.update((key, "a") for key in ("src", "dst") if not isinstance(obj[key], str))
+        named = "\n".join([*lines[:line_no - 1], json.dumps(obj)])
+        assert_same(named)
+        after = outcome(parse_event_log, named)
+        assert isinstance(after, list) or "normalization" in after[1] or "reserved" in after[1]
+        return
     # the parser cuts an unknown method's echo to the bound; the reference echoes it whole
-    if isinstance(want, tuple) and want[0] is MalformedLine and METHOD_ECHO in want[2]:
-        head, _, echo = want[2].partition(METHOD_ECHO)
-        want = (*want[:2], head + METHOD_ECHO + clip(echo))
+    if isinstance(want, tuple) and want[0] is InputError and METHOD_ECHO in want[1]:
+        head, _, echo = want[1].partition(METHOD_ECHO)
+        want = (want[0], head + METHOD_ECHO + clip(echo))
     # the reference lets int()'s digit limit through as a bare ValueError, which
     # has no line number: the line is the first one that fails on its own
-    if isinstance(want, tuple) and want[0] is ValueError and "Exceeds the limit" in want[2]:
+    if isinstance(want, tuple) and want[0] is ValueError and "Exceeds the limit" in want[1]:
         line_no = next(i for i, line in enumerate(text.splitlines(), start=1)
                        if not isinstance(outcome(reference.parse_event_log, line), list))
-        assert got[:2] == (MalformedLine, line_no)
+        assert got[0] is InputError
+        assert got[1].startswith(f"malformed event log line {line_no}: ")
     else:
         assert got == want
 
@@ -161,6 +182,11 @@ EXAMPLES = {
     "service named global": VALID.replace('"order"', '"GLOBAL"'),
     "unknown method": VALID.replace('"get"', '"brew"'),
     "relative path": VALID.replace('"/o/1"', '"o/1"'),
+    "null src": VALID.replace('"Web"', "null"),
+    "object dst": VALID.replace('"order"', '{"Order": [1]}'),
+    "number src and dst": VALID.replace('"Web"', "1.5").replace('"order"', "2"),
+    "number src, boolean status": VALID.replace('"Web"', "7").replace("200", "true"),
+    "array dst, src named global": VALID.replace('"Web"', '"global"').replace('"order"', "[]"),
 }
 for field in FIELDS:
     EXAMPLES[f"missing {field}"] = VALID.replace(f'"{field}": ', '"other": ')

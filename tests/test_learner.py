@@ -6,7 +6,7 @@ import random
 import pytest
 
 from msaconform.automaton import accepts, serialize_state_machine
-from msaconform.errors import EmptyTraceSet
+from msaconform.errors import InputError
 from msaconform.learner import LearnerConfig, build_pta, learn
 
 
@@ -41,7 +41,7 @@ class TestBuildPta:
         assert len(pta.transitions) == 2
 
     def test_empty_trace_set(self):
-        with pytest.raises(EmptyTraceSet):
+        with pytest.raises(InputError, match="^cannot learn from an empty trace set$"):
             build_pta([])
 
     def test_prefix_membership_oracle(self):
@@ -151,5 +151,5 @@ class TestLearn:
         assert a == b
 
     def test_empty_trace_set(self):
-        with pytest.raises(EmptyTraceSet):
+        with pytest.raises(InputError, match="^cannot learn from an empty trace set$"):
             learn([], LearnerConfig())

@@ -3,7 +3,7 @@
 import pytest
 
 from msaconform.detector import detect, extract_dynamic_view, extract_static_view
-from msaconform.errors import InfeasibleSpec
+from msaconform.errors import InputError
 from msaconform.events import extract_traces, parse_event_log
 from msaconform.learner import LearnerConfig, learn
 from msaconform.scenario import ScenarioSpec, generate
@@ -19,27 +19,29 @@ def run_pipeline(model, log_text, gap_ms=1000):
 
 class TestSpecValidation:
     def test_too_many_edges(self):
-        with pytest.raises(InfeasibleSpec):
+        with pytest.raises(InputError, match="^n_edges exceeds the simple directed graph maximum$"):
             ScenarioSpec(n_services=3, n_edges=7)
 
     def test_injection_bounded_by_edges(self):
-        with pytest.raises(InfeasibleSpec):
+        with pytest.raises(InputError, match="^injected counts must not exceed n_edges$"):
             ScenarioSpec(n_services=4, n_edges=3, n_injected_static_nc=4)
 
     def test_too_few_edges_for_connectivity(self):
-        with pytest.raises(InfeasibleSpec):
+        with pytest.raises(InputError, match="^too few edges for a connected graph$"):
             generate(ScenarioSpec(n_services=5, n_edges=2))
 
     def test_infeasible_at_construction(self):
-        with pytest.raises(InfeasibleSpec, match="too few edges for a connected graph"):
+        with pytest.raises(InputError, match="too few edges for a connected graph"):
             ScenarioSpec(n_services=5, n_edges=2)
 
     def test_too_few_events(self):
-        with pytest.raises(InfeasibleSpec):
+        with pytest.raises(InputError,
+                           match="^n_events must allow every edge to appear at least 3 times$"):
             generate(ScenarioSpec(n_services=3, n_edges=3, n_events=5))
 
     def test_no_room_for_extra_edges(self):
-        with pytest.raises(InfeasibleSpec):
+        with pytest.raises(InputError,
+                           match="^not enough free node pairs for the extra static-only edges$"):
             generate(ScenarioSpec(n_services=2, n_edges=2, n_injected_dynamic_nc=1, n_events=10))
 
 

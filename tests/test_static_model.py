@@ -7,13 +7,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from msaconform.errors import (
-    DuplicateService,
-    EmptyAfterNormalization,
-    MalformedJson,
-    MissingField,
-    UnknownEndpoint,
-)
+from msaconform.errors import InputError
 from msaconform.static_model import (
     Flow,
     ServiceNode,
@@ -48,7 +42,7 @@ class TestNormalizeName:
         assert normalize_name("__API__Gateway__") == "api-gateway"
 
     def test_empty_after_normalization(self):
-        with pytest.raises(EmptyAfterNormalization):
+        with pytest.raises(InputError, match="^name '___' is empty after normalization$"):
             normalize_name("___")
 
     @given(st.text(min_size=1).filter(lambda s: any(c.isalnum() and c.isascii() for c in s)))
@@ -68,21 +62,21 @@ class TestParse:
         assert m.flows[0] == Flow(sender="order", receiver="catalog")
 
     def test_undeclared_receiver(self):
-        with pytest.raises(UnknownEndpoint) as exc:
+        with pytest.raises(InputError,
+                           match="^flow #0: endpoint 'payment' is not a declared service$"):
             parse_static_model(doc(services=["order"], flows=[("order", "payment")]))
-        assert exc.value.name == "payment"
-        assert exc.value.flow_index == 0
 
     def test_duplicate_after_normalization(self):
-        with pytest.raises(DuplicateService):
+        with pytest.raises(InputError,
+                           match="^duplicate service after normalization: 'order-service'$"):
             parse_static_model(doc(services=["Order-Service", "order_service"]))
 
     def test_malformed_json(self):
-        with pytest.raises(MalformedJson):
+        with pytest.raises(InputError, match="^static model is not valid JSON: "):
             parse_static_model("{nope")
 
     def test_missing_name(self):
-        with pytest.raises(MissingField):
+        with pytest.raises(InputError, match=re.escape("missing required field: services[0].name")):
             parse_static_model(json.dumps({"services": [{"stereotypes": []}]}))
 
     def test_extra_fields_ignored(self):
@@ -93,7 +87,8 @@ class TestParse:
         assert m.services[0].name == "a"
 
     def test_self_flow_requires_stereotype(self):
-        with pytest.raises(MalformedJson):
+        with pytest.raises(InputError, match=re.escape(
+                "information_flows[0]: self-flow without 'self-call' stereotype")):
             parse_static_model(doc(services=["a"], flows=[("a", "a")]))
         ok = json.dumps(
             {
@@ -123,7 +118,7 @@ class TestParse:
 
     def test_traceability_bad_line(self):
         text = json.dumps({"services": [{"name": "a", "traceability": {"file": "x", "line": 0}}]})
-        with pytest.raises(MalformedJson):
+        with pytest.raises(InputError, match=re.escape("services[0].line must be a positive integer")):
             parse_static_model(text)
 
     @pytest.mark.parametrize("doc, message", [
@@ -137,11 +132,32 @@ class TestParse:
          "services[0].line must be a positive integer"),
     ])
     def test_wrong_field_types(self, doc, message):
-        with pytest.raises(MalformedJson, match=re.escape(message)):
+        with pytest.raises(InputError, match=re.escape(message)):
+            parse_static_model(json.dumps(doc))
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"services": [{"name": None}]}, "services[0].name must be a string"),
+        ({"external_entities": [{"name": 7}]}, "external_entities[0].name must be a string"),
+        ({"services": [{"name": "a", "stereotypes": ["x", 1]}]},
+         "services[0].stereotypes[1] must be a string"),
+        ({"services": [{"name": "a", "traceability": {"file": None, "line": 1}}]},
+         "services[0].file must be a string"),
+        ({"services": [{"name": "a"}],
+          "information_flows": [{"sender": {"A": [1]}, "receiver": "a"}]},
+         "information_flows[0].sender must be a string"),
+        ({"services": [{"name": "a"}], "information_flows": [{"sender": "a", "receiver": ["a"]}]},
+         "information_flows[0].receiver must be a string"),
+        ({"services": [{"name": "a"}, {"name": "b"}],
+          "information_flows": [{"sender": "a", "receiver": "b", "stereotypes": [None]}]},
+         "information_flows[0].stereotypes[0] must be a string"),
+    ])
+    def test_non_strings_rejected(self, doc, message):
+        # str() would turn a null name into the service "none"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             parse_static_model(json.dumps(doc))
 
     def test_deeply_nested(self):
-        with pytest.raises(MalformedJson, match="nested too deeply"):
+        with pytest.raises(InputError, match="nested too deeply"):
             parse_static_model("[" * 100_000)
 
 

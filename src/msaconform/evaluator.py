@@ -61,7 +61,7 @@ def mutate_trace(
         rng.shuffle(choices)
         for replacement in choices:
             mutant = symbols[:pos] + (replacement,) + symbols[pos + 1:]
-            if mutant not in exclude and mutant != symbols:
+            if mutant not in exclude:
                 return Trace(mutant)
     # the log is too uniform to evaluate, like one with too few traces or symbols
     raise InputError("every single-symbol mutant collides with a training trace")

@@ -61,6 +61,23 @@ while the red's total is the one it was taken at: a merge into the red adds
 the folded state's total, never 0, and is the only way its row's
 frequencies change. A red whose total has changed is simply no longer
 skipped.
+
+The check itself does work bounded by the blue side. It walks the blue
+state's row at each pair and looks each symbol up in the red's row, which
+is usually much longer. The red row's own symbols, tested as
+``f1 / n1 >= bound``, are scanned only when ``top[a] / n1 >= bound``, where
+``top[a]`` is the heaviest frequency in state ``a``'s row. Float division
+is monotone, so ``f1 <= top[a]`` gives ``f1 / n1 <= top[a] / n1`` and a
+skipped scan is one that could not fail. ``top`` stays exact because a
+fold only adds row entries or grows their frequencies, and raises ``top``
+to each one's new value; a redirect keeps the entry's frequency. A pair
+whose blue total ``n2`` is at most ``sure``, the largest ``n`` with
+``coeff * (1 / sqrt(n)) > 1.0``, is skipped with its whole subtree. Its
+bound is at least that term, again by monotone float operations, and no
+left-hand side exceeds 1.0, so no test there can fail. Below it, in the
+blue subtree, a state's total is its incoming frequency, at most its
+parent's total, so no test can fail there either. The result is False
+exactly when some pair fails a test, in any visiting order.
 """
 
 from __future__ import annotations
@@ -165,18 +182,29 @@ class _RedBlue:
     moves ``t`` under the same row key, and a redirect only ever points an
     edge at a red. A state is blue when its parent is red, and
     ``parent_src`` is -1 for a red or merged state. ``fringe`` holds every
-    blue state, possibly alongside stale ids.
+    blue state, possibly alongside stale ids. ``top`` holds each state's
+    heaviest outgoing frequency, 0 for an empty row, and ``sure`` the
+    largest blue total at which no test can fail.
     """
 
     def __init__(self, tree: PrefixTree, cfg: LearnerConfig):
         self.min_freq = cfg.min_freq
-        self.coeff = math.sqrt(0.5 * math.log(2.0 / cfg.alpha))
+        self.coeff = coeff = math.sqrt(0.5 * math.log(2.0 / cfg.alpha))
+        # the largest total whose own term coeff / sqrt(n) puts the bound above
+        # 1.0; every total does when alpha is so small that coeff is infinite
+        if math.isinf(coeff):
+            self.sure = math.inf
+        else:
+            self.sure = 0
+            while coeff * (1.0 / math.sqrt(self.sure + 1)) > 1.0:
+                self.sure += 1
         src, freq = tree.src, tree.freq
         self.sym = sym = tree.sym
         # each row in insertion order: the order _merge walks a row in decides
         # which states a fold keeps, and so the ids that order later merges.
         # A state is made once it has a row.
         self.end = end = [0] * len(src)
+        self.top = top = [0] * len(src)
         self.trans = trans = {0: {}}
         for state in tree.leaf:
             end[state] += 1
@@ -185,7 +213,10 @@ class _RedBlue:
                 path.append(state)
                 state = src[state]
             for t in reversed(path):
-                trans[src[t]][sym[t]] = (t, freq[t])
+                s, f = src[t], freq[t]
+                trans[s][sym[t]] = (t, f)
+                if f > top[s]:
+                    top[s] = f
                 trans[t] = {}
         self.parent_src = src.copy()
         # in a prefix tree a state's total is the count of its incoming edge
@@ -223,41 +254,46 @@ class _RedBlue:
         return None
 
     def _compatible(self, red: int, blue: int) -> bool:
-        trans, end, total = self.trans, self.end, self.total
-        min_freq, coeff = self.min_freq, self.coeff
-        seen: set[tuple[int, int]] = set()
+        """Whether every pair the merge would fold together passes the test.
+
+        The blue side is a tree and the red side trails it by at least one
+        level, so no pair repeats and no pair is a state with itself. A pair
+        with ``n2 <= sure`` cannot fail, and neither can any below it: the
+        totals in the blue subtree only shrink going down.
+        """
+        trans, end, total, top = self.trans, self.end, self.total, self.top
+        min_freq, coeff, sure = self.min_freq, self.coeff, self.sure
         stack = [(red, blue)]
         while stack:
-            pair = stack.pop()
-            a, b = pair
-            if a == b or pair in seen:
-                continue
-            seen.add(pair)
+            a, b = stack.pop()
             n1, n2 = total[a], total[b]
-            if n1 < min_freq or n2 < min_freq or n1 == 0 or n2 == 0:
+            if n1 < min_freq or n2 < min_freq or n1 == 0 or n2 <= sure:
                 continue
             bound = coeff * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
             if abs(end[a] / n1 - end[b] / n2) >= bound:
                 return False
             # a symbol missing from one row has frequency 0 there
             row_a, row_b = trans[a], trans[b]
-            for sym, (ta, f1) in row_a.items():
-                tb_f2 = row_b.get(sym)
-                if tb_f2 is None:
-                    if f1 / n1 >= bound:
+            for sym, (tb, f2) in row_b.items():
+                ta_f1 = row_a.get(sym)
+                if ta_f1 is None:
+                    if f2 / n2 >= bound:
                         return False
                 else:
-                    if abs(f1 / n1 - tb_f2[1] / n2) >= bound:
+                    if abs(ta_f1[1] / n1 - f2 / n2) >= bound:
                         return False
-                    stack.append((ta, tb_f2[0]))
-            for sym, (_tb, f2) in row_b.items():
-                if sym not in row_a and f2 / n2 >= bound:
-                    return False
+                    stack.append((ta_f1[0], tb))
+            # no symbol of row_a reaches the bound if its heaviest does not
+            if top[a] / n1 >= bound:
+                for sym, (_ta, f1) in row_a.items():
+                    if f1 / n1 >= bound and sym not in row_b:
+                        return False
         return True
 
     def _merge(self, red: int, blue: int) -> None:
         """Redirect blue's parent edge to red, then fold blue's subtree in."""
-        trans, end, total, parent_src = self.trans, self.end, self.total, self.parent_src
+        trans, end, total, top = self.trans, self.end, self.total, self.top
+        parent_src = self.parent_src
         src, sym = parent_src[blue], self.sym[blue]
         parent_src[blue] = -1
         trans[src][sym] = (red, trans[src][sym][1])
@@ -272,7 +308,8 @@ class _RedBlue:
             for sym, (t, f) in trans.pop(b, {}).items():
                 if sym in row_a:
                     t2, f2 = row_a[sym]
-                    row_a[sym] = (t2, f2 + f)
+                    f += f2
+                    row_a[sym] = (t2, f)
                     if t2 != t:
                         stack.append((t2, t))
                 else:
@@ -280,6 +317,8 @@ class _RedBlue:
                     parent_src[t] = a
                     if a_red:
                         heapq.heappush(self.fringe, t)
+                if f > top[a]:
+                    top[a] = f
 
     def run(self) -> _RedBlue:
         trans, total, witness = self.trans, self.total, self.witness

@@ -99,7 +99,7 @@ def _parse_traceability(obj, path: str) -> Traceability | None:
     if obj is None:
         return None
     if not isinstance(obj, dict):
-        raise InputError(f"{path}: traceability must be an object")
+        raise InputError(f"{path} must be an object")
     _require(obj, ("file", "line"), path)
     line = obj["line"]
     # type() and not isinstance(): JSON true loads as bool, an int subclass
@@ -118,7 +118,7 @@ def _parse_node(obj, path: str) -> ServiceNode:
     return ServiceNode(
         name=normalize_name(_string(obj["name"], f"{path}.name")),
         stereotypes=_stereotypes(obj, path),
-        traceability=_parse_traceability(obj.get("traceability"), path),
+        traceability=_parse_traceability(obj.get("traceability"), f"{path}.traceability"),
     )
 
 
@@ -164,7 +164,7 @@ def parse_static_model(json_text: str) -> StaticModel:
                 sender=sender,
                 receiver=receiver,
                 stereotypes=stereotypes,
-                traceability=_parse_traceability(obj.get("traceability"), path),
+                traceability=_parse_traceability(obj.get("traceability"), f"{path}.traceability"),
             )
         )
     return StaticModel(services=services, external_entities=externals, flows=tuple(flows))

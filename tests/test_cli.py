@@ -566,7 +566,7 @@ class TestBadInput:
         code = invoke(static_path, dyn_dir, out_dir)
         err = capsys.readouterr().err
         assert_one_error_line(code, err)
-        assert "services[0].line must be a positive integer" in err
+        assert "services[0].traceability.line must be a positive integer" in err
 
     EVENT = {"ts": 0, "src": "a", "dst": "b", "method": "GET", "path": "/x"}
 

@@ -118,7 +118,7 @@ class TestParse:
 
     def test_traceability_bad_line(self):
         text = json.dumps({"services": [{"name": "a", "traceability": {"file": "x", "line": 0}}]})
-        with pytest.raises(InputError, match=re.escape("services[0].line must be a positive integer")):
+        with pytest.raises(InputError, match=re.escape("services[0].traceability.line must be a positive integer")):
             parse_static_model(text)
 
     @pytest.mark.parametrize("doc, message", [
@@ -126,10 +126,16 @@ class TestParse:
         ({"services": [], "information_flows": {"sender": "a"}}, "information_flows must be a list"),
         ({"services": [{"name": "a", "stereotypes": 5}]}, "services[0].stereotypes must be a list"),
         ({"services": [{"name": "a", "traceability": {"file": "x", "line": 1, "snippet": [1]}}]},
-         "services[0].snippet must be a string"),
+         "services[0].traceability.snippet must be a string"),
         # JSON true loads as bool, which isinstance(..., int) would take as line 1
         ({"services": [{"name": "a", "traceability": {"file": "x", "line": True}}]},
-         "services[0].line must be a positive integer"),
+         "services[0].traceability.line must be a positive integer"),
+        ({"services": [{"name": "a", "traceability": ["x", 1]}]},
+         "services[0].traceability must be an object"),
+        ({"services": [{"name": "a"}],
+          "information_flows": [{"sender": "a", "receiver": "a", "stereotypes": ["self-call"],
+                                 "traceability": {"line": 1}}]},
+         "missing required field: information_flows[0].traceability.file"),
     ])
     def test_wrong_field_types(self, doc, message):
         with pytest.raises(InputError, match=re.escape(message)):
@@ -141,7 +147,7 @@ class TestParse:
         ({"services": [{"name": "a", "stereotypes": ["x", 1]}]},
          "services[0].stereotypes[1] must be a string"),
         ({"services": [{"name": "a", "traceability": {"file": None, "line": 1}}]},
-         "services[0].file must be a string"),
+         "services[0].traceability.file must be a string"),
         ({"services": [{"name": "a"}],
           "information_flows": [{"sender": {"A": [1]}, "receiver": "a"}]},
          "information_flows[0].sender must be a string"),

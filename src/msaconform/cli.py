@@ -230,8 +230,6 @@ def _run_analysis(args, cfg: Config) -> int:
 
     static_view = detector.extract_static_view(model, include_externals=cfg.include_externals)
     dynamic_view = detector.extract_dynamic_view(list(machines.values()))
-    print("Detecting non-conformances: 100")  # nodes pass
-    print("Detecting non-conformances: 100")  # edges pass
     tagged, ncs = detector.detect(static_view, dynamic_view)
 
     n_static = sum(1 for nc in ncs if nc.kind is detector.NcKind.Static)

@@ -46,38 +46,33 @@ a red state; stale entries are dropped when popped. The merge order, and
 so the learned machine, is the same as rebuilding the fringe from scratch
 on every step.
 
-Most reds fail a blue at the root pair, on a symbol the blue lacks: there
-that symbol's frequency counts as 0 in the blue, and the test is
-``f1 / n1 >= bound``. So when a red is promoted, its heaviest outgoing
-symbol is kept as a witness, with its total ``n1`` and the cached terms
-``f1 / n1`` and ``1 / sqrt(n1)``. The scan skips a red without calling the
-check when the blue lacks the witness and, with the blue's
-``1 / sqrt(n2)``, the cached terms fail the bound. That is the same
-floating-point expression the check would evaluate for that symbol at the
-root pair, where reaching it requires both totals to be at least
-``min_freq`` and non-zero, so a skip is one of the check's own failures and
-the remaining reds are tried in id order as before. The witness holds only
-while the red's total is the one it was taken at: a merge into the red adds
-the folded state's total, never 0, and is the only way its row's
-frequencies change. A red whose total has changed is simply no longer
-skipped.
-
 The check itself does work bounded by the blue side. It walks the blue
 state's row at each pair and looks each symbol up in the red's row, which
 is usually much longer. The red row's own symbols, tested as
 ``f1 / n1 >= bound``, are scanned only when ``top[a] / n1 >= bound``, where
-``top[a]`` is the heaviest frequency in state ``a``'s row. Float division
-is monotone, so ``f1 <= top[a]`` gives ``f1 / n1 <= top[a] / n1`` and a
-skipped scan is one that could not fail. ``top`` stays exact because a
-fold only adds row entries or grows their frequencies, and raises ``top``
-to each one's new value; a redirect keeps the entry's frequency. A pair
-whose blue total ``n2`` is at most ``sure``, the largest ``n`` with
+``top[a]`` is the heaviest frequency in state ``a``'s row and ``heavy[a]``
+a symbol that holds it. Float division is monotone, so ``f1 <= top[a]``
+gives ``f1 / n1 <= top[a] / n1`` and a skipped scan is one that could not
+fail. Both stay exact because a fold only adds row entries or grows their
+frequencies, and raises ``top`` to each one's new value with ``heavy`` set
+to its symbol; a redirect keeps the entry's frequency. A pair whose blue
+total ``n2`` is at most ``sure``, the largest ``n`` with
 ``coeff * (1 / sqrt(n)) > 1.0``, is skipped with its whole subtree. Its
 bound is at least that term, again by monotone float operations, and no
 left-hand side exceeds 1.0, so no test there can fail. Below it, in the
 blue subtree, a state's total is its incoming frequency, at most its
 parent's total, so no test can fail there either. The result is False
 exactly when some pair fails a test, in any visiting order.
+
+Most reds fail a blue at the root pair, on a symbol the blue lacks. So
+the scan skips red ``r`` for blue ``q``, without calling the check, when
+both totals are at least ``min_freq``, ``q``'s is non-zero (a red's never
+is), ``q`` lacks ``heavy[r]`` and ``top[r] / n1 >= bound``, the check's
+own floating-point expression. The check fails that root pair, on
+``heavy[r]`` if on nothing before it; it does not pass it over as
+``n2 <= sure``, where the bound exceeds 1.0. So a skip is one of the
+check's own failures, and the remaining reds are tried in id order as
+before.
 """
 
 from __future__ import annotations
@@ -99,8 +94,8 @@ class LearnerConfig:
     min_freq: int = 0
 
     def __post_init__(self):
-        if not (0 < self.alpha <= 1):
-            raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if not (0 < self.alpha <= 1) or math.isinf(2.0 / self.alpha):
+            raise ValueError(f"alpha must be in (0, 1] with 2 / alpha finite, got {self.alpha}")
         if self.min_freq < 0:
             raise ValueError(f"min_freq must be non-negative, got {clip(str(self.min_freq))}")
 
@@ -183,21 +178,20 @@ class _RedBlue:
     edge at a red. A state is blue when its parent is red, and
     ``parent_src`` is -1 for a red or merged state. ``fringe`` holds every
     blue state, possibly alongside stale ids. ``top`` holds each state's
-    heaviest outgoing frequency, 0 for an empty row, and ``sure`` the
-    largest blue total at which no test can fail.
+    heaviest outgoing frequency, 0 for an empty row, and ``heavy`` a symbol
+    that holds it, ``""`` for an empty row: one exact entry per state that
+    serves both the red scan in :meth:`run` and, through ``top``, the
+    red-row guard in :meth:`_compatible`. ``sure`` is the largest blue total
+    at which no test can fail.
     """
 
     def __init__(self, tree: PrefixTree, cfg: LearnerConfig):
         self.min_freq = cfg.min_freq
         self.coeff = coeff = math.sqrt(0.5 * math.log(2.0 / cfg.alpha))
-        # the largest total whose own term coeff / sqrt(n) puts the bound above
-        # 1.0; every total does when alpha is so small that coeff is infinite
-        if math.isinf(coeff):
-            self.sure = math.inf
-        else:
-            self.sure = 0
-            while coeff * (1.0 / math.sqrt(self.sure + 1)) > 1.0:
-                self.sure += 1
+        # the largest total whose own term coeff / sqrt(n) puts the bound above 1.0
+        self.sure = 0
+        while coeff * (1.0 / math.sqrt(self.sure + 1)) > 1.0:
+            self.sure += 1
         src, freq = tree.src, tree.freq
         self.sym = sym = tree.sym
         # each row in insertion order: the order _merge walks a row in decides
@@ -205,6 +199,7 @@ class _RedBlue:
         # A state is made once it has a row.
         self.end = end = [0] * len(src)
         self.top = top = [0] * len(src)
+        self.heavy = heavy = [""] * len(src)
         self.trans = trans = {0: {}}
         for state in tree.leaf:
             end[state] += 1
@@ -216,16 +211,13 @@ class _RedBlue:
                 s, f = src[t], freq[t]
                 trans[s][sym[t]] = (t, f)
                 if f > top[s]:
-                    top[s] = f
+                    top[s], heavy[s] = f, sym[t]
                 trans[t] = {}
         self.parent_src = src.copy()
         # in a prefix tree a state's total is the count of its incoming edge
         self.total = freq.copy()
         self.red: set[int] = set()
         self.red_order: list[int] = []  # ascending: merge candidates in id order
-        # red -> (n1, symbol, f / n1, 1 / sqrt(n1)) at its promotion, for the
-        # red-scan filter of the module docstring
-        self.witness: dict[int, tuple[int, str, float, float]] = {}
         self.fringe: list[int] = []
         self._promote(0)
 
@@ -233,16 +225,7 @@ class _RedBlue:
         self.red.add(state)
         insort(self.red_order, state)
         self.parent_src[state] = -1
-        row = self.trans[state]
-        n1 = self.total[state]
-        # _compatible passes over a root pair below min_freq, so such a red
-        # has no witness. Only the root can be one: every other red has
-        # total >= min_freq, since a blue below min_freq is compatible with
-        # red 0 and so is never promoted.
-        if row and n1 >= self.min_freq:
-            symbol, (_t, f) = max(row.items(), key=lambda item: item[1][1])
-            self.witness[state] = (n1, symbol, f / n1, 1.0 / math.sqrt(n1))
-        for t, _f in row.values():
+        for t, _f in self.trans[state].values():
             heapq.heappush(self.fringe, t)
 
     def _next_blue(self) -> int | None:
@@ -293,7 +276,7 @@ class _RedBlue:
     def _merge(self, red: int, blue: int) -> None:
         """Redirect blue's parent edge to red, then fold blue's subtree in."""
         trans, end, total, top = self.trans, self.end, self.total, self.top
-        parent_src = self.parent_src
+        parent_src, heavy = self.parent_src, self.heavy
         src, sym = parent_src[blue], self.sym[blue]
         parent_src[blue] = -1
         trans[src][sym] = (red, trans[src][sym][1])
@@ -318,21 +301,21 @@ class _RedBlue:
                     if a_red:
                         heapq.heappush(self.fringe, t)
                 if f > top[a]:
-                    top[a] = f
+                    top[a], heavy[a] = f, sym
 
     def run(self) -> _RedBlue:
-        trans, total, witness = self.trans, self.total, self.witness
-        coeff, min_freq = self.coeff, self.min_freq
+        trans, total, top, heavy = self.trans, self.total, self.top, self.heavy
+        coeff, min_freq, sqrt = self.coeff, self.min_freq, math.sqrt
         while (q := self._next_blue()) is not None:
             n2 = total[q]
             row_q = trans[q]
-            inv_b = 1.0 / math.sqrt(n2) if n2 > 0 and n2 >= min_freq else None
+            inv_b = 1.0 / sqrt(n2) if n2 > 0 and n2 >= min_freq else None
             for r in self.red_order:
-                w = witness.get(r)
-                # skip r if its witness (n1, symbol, f / n1, 1 / sqrt(n1)) is
-                # current and fails _compatible's root-pair test against q
-                if (w is not None and inv_b is not None and total[r] == w[0]
-                        and w[1] not in row_q and w[2] >= coeff * (w[3] + inv_b)):
+                n1 = total[r]
+                # skip r if _compatible's root pair fails on r's heaviest
+                # symbol, which q lacks (module docstring)
+                if (inv_b is not None and n1 >= min_freq and heavy[r] not in row_q
+                        and top[r] / n1 >= coeff * (1.0 / sqrt(n1) + inv_b)):
                     continue
                 if self._compatible(r, q):
                     self._merge(r, q)

@@ -69,7 +69,7 @@ class TestAnalysis:
             "Detected 2 static non-conformances and 1 dynamic non-conformance "
             "between implementation and deployment of the system!" in out
         )
-        assert out.count("Detecting non-conformances: 100") == 2
+        assert "Detecting non-conformances" not in out
         assert "Reading configuration file..." in out
         assert "Processing static model..." in out
         assert "Processing dynamic model..." in out
@@ -269,7 +269,7 @@ class TestConfigFile:
     # per Config field: a text other than the default, the value it parses to, and bad texts
     FIELD_CASES = {
         "session_gap_ms": ("250", 250, ["0", "1.5", "x"]),
-        "alpha": ("0.1", 0.1, ["2", "0", "banana"]),
+        "alpha": ("0.1", 0.1, ["2", "0", "banana", "1e-310"]),
         "min_freq": ("3", 3, ["-1", "2.5"]),
         "top_n_calls": ("7", 7, ["0", "seven"]),
         "include_externals": ("true", True, ["yes", "True", ""]),

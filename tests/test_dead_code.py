@@ -11,7 +11,9 @@ Every name a module imports is used in that module, ``from __future__``
 imports aside.
 
 Every parameter of a ``def`` or ``lambda`` is read in its body: one that
-is only passed along to be ignored is an input nothing uses.
+is only passed along to be ignored is an input nothing uses. Likewise every
+local name a function binds is read somewhere in that function, nested
+functions included.
 
 Every exception class is named in some ``except`` clause and derives from a
 built-in exception, not from another class of the package: a class that no
@@ -180,6 +182,54 @@ def test_unread_parameter_is_caught():
                                      "    return [nc.id for nc in ncs]\n"
                                      "key = lambda self, kv: 0\n")}
     assert unread_parameters(modules) == ["extra.py:<lambda>:kv", "extra.py:page:tv"]
+
+
+def unread_locals(modules: dict[str, ast.Module]) -> list[str]:
+    """module:function:name of each name a ``def`` binds (by assignment, loop,
+    ``with``, ``except``, walrus, comprehension or a nested ``def`` or
+    ``class``) that nothing in the function, nested functions included,
+    reads; ``_``-prefixed names aside."""
+    unread = []
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound, read = set(), set()
+            for stmt in node.body:
+                for sub in ast.walk(stmt):
+                    if isinstance(sub, ast.Name):
+                        (read if isinstance(sub.ctx, ast.Load) else bound).add(sub.id)
+                    elif isinstance(sub, ast.ExceptHandler) and sub.name:
+                        bound.add(sub.name)
+                    elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                        bound.add(sub.name)
+            unread += [f"{module}:{node.name}:{name}" for name in bound - read
+                       if not name.startswith("_")]
+    return sorted(unread)
+
+
+def test_every_local_is_read():
+    assert unread_locals(parse_modules()) == []
+
+
+def test_unread_local_is_caught():
+    """A local that is bound and never read, like a snapshot kept beside the
+    exact value it copies, is flagged; so are an unused loop target, handler
+    name and nested function. A name read only in a nested function is not."""
+    modules = {"extra.py": ast.parse("def scan(rows, top):\n"
+                                     "    witness = max(rows)\n"
+                                     "    keep = top\n"
+                                     "    for row, _spare in rows:\n"
+                                     "        pass\n"
+                                     "    try:\n"
+                                     "        pass\n"
+                                     "    except ValueError as exc:\n"
+                                     "        pass\n"
+                                     "    def unused():\n"
+                                     "        return keep\n"
+                                     "    return [r for r in rows]\n")}
+    assert unread_locals(modules) == ["extra.py:scan:exc", "extra.py:scan:row",
+                                      "extra.py:scan:unused", "extra.py:scan:witness"]
 
 
 BUILTIN_EXCEPTIONS = {name for name, value in vars(builtins).items()

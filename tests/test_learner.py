@@ -23,6 +23,8 @@ class TestConfig:
             LearnerConfig(alpha=0)
         with pytest.raises(ValueError):
             LearnerConfig(alpha=1.5)
+        with pytest.raises(ValueError):  # 2 / alpha overflows
+            LearnerConfig(alpha=1e-310)
         with pytest.raises(ValueError):
             LearnerConfig(min_freq=-1)
 

@@ -4,12 +4,13 @@ exactly as the check that scanned the red state's whole row.
 The red row's own symbols are scanned only when its heaviest frequency,
 ``top``, reaches the bound, and a pair whose blue total is at most ``sure``
 is skipped with its subtree. These tests check every call against a copy of
-the full-row check on the same state, check that ``top`` stays exact through
-every merge, and pin ``sure`` and the case where the heaviest ratio equals
-the bound.
+the full-row check on the same state, check that ``top`` and ``heavy`` stay
+exact through every merge, and pin ``sure`` and the case where the heaviest
+ratio equals the bound.
 """
 
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -71,13 +72,20 @@ def full_row_compatible(rb, red: int, blue: int) -> tuple[bool, int]:
 
 
 def assert_top_exact(rb):
+    """``top`` is each row's heaviest frequency and ``heavy`` a symbol holding
+    it, or ``""`` for an empty row."""
     for state, row in rb.trans.items():
         assert rb.top[state] == max((f for _t, f in row.values()), default=0), state
+        if row:
+            assert row[rb.heavy[state]][1] == rb.top[state], state
+        else:
+            assert rb.heavy[state] == "", state
 
 
 def learn_checked(monkeypatch, traces, cfg) -> int:
     """Learn with every ``_compatible`` call compared to the full-row check
-    and ``top`` checked after every merge; return the number of calls."""
+    and ``top`` and ``heavy`` checked after every merge; return the number
+    of calls."""
     cls = learner._RedBlue
     init, compatible, merge = cls.__init__, cls._compatible, cls._merge
     calls = []
@@ -134,14 +142,19 @@ def test_sure_is_the_largest_total_that_cannot_fail(alpha):
     assert coeff * (1.0 / math.sqrt(10**40) + 1.0 / math.sqrt(sure + 1)) <= 1.0
 
 
-def test_infinite_coefficient_prunes_every_pair():
-    # 2 / alpha overflows to inf: every bound is inf and every pair passes
-    cfg = LearnerConfig(alpha=1e-310)
-    traces = [["a"], ["b", "c"], ["b"], []]
-    rb = learner._RedBlue(PrefixTree(traces), cfg)
-    assert rb.sure == math.inf
-    assert rb._compatible(0, 1) is full_row_compatible(rb, 0, 1)[0] is True
-    assert len(learn(traces, cfg).states) == 1
+def test_smallest_alpha_keeps_a_finite_bound(monkeypatch):
+    # the smallest alpha LearnerConfig accepts, where 2 / alpha is the
+    # largest float; one step below, 2 / alpha overflows and it is refused
+    alpha = math.nextafter(2.0 / sys.float_info.max, 1.0)
+    with pytest.raises(ValueError):
+        LearnerConfig(math.nextafter(alpha, 0.0))
+    rb = learner._RedBlue(PrefixTree([["a"]]), LearnerConfig(alpha))
+    assert math.isfinite(rb.coeff) and rb.sure == 354
+    # totals above sure can fail: the root, where no trace ends, stays apart
+    # from the blue after "a", where every trace ends
+    traces = [["a"]] * 2000 + [["b", "b"]] * 2000
+    assert learn_checked(monkeypatch, traces, LearnerConfig(alpha)) > 0
+    assert len(learn(traces, LearnerConfig(alpha)).states) == 3
 
 
 def test_heaviest_ratio_equal_to_the_bound_fails():

@@ -1,12 +1,14 @@
 """The red-scan filter of ``learner._RedBlue.run`` skips only reds that
 ``_compatible`` would reject, so it changes no learned machine.
 
-A red's witness is its heaviest outgoing symbol at promotion. The scan skips
-the red for a blue that lacks the symbol when the symbol's frequency ratio
-reaches the root pair's bound. These tests check every skip against
-``_compatible`` itself, count how many checks the filter saves, and pin the
-cases where a skip would be wrong: a blue below ``min_freq``, a red whose
-total changed after its promotion, and a blue that has the symbol.
+The scan reads a red's current heaviest outgoing symbol, ``heavy``, and its
+frequency, ``top``, the entry ``_compatible`` keeps exact through every
+merge. It skips the red for a blue that lacks the symbol when the symbol's
+frequency ratio reaches the root pair's bound. These tests check every skip
+against ``_compatible`` itself, count how many checks the filter saves, pin
+the cases where a skip would be wrong (a blue below ``min_freq``, a red
+whose ratio fell as it grew, and a blue that has the symbol), and pin a red
+grown since its promotion that is still skipped.
 """
 
 import pytest
@@ -81,7 +83,7 @@ def test_every_skipped_red_is_incompatible(traces):
 
 
 def test_scenario_log_needs_few_checks(monkeypatch):
-    """On a scenario log almost every red fails its root test on its witness."""
+    """On a scenario log almost every red fails its root test on its heaviest symbol."""
     _model, log, _truth = generate(ScenarioSpec(n_services=20, n_edges=40, n_events=5000,
                                                 rng_seed=1))
     traces = extract_traces(parse_event_log(log), 1000)["global"]
@@ -101,7 +103,7 @@ def test_scenario_log_needs_few_checks(monkeypatch):
 
 
 def test_blue_below_min_freq_still_merges_into_root(monkeypatch):
-    # the root's witness "a" is missing from the blue after "b", and at
+    # the root's heaviest symbol "a" is missing from the blue after "b", and at
     # alpha 1 its ratio 0.99 clears the bound even for n2 = 1; but below
     # min_freq _compatible passes over the root pair, so the blue merges
     traces = [["a"]] * 99 + [["b", "c"]]
@@ -113,10 +115,10 @@ def test_blue_below_min_freq_still_merges_into_root(monkeypatch):
     assert (0, 1) in rec.skipped  # the blue after "a": ends where the root never does
 
 
-# Found by random search. In the first, the root is promoted with witness "b"
-# at ratio 3/3; the blue after "b" merges into it, and its ratio drops to 4/7.
-# The blue after "c" lacks "b" and is compatible with the grown root, but the
-# ratio taken at promotion would skip the root for it.
+# Found by random search. In the first, the root is promoted with heaviest
+# symbol "b" at ratio 3/3; the blue after "b" merges into it, and its ratio
+# drops to 4/7. The blue after "c" lacks "b" and is compatible with the grown
+# root, but the ratio at promotion would skip the root for it.
 STALE_WITNESS_CASES = [
     (["bb", "b", "bc"], LearnerConfig(alpha=1.0), (0, 3)),
     (["b", "b", "b", "a", "bc"], LearnerConfig(alpha=0.5), (0, 2)),
@@ -130,6 +132,14 @@ def test_red_grown_after_promotion_is_checked(monkeypatch, traces, cfg, pair):
     assert pair in rec.checked
 
 
+def test_red_grown_after_promotion_is_skipped(monkeypatch):
+    # the root is promoted with "b" at ratio 2/3 and the blue after "a" merges
+    # into it; the blue after "b" lacks "b" and fails the grown root on it
+    traces = [list(t) for t in ("ab", "b", "b")]
+    rec = learn_recorded(monkeypatch, traces, LearnerConfig(alpha=1.0))
+    assert (0, 2) in rec.skipped
+
+
 def test_witness_symbol_in_the_blue_is_checked(monkeypatch):
     # runs of "a": the state after one "a" looks like the root, and has "a" too
     traces = [["a"] * n for n in (0, 1, 1, 2, 2, 2, 3, 3, 4, 5, 6, 8)] * 3
@@ -140,7 +150,7 @@ def test_witness_symbol_in_the_blue_is_checked(monkeypatch):
 
 
 def test_alpha_one_skips_more(monkeypatch):
-    # alpha 1 gives the smallest bound, so the witness test fails most often
+    # alpha 1 gives the smallest bound, so the heaviest-symbol test fails most often
     traces = [list(t) for t in ("ab", "ab", "ac", "b", "bd", "ca", "cab", "d", "da", "dd")] * 4
     skipped = {alpha: len(learn_recorded(monkeypatch, traces, LearnerConfig(alpha)).skipped)
                for alpha in (0.05, 1.0)}

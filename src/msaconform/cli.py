@@ -101,25 +101,35 @@ def _encode(name: str, text: str) -> bytes:
 
 
 def _write_files(out_dir: Path, files: dict[str, str]) -> None:
-    """Write each file, by name, into ``out_dir`` through a temporary file.
+    """Write each file, named by its path under ``out_dir`` (such as
+    ``dynamic_models/events.jsonl``), through a temporary file beside it.
 
-    Each text is encoded as its temporary file is written, so no more than one
-    file's bytes are in memory at once. Only when all are written do they
-    replace the files of their names, and a failure part-way, such as a text
-    that cannot be encoded, removes the temporary files: the former files stay
-    as they were."""
-    tmps: dict[str, str] = {}
+    The directories the files need are made first. Each text is encoded as its
+    temporary file is written, so no more than one file's bytes are in memory
+    at once. Only when all are written do they replace the files of their
+    names. A failure part-way, such as a text that cannot be encoded, removes
+    the temporary files, then each directory this call made that is empty
+    again, deepest first: the former files stay as they were."""
+    made: list[Path] = []  # deepest first
+    tmps: dict[Path, str] = {}  # each file's path: its temporary file
     try:
+        for directory in dict.fromkeys((out_dir / name).parent for name in files):
+            made[:0] = takewhile(lambda path: not path.exists(), (directory, *directory.parents))
+            directory.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            fd, tmps[name] = tempfile.mkstemp(dir=out_dir, prefix=name, suffix=".tmp")
+            path = out_dir / name
+            fd, tmps[path] = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(_encode(name, text))
-        for name, tmp in tmps.items():
-            os.replace(tmp, out_dir / name)
+        for path, tmp in tmps.items():
+            os.replace(tmp, path)
     except BaseException:
         for tmp in tmps.values():
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        for directory in made:
+            with suppress(OSError):  # one that is no longer empty stays
+                directory.rmdir()
         raise
 
 
@@ -201,12 +211,9 @@ def _summary_line(n_static: int, n_dynamic: int) -> str:
 def _run_scenario(spec_path: Path, out_dir: Path) -> int:
     spec = ScenarioSpec.from_json(_read_input(spec_path))
     model, log_text, truth = generate(spec)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dyn_dir = out_dir / "dynamic_models"
-    dyn_dir.mkdir(exist_ok=True)
     _write_files(out_dir, {"static_model.json": serialize_static_model(model),
-                           "ground_truth.json": truth.to_json()})
-    _write_files(dyn_dir, {"events.jsonl": log_text})
+                           "ground_truth.json": truth.to_json(),
+                           "dynamic_models/events.jsonl": log_text})
     print(f"Generated scenario with {spec.n_services} services into {out_dir}")
     return 0
 
@@ -256,17 +263,8 @@ def _run_analysis(args, cfg: Config) -> int:
             metrics = evaluator.evaluate(global_traces, learner_cfg, k=k, rng_seed=0)
             files["evaluation.txt"] = metrics.to_table()
             files["evaluation.json"] = metrics.to_json()
-    # every file is made before the first is written, so a bad input leaves none;
-    # a failed write also removes the directories this run made, deepest first
-    made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        _write_files(out_dir, files)
-    except BaseException:
-        for directory in made:
-            with suppress(OSError):  # one that is no longer empty stays
-                directory.rmdir()
-        raise
+    # every file is made before the first is written, so a bad input leaves none
+    _write_files(out_dir, files)
     _remove_stale(out_dir, files)
     if metrics is not None:
         print(metrics.to_table(), end="")
@@ -298,33 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    required = ["output_path"] if args.scenario else [
+        "static_model_path", "dynamic_models_path", "output_path"]
     try:
         print("Reading configuration file...")
         cfg = _parse_config_file(Path(args.config)) if args.config else Config()
-        if args.scenario:
-            if not args.output_path:
-                parser.print_usage(sys.stderr)
-                print("error: --output_path is required", file=sys.stderr)
-                return 2
-            return _run_scenario(Path(args.scenario), Path(args.output_path))
-        missing = [
-            flag
-            for flag, value in (
-                ("--static_model_path", args.static_model_path),
-                ("--dynamic_models_path", args.dynamic_models_path),
-                ("--output_path", args.output_path),
-            )
-            if not value
-        ]
+        missing = [f"--{name}" for name in required if not getattr(args, name)]
         if missing:
             parser.print_usage(sys.stderr)
             print(f"error: missing required flags: {', '.join(missing)}", file=sys.stderr)
             return 2
+        if args.scenario:
+            return _run_scenario(Path(args.scenario), Path(args.output_path))
         return _run_analysis(args, cfg)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

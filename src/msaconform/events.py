@@ -2,7 +2,7 @@
 
 Event log format: JSON Lines, one object per line with fields
 ``ts`` (int, ms since epoch), ``src`` (str), ``dst`` (str), ``method`` (str),
-``path`` (str) and optional ``status`` (int).
+``path`` (str) and optional ``status`` (int), which is checked but not kept.
 
 Events become alphabet symbols of the form ``<src>→<dst>:<METHOD> <path>``
 and are cut into bounded traces whenever the idle gap between consecutive
@@ -37,7 +37,6 @@ class HttpEvent(NamedTuple):
     dst: str
     method: str
     path: str
-    status: int | None = None
 
 
 class Trace(NamedTuple):
@@ -148,7 +147,7 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
             raise _malformed(line_no, f"service name {GLOBAL_SCOPE!r} is reserved")
         method, path = shared.setdefault(method, method), shared.setdefault(path, path)
         # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
-        events.append(tuple.__new__(HttpEvent, (ts, src, dst, method, path, status)))
+        events.append(tuple.__new__(HttpEvent, (ts, src, dst, method, path)))
     return events
 
 

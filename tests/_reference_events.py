@@ -67,7 +67,6 @@ def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
                 dst=dst,
                 method=method,
                 path=path,
-                status=status,
             )
         )
     return events

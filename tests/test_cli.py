@@ -1,5 +1,6 @@
 """CLI contract tests: flags, progress output, summary line, exit codes."""
 
+import ast
 import json
 import os
 import random
@@ -336,6 +337,9 @@ class TestScenarioMode:
         spec_file = tmp_path / "spec.json"
         spec_file.write_text('{"n_services": 3, "n_edges": 3}', "utf-8")
         assert run(["--scenario", str(spec_file)]) == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: missing required flags: --output_path"]
 
 
 def assert_one_error_line(code, err):
@@ -686,8 +690,10 @@ def write_inputs(root: Path, n_static: int, n_dynamic: int):
 
 
 def listing(out_dir: Path) -> dict[str, bytes | None]:
-    """Each entry's name and bytes; None for a directory."""
-    return {p.name: p.read_bytes() if p.is_file() else None for p in sorted(out_dir.iterdir())}
+    """Each entry under ``out_dir``, at any depth, by its relative path: its
+    bytes, or None for a directory."""
+    return {str(p.relative_to(out_dir)): p.read_bytes() if p.is_file() else None
+            for p in sorted(out_dir.rglob("*"))}
 
 
 class TestOutputDirectory:
@@ -744,15 +750,7 @@ class TestOutputDirectory:
         static_path, dyn_dir, out_dir, _truth = faulty_inputs
         assert invoke(static_path, dyn_dir, out_dir, "--evaluate") == 0
         before = listing(out_dir)
-        made, real_mkstemp = [], tempfile.mkstemp
-
-        def mkstemp(**kwargs):  # the third temporary file cannot be made
-            if len(made) == 2:
-                raise OSError("disk full")
-            made.append(kwargs["prefix"])
-            return real_mkstemp(**kwargs)
-
-        monkeypatch.setattr(cli.tempfile, "mkstemp", mkstemp)
+        patch_mkstemp(monkeypatch, fail_at=2)
         (dyn_dir / "events.jsonl").write_text(
             '{"ts": 0, "src": "a", "dst": "b", "method": "GET", "path": "/x"}\n', "utf-8")
         capsys.readouterr()
@@ -760,13 +758,8 @@ class TestOutputDirectory:
         assert capsys.readouterr().err == "error: disk full\n"
         assert listing(out_dir) == before
 
-        def counting_mkstemp(**kwargs):
-            made.append(kwargs["prefix"])
-            return real_mkstemp(**kwargs)
-
         # then a text that cannot be encoded, in a file after the first
-        made.clear()
-        monkeypatch.setattr(cli.tempfile, "mkstemp", counting_mkstemp)
+        made = patch_mkstemp(monkeypatch)
         with (dyn_dir / "events.jsonl").open("a", encoding="utf-8") as log:
             log.write('{"ts": 1, "src": "a", "dst": "ghost", "method": "GET", '
                       '"path": "/x/\\ud800"}\n')
@@ -776,3 +769,103 @@ class TestOutputDirectory:
         assert "lone surrogate" in err
         assert len(made) > 1, made
         assert listing(out_dir) == before
+
+    def test_failed_scenario_write_leaves_former_scenario(self, tmp_path, monkeypatch, capsys):
+        """A scenario whose writing fails part-way replaces none of the former
+        scenario's files."""
+        gen_dir = tmp_path / "gen"
+        assert generate_scenario(tmp_path, gen_dir, rng_seed=1) == 0
+        before = listing(gen_dir)
+        patch_mkstemp(monkeypatch, fail_at=2)
+        capsys.readouterr()
+        assert generate_scenario(tmp_path, gen_dir, rng_seed=2) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert listing(gen_dir) == before
+
+    def test_failed_scenario_write_removes_the_directories_it_made(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        patch_mkstemp(monkeypatch, fail_at=2)
+        assert generate_scenario(tmp_path, tmp_path / "gen" / "a" / "b", rng_seed=1) == 2
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert not (tmp_path / "gen").exists()
+
+
+def generate_scenario(tmp_path: Path, out_dir: Path, rng_seed: int) -> int:
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"n_services": 4, "n_edges": 5, "n_injected_static_nc": 1,
+                                     "n_events": 100, "rng_seed": rng_seed}), "utf-8")
+    return run(["--scenario", str(spec_file), "--output_path", str(out_dir)])
+
+
+REAL_MKSTEMP = tempfile.mkstemp
+
+
+def patch_mkstemp(monkeypatch, fail_at: int | None = None) -> list[str]:
+    """The prefixes of the temporary files ``cli`` makes from now on, in order;
+    the one numbered ``fail_at``, counting from 0, fails with 'disk full'."""
+    made: list[str] = []
+
+    def mkstemp(**kwargs):
+        if len(made) == fail_at:
+            raise OSError("disk full")
+        made.append(kwargs["prefix"])
+        return REAL_MKSTEMP(**kwargs)
+
+    monkeypatch.setattr(cli.tempfile, "mkstemp", mkstemp)
+    return made
+
+
+# the calls that make a directory or write a file, known by their module where
+# a method of the same name is no write (str.replace), else by their name
+MODULE_WRITES = {"os.fdopen", "os.replace", "tempfile.mkstemp"}
+METHOD_WRITES = {"mkdir", "rmdir", "write_text", "write_bytes", "unlink"}
+WRITERS = {  # the only functions allowed to make them, and what each may call
+    "cli._write_files": {"open", *MODULE_WRITES, *METHOD_WRITES},
+    "cli._remove_stale": {"unlink"},
+}
+
+
+def write_call(call: ast.Call) -> str | None:
+    """What ``call`` calls, if it makes a directory or writes a file."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return "open" if func.id == "open" else None  # the built-in
+    if isinstance(func, ast.Attribute):
+        if isinstance(func.value, ast.Name) and f"{func.value.id}.{func.attr}" in MODULE_WRITES:
+            return f"{func.value.id}.{func.attr}"
+        if func.attr in METHOD_WRITES:
+            return func.attr
+    return None
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def writes_outside_the_writer() -> list[str]:
+    """``module.function: call`` for each file write in ``src/msaconform`` that
+    ``WRITERS`` does not allow; code outside any function counts as ``<module>``."""
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text("utf-8"))
+        scopes = []
+        for node in tree.body:
+            if isinstance(node, FUNCTIONS):
+                scopes.append((node.name, node))
+            elif isinstance(node, ast.ClassDef):
+                scopes += [(f"{node.name}.{item.name}" if isinstance(item, FUNCTIONS)
+                            else node.name, item) for item in node.body]
+            else:
+                scopes.append(("<module>", node))
+        for name, scope in scopes:
+            qualname = f"{path.stem}.{name}"
+            for node in ast.walk(scope):
+                call = isinstance(node, ast.Call) and write_call(node)
+                if call and call not in WRITERS.get(qualname, ()):
+                    found.append(f"{qualname}: {call}")
+    return found
+
+
+def test_one_writer():
+    """``cli._write_files`` is the only code that makes a directory or writes a
+    file, so every output is written whole or not at all."""
+    assert writes_outside_the_writer() == []

@@ -107,11 +107,16 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> None:
     The directories the files need are made first. Each text is encoded as its
     temporary file is written, so no more than one file's bytes are in memory
     at once. Only when all are written do they replace the files of their
-    names. A failure part-way, such as a text that cannot be encoded, removes
-    the temporary files, then each directory this call made that is empty
-    again, deepest first: the former files stay as they were."""
+    names, each former file first moved aside to a temporary file of its own,
+    which is removed once all are in place. A failure part-way, such as a
+    text that cannot be encoded or a replace that fails, removes the new files
+    that had no former file, moves the former files back, removes the
+    temporary files, then each directory this call made that is empty again,
+    deepest first: the former files stay as they were."""
     made: list[Path] = []  # deepest first
     tmps: dict[Path, str] = {}  # each file's path: its temporary file
+    olds: dict[Path, str] = {}  # each file's path: the temporary file its former file moves to
+    moved: list[Path] = []  # the paths whose former file is in its temporary file
     try:
         for directory in dict.fromkeys((out_dir / name).parent for name in files):
             made[:0] = takewhile(lambda path: not path.exists(), (directory, *directory.parents))
@@ -122,15 +127,28 @@ def _write_files(out_dir: Path, files: dict[str, str]) -> None:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(_encode(name, text))
         for path, tmp in tmps.items():
+            if os.path.islink(path) or os.path.isfile(path):
+                fd, olds[path] = tempfile.mkstemp(dir=path.parent, prefix=path.name,
+                                                  suffix=".tmp")
+                os.close(fd)
+                os.replace(path, olds[path])
+                moved.append(path)
             os.replace(tmp, path)
     except BaseException:
-        for tmp in tmps.values():
+        for path, tmp in tmps.items():
+            if not os.path.exists(tmp) and path not in olds:
+                os.unlink(path)  # a new file where there was none
+        for path in moved:
+            os.replace(olds[path], path)
+        for tmp in (*tmps.values(), *olds.values()):
             if os.path.exists(tmp):
                 os.unlink(tmp)
         for directory in made:
             with suppress(OSError):  # one that is no longer empty stays
                 directory.rmdir()
         raise
+    for old in olds.values():
+        os.unlink(old)
 
 
 # the names of the files an analysis writes into its output directory; a run
@@ -293,19 +311,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the flags of an analysis, which a scenario run does not take, in the usage's order
+SCENARIO_REJECTS = ("--static_model_path", "--dynamic_models_path", "--config", "--evaluate",
+                    "--fail-on-nc")
+
+
+def _usage_error(parser: argparse.ArgumentParser, message: str) -> int:
+    """Print the usage line and one ``error:`` line; the exit code."""
+    parser.print_usage(sys.stderr)
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     required = ["output_path"] if args.scenario else [
         "static_model_path", "dynamic_models_path", "output_path"]
+    # each flag's attribute, named as argparse names it
+    rejected = [flag for flag in SCENARIO_REJECTS
+                if args.scenario and getattr(args, flag[2:].replace("-", "_"))]
+    if rejected:
+        return _usage_error(parser, f"--scenario does not take {', '.join(rejected)}")
     try:
         print("Reading configuration file...")
         cfg = _parse_config_file(Path(args.config)) if args.config else Config()
         missing = [f"--{name}" for name in required if not getattr(args, name)]
         if missing:
-            parser.print_usage(sys.stderr)
-            print(f"error: missing required flags: {', '.join(missing)}", file=sys.stderr)
-            return 2
+            return _usage_error(parser, f"missing required flags: {', '.join(missing)}")
         if args.scenario:
             return _run_scenario(Path(args.scenario), Path(args.output_path))
         return _run_analysis(args, cfg)

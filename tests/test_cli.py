@@ -341,6 +341,24 @@ class TestScenarioMode:
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             "error: missing required flags: --output_path"]
 
+    @pytest.mark.parametrize("flags", [
+        ["--config", "bad.conf"],
+        ["--evaluate", "--fail-on-nc", "--static_model_path", "x"],
+        ["--dynamic_models_path", "d"],
+    ])
+    def test_scenario_rejects_analysis_flags(self, tmp_path, capsys, flags):
+        """The flags are refused before any file is read: neither the spec nor
+        the config exists."""
+        out_dir = tmp_path / "gen"
+        code = run(["--scenario", str(tmp_path / "none.json"), "--output_path", str(out_dir),
+                    *flags])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        given = [flag for flag in cli.SCENARIO_REJECTS if flag in flags]
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: --scenario does not take {', '.join(given)}"]
+        assert not out_dir.exists()
+
 
 def assert_one_error_line(code, err):
     assert code == 2
@@ -788,6 +806,51 @@ class TestOutputDirectory:
         assert generate_scenario(tmp_path, tmp_path / "gen" / "a" / "b", rng_seed=1) == 2
         assert capsys.readouterr().err == "error: disk full\n"
         assert not (tmp_path / "gen").exists()
+
+    # calls to os.replace: 2 puts the first new file in place, 3 moves the
+    # second former file aside, 6 puts in place a file that had no former one
+    # after another such file is in place (an analysis) or the third file (a
+    # scenario)
+    @pytest.mark.parametrize("fail_at", [2, 3, 6])
+    def test_failed_replace_leaves_former_files(self, tmp_path, monkeypatch, capsys, fail_at):
+        out_dir = tmp_path / "out"
+        assert invoke(*write_inputs(tmp_path / "clean", 0, 0), out_dir) == 0
+        faulty = write_inputs(tmp_path / "faulty", 2, 1)
+        before = listing(out_dir)
+        patch_replace(monkeypatch, fail_at)
+        capsys.readouterr()
+        assert invoke(*faulty, out_dir) == 2
+        assert capsys.readouterr().err == "error: rename failed\n"
+        assert listing(out_dir) == before
+        assert not list(out_dir.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("fail_at", [2, 3, 6])
+    def test_failed_scenario_replace_leaves_former_scenario(self, tmp_path, monkeypatch, capsys,
+                                                            fail_at):
+        gen_dir = tmp_path / "gen"
+        assert generate_scenario(tmp_path, gen_dir, rng_seed=1) == 0
+        before = listing(gen_dir)
+        patch_replace(monkeypatch, fail_at)
+        capsys.readouterr()
+        assert generate_scenario(tmp_path, gen_dir, rng_seed=2) == 2
+        assert capsys.readouterr().err == "error: rename failed\n"
+        assert listing(gen_dir) == before
+        assert not list(gen_dir.rglob("*.tmp"))
+
+
+def patch_replace(monkeypatch, fail_at: int) -> None:
+    """Make the call to ``os.replace`` numbered ``fail_at``, counting from 1,
+    fail; the others rename as usual."""
+    calls = []
+    real_replace = os.replace
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == fail_at:
+            raise OSError("rename failed")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", replace)
 
 
 def generate_scenario(tmp_path: Path, out_dir: Path, rng_seed: int) -> int:

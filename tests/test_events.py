@@ -302,7 +302,7 @@ def test_every_scope_matches_reference_at_scale(log_20k, scope, order):
 
 
 def test_parse_peak_memory_bounded(log_20k):
-    """The events and the parse's working memory stay within 2.5 times the
+    """The events and the parse's working memory stay within 1.6 times the
     text: the lines are split block by block, never all at once."""
     tracemalloc.start()
     try:
@@ -310,7 +310,7 @@ def test_parse_peak_memory_bounded(log_20k):
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * len(log_20k)
+    assert peak < 1.6 * len(log_20k)
 
 
 def test_events_share_method_and_path(log_20k):

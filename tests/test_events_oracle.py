@@ -16,7 +16,6 @@ whitespace, a byte order mark and trailing data.
 
 import json
 import re
-from itertools import chain
 from unittest import mock
 
 import pytest
@@ -218,7 +217,8 @@ ALL_SEPARATORS = "".join(f"a{sep}" for sep in SEPARATORS) + "\r\n\n\r\n\r\n\n\nb
 
 
 def block_lines(text):
-    return list(chain.from_iterable(events._line_blocks(text)))
+    """The lines of ``text``, split one block at a time as the parser splits them."""
+    return [line for block in events._blocks(text) for line in block.splitlines()]
 
 
 def test_every_block_size_gives_the_same_lines():
@@ -246,3 +246,65 @@ def test_block_cuts_match_reference(log, block):
     with mock.patch.object(events, "_BLOCK_CHARS", block):
         assert block_lines(log) == log.splitlines()
         assert_same(log)
+
+
+# a string field's text between its quotes, as json.dumps would write it
+PLAIN_TEXT = {"src": ["a", "Web", "svc-1"], "dst": ["b", "order", "svc-2"],
+              "method": ["GET", "post"], "path": ["/x", "/y/1", "/a b"]}
+# what the dumps-shaped pattern must refuse or read as its value: escapes, each
+# line separator raw, and characters json.dumps escapes but JSON allows raw
+ODD_TEXT = ['\\"', "\\\\", "\\n", "\\u00e9", "\\ud800", *SEPARATORS, "\x7f", "é", "漢字"]
+ODD_TS = ["0", "007", "-1", "1" * 18, "1" * 19, "9" * 5000, "1e3"]
+ODD_STATUS = ["null", "true", "1.5", "-3", "0", "-0"]
+
+
+def dumps_text(field):
+    plain = st.sampled_from(PLAIN_TEXT[field])
+    odd = st.tuples(plain, st.sampled_from(ODD_TEXT)).flatmap(st.permutations).map("".join)
+    return mostly(plain, odd).map(lambda text: f'"{text}"')
+
+
+@st.composite
+def dumps_calls(draw):
+    """An event's text after its ``ts``, in the shape ``json.dumps`` writes,
+    but with field text it never writes."""
+    call = ", ".join(f'"{field}": {draw(dumps_text(field))}'
+                     for field in ("src", "dst", "method", "path"))
+    status = draw(mostly(st.sampled_from([None, "200", "404"]), st.sampled_from(ODD_STATUS)))
+    return call + ("" if status is None else ', "status": ' + status)
+
+
+@st.composite
+def dumps_shaped_logs(draw):
+    """A log of event lines in exactly the shape ``json.dumps`` writes, now
+    and then with a trailing space, and half the time with a ``ts`` it never
+    writes; the lines draw their calls from a few, so that most calls repeat."""
+    calls = [VALID.partition(", ")[2][:-1], *draw(st.lists(dumps_calls(), min_size=1,
+                                                           max_size=3))]
+    line = st.tuples(st.integers(0, 10**9).map(str) | st.sampled_from(ODD_TS),
+                     st.sampled_from(calls), mostly(st.just(""), st.just(" ")))
+    lines = draw(st.lists(line.map(lambda parts: '{"ts": %s, %s}%s' % parts), max_size=12))
+    seps = draw(st.lists(mostly(st.just("\n"), st.just("\r\n")),
+                         min_size=len(lines), max_size=len(lines)))
+    last = draw(st.sampled_from(["", VALID, lines[0] if lines else ""]))
+    return "".join(line + sep for line, sep in zip(lines, seps)) + last
+
+
+@settings(max_examples=400, deadline=None)
+@given(dumps_shaped_logs(), st.sampled_from([1, 40, 100, 250, 1 << 16]))
+def test_dumps_shaped_lines_match_reference(log, block):
+    """Blocks of all-dumps-shaped lines are read by the pattern, the others
+    line by line; a block may switch ways from one log to the next."""
+    with mock.patch.object(events, "_BLOCK_CHARS", block):
+        assert_same(log)
+
+
+def test_each_distinct_call_checked_once():
+    spec = ScenarioSpec(n_services=12, n_edges=30, n_injected_static_nc=2,
+                        n_injected_dynamic_nc=2, n_events=3000, rng_seed=1)
+    _model, log, _truth = generate(spec)
+    with mock.patch.object(events, "_read_line", wraps=events._read_line) as read_line:
+        parsed = parse_event_log(log)
+    distinct = {line.partition(", ")[2] for line in log.splitlines()}  # each line after its ts
+    assert read_line.call_count == len(distinct) < len(parsed) // 10
+    assert parsed == reference.parse_event_log(log)

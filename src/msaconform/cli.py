@@ -21,13 +21,15 @@ import tempfile
 from contextlib import suppress
 from dataclasses import dataclass, fields
 from fnmatch import fnmatchcase
+from functools import partial
 from itertools import takewhile
 from pathlib import Path
 
 from . import detector, evaluator, interpret, report
 from .automaton import StateMachine, parse_state_machine
 from .errors import InputError, clip, too_many_digits
-from .events import GLOBAL_SCOPE, Trace, extract_traces, parse_event_log, parse_symbol
+from .events import (GLOBAL_SCOPE, EventLog, Trace, extract_traces, parse_event_log,
+                     parse_symbol)
 from .learner import LearnerConfig, learn
 from .scenario import ScenarioSpec, generate
 from .static_model import normalize_name, parse_static_model, serialize_static_model
@@ -49,6 +51,31 @@ def _read_input(path: Path) -> str:
         return path.read_text("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
+
+
+# a file read in chunks is read this many characters at a time
+_CHUNK_CHARS = 1 << 16
+
+
+def _read_chunks(path: Path):
+    """``_read_input(path)``'s text in chunks of at most ``_CHUNK_CHARS``
+    characters, decoded and with newlines translated as there, so that the
+    whole text is never in memory; raises ``UnicodeDecodeError`` at a chunk
+    with bytes that are not UTF-8."""
+    with path.open(encoding="utf-8") as fh:
+        yield from iter(partial(fh.read, _CHUNK_CHARS), "")
+
+
+def _read_event_log(path: Path) -> EventLog:
+    """The parsed event log, read in chunks. As when the whole file was
+    decoded before any line was read, a byte that is not UTF-8 anywhere in
+    it is the error, even after a malformed line; the whole-file decode,
+    made only then, names its offset in the file."""
+    try:
+        return parse_event_log(_read_chunks(path))
+    except (InputError, UnicodeDecodeError):
+        _read_input(path)
+        raise
 
 
 def _flag(text: str) -> bool:
@@ -201,10 +228,11 @@ def _load_dynamic_models(
     global_traces: list[Trace] | None = None
     log_file = dyn_dir / "events.jsonl"
     if log_file.is_file():
-        events = parse_event_log(_read_input(log_file))
         per_service_only = cfg.trace_scope == "per_service"
         sweep = "both" if evaluate and per_service_only else cfg.trace_scope
-        traces_by_scope = extract_traces(events, cfg.session_gap_ms, scope=sweep)
+        # the log is passed on, not kept, so it dies once sessionized
+        traces_by_scope = extract_traces(_read_event_log(log_file), cfg.session_gap_ms,
+                                         scope=sweep)
         global_traces = traces_by_scope.get(GLOBAL_SCOPE, [])
         if per_service_only:
             traces_by_scope.pop(GLOBAL_SCOPE, None)  # swept for --evaluate, not learned
@@ -326,11 +354,12 @@ def _usage_error(parser: argparse.ArgumentParser, message: str) -> int:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    required = ["output_path"] if args.scenario else [
+    scenario = args.scenario is not None  # an empty spec path too
+    required = ["output_path"] if scenario else [
         "static_model_path", "dynamic_models_path", "output_path"]
     # each flag's attribute, named as argparse names it
     rejected = [flag for flag in SCENARIO_REJECTS
-                if args.scenario and getattr(args, flag[2:].replace("-", "_"))]
+                if scenario and getattr(args, flag[2:].replace("-", "_"))]
     if rejected:
         return _usage_error(parser, f"--scenario does not take {', '.join(rejected)}")
     try:
@@ -339,7 +368,7 @@ def run(argv: list[str] | None = None) -> int:
         missing = [f"--{name}" for name in required if not getattr(args, name)]
         if missing:
             return _usage_error(parser, f"missing required flags: {', '.join(missing)}")
-        if args.scenario:
+        if scenario:
             return _run_scenario(Path(args.scenario), Path(args.output_path))
         return _run_analysis(args, cfg)
     except (InputError, OSError) as exc:

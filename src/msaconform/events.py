@@ -3,21 +3,27 @@
 Event log format: JSON Lines, one object per line with fields
 ``ts`` (int, ms since epoch), ``src`` (str), ``dst`` (str), ``method`` (str),
 ``path`` (str) and optional ``status`` (int), which is checked but not kept.
-Lines in the exact shape ``json.dumps`` writes an event are read one pattern
-scan per block, with each distinct call checked once; any other valid line
-is read on its own, at the slower per-line speed, with the same result.
+The log is read in blocks of about 64 KiB, from a string or from any
+iterable of text pieces such as a file read in chunks, so no more than one
+block's lines are alive at once. Lines in the exact shape ``json.dumps``
+writes an event are read one pattern scan per block, with each distinct
+call checked once; any other valid line is read on its own, at the slower
+per-line speed, with the same result. A parsed log is two columns, one
+timestamp and one shared call tuple per event, not an object per event.
 
 Events become alphabet symbols of the form ``<src>→<dst>:<METHOD> <path>``
 and are cut into bounded traces whenever the idle gap between consecutive
-events exceeds a configurable threshold.
+events exceeds a configurable threshold. Equal traces of one log are one
+object.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from operator import attrgetter
-from typing import NamedTuple
+from itertools import islice
+from operator import le
+from typing import Iterable, NamedTuple
 
 from .errors import InputError, clip, load_json
 from .static_model import normalize_name
@@ -33,12 +39,20 @@ ARROW = "→"
 GLOBAL_SCOPE = "global"
 
 
-class HttpEvent(NamedTuple):
-    ts: int
-    src: str
-    dst: str
-    method: str
-    path: str
+class EventLog:
+    """A parsed event log as two columns with one row per event, in line
+    order: ``stamps[i]`` is event ``i``'s ``ts`` and ``calls[i]`` its
+    ``(src, dst, method, path)``, one tuple shared by every event of that
+    call."""
+
+    __slots__ = ("stamps", "calls")
+
+    def __init__(self, stamps: list[int], calls: list[tuple[str, str, str, str]]):
+        self.stamps = stamps
+        self.calls = calls
+
+    def __len__(self) -> int:
+        return len(self.stamps)
 
 
 class Trace(NamedTuple):
@@ -80,18 +94,26 @@ def _malformed(line_no: int, reason: str) -> InputError:
 _BLOCK_CHARS = 1 << 16
 
 
-def _blocks(text: str):
-    """``text`` cut into blocks that ``str.splitlines`` splits into the lines
-    of ``text``, so that only one block's lines are alive at once.
+def _blocks(pieces: Iterable[str]):
+    """The text of ``pieces``, cut anew into blocks that ``str.splitlines``
+    splits into the lines of the whole text, so that only one block's lines
+    are alive at once.
 
-    Each block ends just after a ``"\\n"``, which always ends a line (a
-    ``"\\r\\n"`` pair at its ``"\\n"``); every other separator is one
+    Each block but the last ends just after a ``"\\n"``, which always ends a
+    line (a ``"\\r\\n"`` pair at its ``"\\n"``); every other separator is one
     character, so no line or separator straddles a cut."""
-    start = 0
-    while start < len(text):
-        end = text.find("\n", start + _BLOCK_CHARS - 1) + 1 or len(text)
-        yield text[start:end]
-        start = end
+    parts: list[str] = []  # the text since the last cut
+    for piece in pieces:
+        cut = piece.rfind("\n") + 1
+        if cut:
+            parts.append(piece[:cut])
+            yield "".join(parts)
+            parts = [piece[cut:]]
+        else:
+            parts.append(piece)
+    rest = "".join(parts)
+    if rest:
+        yield rest
 
 
 # a JSON string with no escape, no control character and no line separator
@@ -106,8 +128,9 @@ _scan_once = json.JSONDecoder().scan_once
 
 
 def _read_line(line: str, line_no: int, names: dict[str, str],
-               shared: dict[str, str]) -> HttpEvent | None:
-    """The event of one line of the log, or None if it is blank.
+               shared: dict[str, str]) -> tuple[int, tuple[str, str, str, str]] | None:
+    """The ``ts`` and the ``(src, dst, method, path)`` of one line of the log,
+    or None if it is blank.
 
     The line goes to the JSON scanner directly; one it does not consume whole
     (a syntax error, surrounding whitespace, a byte order mark, trailing
@@ -153,88 +176,112 @@ def _read_line(line: str, line_no: int, names: dict[str, str],
     dst = names.get(raw_dst) or names.setdefault(raw_dst, normalize_name(raw_dst))
     if GLOBAL_SCOPE in (src, dst):
         raise _malformed(line_no, f"service name {GLOBAL_SCOPE!r} is reserved")
-    method, path = shared.setdefault(method, method), shared.setdefault(path, path)
-    # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
-    return tuple.__new__(HttpEvent, (ts, src, dst, method, path))
+    return ts, (src, dst, shared.setdefault(method, method), shared.setdefault(path, path))
 
 
-def parse_event_log(jsonl_text: str) -> list[HttpEvent]:
-    """Parse a JSON Lines event log; blank lines are skipped.
+def parse_event_log(log: str | Iterable[str]) -> EventLog:
+    """Parse a JSON Lines event log, given whole or as an iterable of text
+    pieces cut anywhere, such as a file read in chunks; blank lines are
+    skipped.
 
-    Lines are split as ``str.splitlines`` splits them, one block of about
-    64 KiB at a time. A block whose lines all have the exact shape
+    Lines are split as ``str.splitlines`` splits the whole text, one block
+    of about 64 KiB at a time. A block whose lines all have the exact shape
     ``json.dumps`` gives an event is read by one pattern scan, and each
     distinct call in it (the line after its ``ts``) is checked once, the
     first time it is seen: the pattern admits only a ``ts`` the check
     accepts, and no other check reads it, so the result holds for every
     line with that call. Any other block is read line by line.
     Both ways check a line with ``_read_line``, so a log gives the same
-    events, or the same error at the same line, either way. Events share
-    one copy of each distinct method and path.
+    events, or the same error at the same line, either way. Both share one
+    tuple per distinct call, and calls share one copy of each distinct
+    method and path.
     """
-    events: list[HttpEvent] = []
+    pieces = log
+    if isinstance(log, str):
+        pieces = (log[i:i + _BLOCK_CHARS] for i in range(0, len(log), _BLOCK_CHARS))
+    stamps: list[int] = []
+    rows: list[tuple[str, str, str, str]] = []  # the call of each event
     names: dict[str, str] = {}  # raw service name -> normalized, per distinct name
     shared: dict[str, str] = {}  # one copy of each distinct method and path
-    calls: dict[str, tuple[str, str, str, str]] = {}  # call text -> src, dst, method, path
+    # each distinct call, keyed by its line's text after the ts and by itself: its one tuple
+    calls: dict[str | tuple[str, str, str, str], tuple[str, str, str, str]] = {}
     line_no = 0  # of the line last read
-    for block in _blocks(jsonl_text):
+    for block in _blocks(pieces):
         # the first line is tried alone, so that a log in another shape costs no scan
-        rows = _DUMPS_LINE.findall(block) if _DUMPS_LINE.match(block) else ()
+        matches = _DUMPS_LINE.findall(block) if _DUMPS_LINE.match(block) else ()
         # a match holds no line separator, so as many as there are lines means each matched
-        if len(rows) == block.count("\n") + (not block.endswith("\n")):
-            for ts, call in rows:
+        if len(matches) == block.count("\n") + (not block.endswith("\n")):
+            for ts, text in matches:
                 line_no += 1
-                fields = calls.get(call)
-                if fields is None:
-                    line = '{"ts": ' + ts + ", " + call + "}"
-                    fields = calls[call] = _read_line(line, line_no, names, shared)[1:]
-                events.append(tuple.__new__(HttpEvent, (int(ts),) + fields))
+                call = calls.get(text)
+                if call is None:
+                    line = '{"ts": ' + ts + ", " + text + "}"
+                    call = _read_line(line, line_no, names, shared)[1]
+                    call = calls[text] = calls.setdefault(call, call)
+                stamps.append(int(ts))
+                rows.append(call)
         else:
             for line in block.splitlines():
                 line_no += 1
                 event = _read_line(line, line_no, names, shared)
                 if event is not None:
-                    events.append(event)
-    return events
+                    ts, call = event
+                    stamps.append(ts)
+                    rows.append(calls.setdefault(call, call))
+    return EventLog(stamps, rows)
 
 
-def _segment(stamps: list[int], symbols: list[str], gap_ms: int) -> list[Trace]:
-    """Cut one scope's time-ordered events wherever the idle gap exceeds ``gap_ms``."""
-    cuts = [i for i in range(1, len(stamps)) if stamps[i] - stamps[i - 1] > gap_ms]
-    bounds = [0, *cuts, len(stamps)]
-    ordered = tuple(symbols)  # so each trace is one slice
-    return [Trace(ordered[start:end]) for start, end in zip(bounds, bounds[1:])]
-
-
-def extract_traces(
-    events: list[HttpEvent], gap_ms: int, scope: str = "global"
-) -> dict[str, list[Trace]]:
-    """Sessionize events into traces, keyed by scope.
+def extract_traces(log: EventLog, gap_ms: int, scope: str = "global") -> dict[str, list[Trace]]:
+    """Sessionize a log's events into traces, keyed by scope.
 
     ``scope`` is ``"global"`` (one key covering all events), ``"per_service"``
     (one key per service, in sorted order, keeping events where it is src or
-    dst), or ``"both"`` (global first). One pass in time order appends each
-    event to the streams of the scopes it joins; each distinct call is
-    formatted once, when first seen. Precondition: no service is named
-    ``GLOBAL_SCOPE`` (``parse_event_log`` rejects that name), or its stream
-    and the global one would be one.
+    dst), or ``"both"`` (global first). One pass in time order, the log's
+    own when its stamps never decrease, else a stable sort of its rows by
+    stamp, appends each event to the open session of each scope it joins,
+    first closing that session if the idle gap exceeds ``gap_ms``. Each
+    distinct call is formatted once, when first seen, and equal sessions
+    are one ``Trace`` object. Precondition: no service is named
+    ``GLOBAL_SCOPE`` (``parse_event_log`` rejects that name), or its
+    sessions and the global ones would be one.
     """
-    streams: dict[str, tuple[list[int], list[str]]] = {}  # scope key -> stamps, symbols
-    calls: dict[tuple[str, str, str, str], tuple] = {}  # call -> its symbol, its streams
-    for ev in sorted(events, key=attrgetter("ts")):  # stable: keeps input order on ties
-        call = (ev.src, ev.dst, ev.method, ev.path)
-        seen = calls.get(call)
+    stamps, rows = log.stamps, log.calls
+    order: Iterable[int] = range(len(stamps))
+    if not all(map(le, stamps, islice(stamps, 1, None))):
+        order = sorted(order, key=stamps.__getitem__)  # stable: keeps line order on ties
+    distinct: dict[tuple[str, ...], Trace] = {}  # each session's symbols: its one Trace
+
+    def close(symbols: list[str]) -> Trace:
+        key = tuple(symbols)
+        trace = distinct.get(key)
+        if trace is None:
+            # tuple.__new__ skips the Python-level __new__ that NamedTuple generates
+            trace = distinct[key] = tuple.__new__(Trace, (key,))
+        return trace
+
+    # scope key -> [its last event's stamp, its open session's symbols, its closed sessions]
+    scopes: dict[str, list] = {}
+    known: dict[tuple[str, str, str, str], tuple] = {}  # call -> its symbol, its scopes
+    for i in order:
+        ts = stamps[i]
+        seen = known.get(rows[i])
         if seen is None:
+            src, dst, method, path = call = rows[i]
             keys = [GLOBAL_SCOPE] if scope in ("global", "both") else []
             if scope in ("per_service", "both"):
-                keys += {ev.src, ev.dst}  # a self-call joins its service once
-            seen = calls[call] = (
-                format_symbol(ev.src, ev.dst, ev.method, template_path(ev.path)),
-                [streams.setdefault(key, ([], [])) for key in keys],
-            )
+                keys += {src, dst}  # a self-call joins its service once
+            seen = known[call] = (format_symbol(src, dst, method, template_path(path)),
+                                  [scopes.setdefault(key, [ts, [], []]) for key in keys])
         symbol, joined = seen
-        for stamps, symbols in joined:
-            stamps.append(ev.ts)
-            symbols.append(symbol)
-    return {key: _segment(*streams.pop(key), gap_ms)
-            for key in sorted(streams, key=lambda key: (key != GLOBAL_SCOPE, key))}
+        for state in joined:
+            if ts - state[0] > gap_ms:
+                state[2].append(close(state[1]))
+                state[1].clear()
+            state[0] = ts
+            state[1].append(symbol)
+    out = {}
+    for key in sorted(scopes, key=lambda key: (key != GLOBAL_SCOPE, key)):
+        _last, session, traces = scopes[key]
+        traces.append(close(session))
+        out[key] = traces
+    return out

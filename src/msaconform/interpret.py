@@ -276,13 +276,20 @@ def finding_details(
 ) -> dict[str, NcDetails]:
     """Details per finding id. A static finding's come from the global machine
     if it holds the subject, else from the lowest-named machine that does; a
-    dynamic finding's from the static model. The call indexes die with this
-    call, before rendering."""
-    indexes: dict[tuple[str, ...], CallIndex] = {}  # per edge (src, dst) and service (name,)
+    dynamic finding's from the static model. Machines are indexed in that
+    order, and only while some static finding's subject is in none indexed
+    so far. The call indexes die with this call, before rendering."""
+    # subjects still without a machine: an edge (src, dst) or a service (name,)
+    unresolved = {nc.names for nc in ncs if nc.kind is NcKind.Static}
+    indexes: dict[tuple[str, ...], CallIndex] = {}  # each subject's index
     for scope in sorted(machines, key=lambda name: (name != GLOBAL_SCOPE, name)):
+        if not unresolved:
+            break
         index = CallIndex(machines[scope])
-        for subject in [*index.calls_by_pair, *((name,) for name in index.calls_by_service)]:
-            indexes.setdefault(subject, index)
+        held = unresolved.intersection(
+            [*index.calls_by_pair, *((name,) for name in index.calls_by_service)])
+        indexes.update(dict.fromkeys(held, index))
+        unresolved -= held
     return {nc.id: static_nc_details(indexes.get(nc.names), nc, top_n=top_n)
             if nc.kind is NcKind.Static else dynamic_nc_details(model, nc)
             for nc in ncs}

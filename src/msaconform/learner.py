@@ -106,9 +106,11 @@ class PrefixTree:
 
     State ``t`` is entered from ``src[t]`` on ``sym[t]`` by ``freq[t]``
     traces; the root's entry is ``-1``, ``""`` and the number of traces.
-    Trace ``i`` ends in ``leaf[i]``. A tree made by :meth:`without` shares
-    ``src`` and ``sym`` and keeps the states its traces left behind with
-    count 0.
+    Trace ``i`` ends in ``leaf[i]``. A trace object that occurs more than
+    once, as equal sessions do (``extract_traces`` makes them one), is
+    walked once and adds its multiplicity to each count. A tree made by
+    :meth:`without` shares ``src`` and ``sym`` and keeps the states its
+    traces left behind with count 0.
     """
 
     __slots__ = ("src", "sym", "freq", "leaf")
@@ -116,11 +118,15 @@ class PrefixTree:
     def __init__(self, traces: Sequence[Trace | Sequence[str]]):
         if not traces:
             raise InputError("cannot learn from an empty trace set")
+        # each distinct trace object, in first-seen order: [the trace, how many times it occurs]
+        distinct: dict[int, list] = {}
+        for trace in traces:
+            distinct.setdefault(id(trace), [trace, 0])[1] += 1
         # insertion-numbered trie first: a child dict and an incoming count per node
         children: list[dict[str, int]] = [{}]
         count = [len(traces)]
-        leaves = []
-        for trace in traces:
+        ends: dict[int, int] = {}  # each distinct trace object's node
+        for key, (trace, times) in distinct.items():
             node = 0
             for symbol in trace.symbols if isinstance(trace, Trace) else trace:
                 row = children[node]
@@ -129,9 +135,9 @@ class PrefixTree:
                     nxt = row[symbol] = len(children)
                     children.append({})
                     count.append(0)
-                count[nxt] += 1
+                count[nxt] += times
                 node = nxt
-            leaves.append(node)
+            ends[key] = node
         # then breadth-first, symbols sorted
         bfs_id = [0] * len(children)
         order = [0]
@@ -147,7 +153,7 @@ class PrefixTree:
                 self.src.append(state)
                 self.sym.append(symbol)
                 self.freq.append(count[child])
-        self.leaf = [bfs_id[node] for node in leaves]
+        self.leaf = [bfs_id[ends[id(trace)]] for trace in traces]
 
     def without(self, held: Iterable[int]) -> PrefixTree:
         """The tree of the traces not indexed by ``held``, in their order."""

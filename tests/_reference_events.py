@@ -1,5 +1,6 @@
 """Reference event-log parser: ``parse_event_log`` as it was before it called
-the JSON scanner directly, kept verbatim as a test oracle.
+the JSON scanner directly, kept verbatim as a test oracle, with the event
+tuple it returned and adapters to and from the parser's columns.
 
 Every line goes through ``json.loads`` and its three layers of wrappers, so
 it is slower but simple enough to trust; ``test_events_oracle.py`` requires
@@ -9,10 +10,31 @@ the new parser to return equal events or raise the same error.
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from msaconform.errors import InputError
-from msaconform.events import GLOBAL_SCOPE, HTTP_METHODS, HttpEvent
+from msaconform.events import GLOBAL_SCOPE, HTTP_METHODS, EventLog
 from msaconform.static_model import normalize_name
+
+
+class HttpEvent(NamedTuple):
+    """One event, as the parser returned it before a log became two columns."""
+
+    ts: int
+    src: str
+    dst: str
+    method: str
+    path: str
+
+
+def as_events(log: EventLog) -> list[HttpEvent]:
+    """A parsed log's rows as events, to compare with the reference's."""
+    return [HttpEvent(ts, *call) for ts, call in zip(log.stamps, log.calls)]
+
+
+def as_log(events: list[HttpEvent]) -> EventLog:
+    """Events as the columns ``extract_traces`` reads."""
+    return EventLog([ev.ts for ev in events], [tuple(ev[1:]) for ev in events])
 
 
 # the former exception classes of these two errors, as the message each gave

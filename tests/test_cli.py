@@ -9,10 +9,13 @@ import subprocess
 import sys
 import tempfile
 from dataclasses import fields
+from unittest import mock
 from fnmatch import fnmatchcase
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from msaconform import cli, detector, interpret
 from msaconform.automaton import serialize_state_machine
@@ -341,6 +344,22 @@ class TestScenarioMode:
         assert [line for line in err.splitlines() if line.startswith("error:")] == [
             "error: missing required flags: --output_path"]
 
+    def test_empty_scenario_path(self, tmp_path, capsys, monkeypatch):
+        """An empty spec path asks for a scenario too: reading it is the error,
+        and the analysis flags stay refused."""
+        monkeypatch.chdir(tmp_path)
+        code = run(["--scenario", "", "--output_path", str(tmp_path / "gen")])
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert err == "error: [Errno 21] Is a directory: '.'\n"
+        assert not (tmp_path / "gen").exists()
+        assert run(["--scenario", ""]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: missing required flags: --output_path")
+        assert run(["--scenario", "", "--output_path", "gen", "--evaluate"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: --scenario does not take --evaluate")
+
     @pytest.mark.parametrize("flags", [
         ["--config", "bad.conf"],
         ["--evaluate", "--fail-on-nc", "--static_model_path", "x"],
@@ -388,6 +407,31 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert_one_error_line(code, err)
         assert "not valid UTF-8" in err
+
+    def test_not_utf8_in_a_later_chunk(self, clean_inputs, capsys):
+        """The log is read in chunks; a bad byte past the first is named by its
+        offset in the whole file, as when the file was decoded whole."""
+        static_path, dyn_dir, out_dir = clean_inputs
+        log = dyn_dir / "events.jsonl"
+        good = log.read_bytes() * 40
+        assert len(good) > 2 * cli._CHUNK_CHARS
+        log.write_bytes(good + NOT_UTF8)
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert err == f"error: {log}: not valid UTF-8 (invalid start byte at byte {len(good)})\n"
+
+    def test_not_utf8_after_a_malformed_line(self, clean_inputs, capsys):
+        """A byte that is not UTF-8 anywhere in the log is the error, even after
+        a malformed line in an earlier chunk."""
+        static_path, dyn_dir, out_dir = clean_inputs
+        log = dyn_dir / "events.jsonl"
+        good = b"{broken\n" + log.read_bytes() * 40
+        log.write_bytes(good + NOT_UTF8)
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert err == f"error: {log}: not valid UTF-8 (invalid start byte at byte {len(good)})\n"
 
     def test_deeply_nested_static_model(self, clean_inputs, capsys):
         static_path, dyn_dir, out_dir = clean_inputs
@@ -932,3 +976,29 @@ def test_one_writer():
     """``cli._write_files`` is the only code that makes a directory or writes a
     file, so every output is written whole or not at all."""
     assert writes_outside_the_writer() == []
+
+
+# pieces of a text file: line ends of every kind, multi-byte characters, and
+# characters that end a line only for str.splitlines
+FILE_PIECES = [b"a", b"xyz ", b"\n", b"\r", b"\r\n", b"\r\r\n\n", "\u00e9".encode(),
+               "\u6f22".encode(), "\U0001f600".encode(), "\x85".encode(), "\u2028".encode(),
+               b"\x0b"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bom=st.booleans(), pieces=st.lists(st.sampled_from(FILE_PIECES), max_size=30),
+       size=st.integers(1, 9))
+@example(bom=False, pieces=[b"a", b"\r\n", b"a"], size=2)  # "\r\n" across a chunk boundary
+@example(bom=False, pieces=[b"a", "\u6f22".encode()], size=1)  # 3 bytes, one character
+@example(bom=True, pieces=[b"a"], size=1)
+@example(bom=False, pieces=[b"a", b"\r"], size=1)  # a lone "\r", last
+@example(bom=False, pieces=[], size=1)
+def test_chunks_join_to_the_whole_text(tmp_path_factory, bom, pieces, size):
+    """The log's chunks, joined, are the text ``_read_input`` gives the whole
+    file, newline translation included, and none is longer than asked."""
+    path = tmp_path_factory.mktemp("chunks") / "events.jsonl"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + b"".join(pieces))
+    with mock.patch.object(cli, "_CHUNK_CHARS", size):
+        chunks = list(cli._read_chunks(path))
+    assert "".join(chunks) == cli._read_input(path)
+    assert all(0 < len(chunk) <= size for chunk in chunks)

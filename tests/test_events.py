@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _reference_events import HttpEvent, as_events, as_log
 from msaconform.errors import InputError
 from msaconform.events import (
-    HttpEvent,
     Trace,
     extract_traces,
     format_symbol,
@@ -30,13 +30,13 @@ def line(ts, src="web", dst="order", method="GET", path="/x", status=200):
 class TestParseEventLog:
     def test_single_line(self):
         text = '{"ts":1000,"src":"web","dst":"order","method":"GET","path":"/orders/7","status":200}'
-        events = parse_event_log(text)
+        events = as_events(parse_event_log(text))
         assert events == [
             HttpEvent(ts=1000, src="web", dst="order", method="GET", path="/orders/7")
         ]
 
     def test_empty_input(self):
-        assert parse_event_log("") == []
+        assert as_events(parse_event_log("")) == []
 
     def test_missing_dst(self):
         text = '{"ts":1,"src":"a","method":"GET","path":"/x"}'
@@ -50,11 +50,12 @@ class TestParseEventLog:
 
     def test_status_optional(self):
         text = '{"ts":1,"src":"a","dst":"b","method":"GET","path":"/x"}'
-        assert parse_event_log(text) == [HttpEvent(ts=1, src="a", dst="b", method="GET", path="/x")]
+        assert as_events(parse_event_log(text)) == [
+            HttpEvent(ts=1, src="a", dst="b", method="GET", path="/x")]
 
     def test_names_normalized(self):
         text = '{"ts":1,"src":"Order Service","dst":"B","method":"GET","path":"/x"}'
-        ev = parse_event_log(text)[0]
+        ev = as_events(parse_event_log(text))[0]
         assert ev.src == "order-service"
         assert ev.dst == "b"
 
@@ -99,7 +100,7 @@ class TestParseEventLog:
 
     def test_input_order_preserved(self):
         text = "\n".join(line(t) for t in (5, 3, 9))
-        assert [e.ts for e in parse_event_log(text)] == [5, 3, 9]
+        assert parse_event_log(text).stamps == [5, 3, 9]
 
 
 class TestTemplatePath:
@@ -164,16 +165,16 @@ class TestExtractTraces:
         events = [
             HttpEvent(ts=t, src="a", dst="b", method="GET", path="/x") for t in (0, 100, 5000)
         ]
-        traces = extract_traces(events, gap_ms=1000, scope="global")["global"]
+        traces = extract_traces(as_log(events), gap_ms=1000, scope="global")["global"]
         assert [len(t.symbols) for t in traces] == [2, 1]
 
     def test_single_event(self):
         events = [HttpEvent(ts=0, src="a", dst="b", method="GET", path="/x")]
-        traces = extract_traces(events, gap_ms=1000, scope="global")["global"]
+        traces = extract_traces(as_log(events), gap_ms=1000, scope="global")["global"]
         assert len(traces) == 1 and len(traces[0].symbols) == 1
 
     def test_empty(self):
-        assert extract_traces([], gap_ms=1000, scope="both") == {}
+        assert extract_traces(as_log([]), gap_ms=1000, scope="both") == {}
 
     def test_against_brute_force_oracle(self):
         rng = random.Random(77)
@@ -190,7 +191,7 @@ class TestExtractTraces:
                     path=f"/p{rng.randint(0, 2)}",
                 )
             )
-        got = [t.symbols for t in extract_traces(events, 1000, scope="global")["global"]]
+        got = [t.symbols for t in extract_traces(as_log(events), 1000, scope="global")["global"]]
         assert got == brute_force_segment(events, 1000)
 
     def test_segmentation_loses_nothing(self):
@@ -200,7 +201,7 @@ class TestExtractTraces:
         for _ in range(300):
             ts += rng.choice([5, 2000])
             events.append(HttpEvent(ts=ts, src="a", dst="b", method="GET", path=f"/p{rng.randint(0,5)}"))
-        traces = extract_traces(events, 1000, scope="global")["global"]
+        traces = extract_traces(as_log(events), 1000, scope="global")["global"]
         flat = [s for t in traces for s in t.symbols]
         expected = [
             format_symbol(e.src, e.dst, e.method, template_path(e.path))
@@ -213,8 +214,8 @@ class TestExtractTraces:
             HttpEvent(ts=t, src="a", dst="b", method="GET", path=f"/p{t}") for t in (30, 10, 20)
         ]
         shuffled = [events[2], events[0], events[1]]
-        a = extract_traces(events, 1000, scope="global")["global"]
-        b = extract_traces(shuffled, 1000, scope="global")["global"]
+        a = extract_traces(as_log(events), 1000, scope="global")["global"]
+        b = extract_traces(as_log(shuffled), 1000, scope="global")["global"]
         assert [t.symbols for t in a] == [t.symbols for t in b]
 
     def test_per_service_scope(self):
@@ -222,14 +223,14 @@ class TestExtractTraces:
             HttpEvent(ts=0, src="a", dst="b", method="GET", path="/x"),
             HttpEvent(ts=10, src="b", dst="c", method="GET", path="/y"),
         ]
-        scoped = extract_traces(events, 1000, scope="per_service")
+        scoped = extract_traces(as_log(events), 1000, scope="per_service")
         assert set(scoped) == {"a", "b", "c"}
         assert len(scoped["b"][0].symbols) == 2  # b is involved in both events
         assert len(scoped["a"][0].symbols) == 1
 
     def test_both_scope_has_global_and_services(self):
         events = [HttpEvent(ts=0, src="a", dst="b", method="GET", path="/x")]
-        scoped = extract_traces(events, 1000, scope="both")
+        scoped = extract_traces(as_log(events), 1000, scope="both")
         assert set(scoped) == {"global", "a", "b"}
 
 
@@ -277,7 +278,7 @@ http_events = st.builds(
     scope=st.sampled_from(["global", "per_service", "both"]),
 )
 def test_every_scope_matches_reference(events, gap_ms, scope):
-    got = extract_traces(events, gap_ms, scope=scope)
+    got = extract_traces(as_log(events), gap_ms, scope=scope)
     assert list(got.items()) == list(reference_traces(events, gap_ms, scope).items())
 
 
@@ -292,29 +293,65 @@ def log_20k():
 def test_every_scope_matches_reference_at_scale(log_20k, scope, order):
     """The log's stamps are distinct; rounding them down to 50 ms makes
     ties, which must keep their (shuffled) input order."""
-    events = parse_event_log(log_20k)
+    log = parse_event_log(log_20k)
+    events = as_events(log)
     if order == "shuffled-ties":
         events = [ev._replace(ts=ev.ts - ev.ts % 50) for ev in events]
     if order != "logged":
         random.Random(12).shuffle(events)
-    got = extract_traces(events, 1000, scope=scope)
+        log = as_log(events)
+    got = extract_traces(log, 1000, scope=scope)
     assert list(got.items()) == list(reference_traces(events, 1000, scope).items())
 
 
 def test_parse_peak_memory_bounded(log_20k):
-    """The events and the parse's working memory stay within 1.6 times the
-    text: the lines are split block by block, never all at once."""
+    """The parsed log and the parse's working memory stay within 0.8 times
+    the text (0.64 measured): the lines are split block by block, never all
+    at once, and each event is a stamp and a pointer to a shared call."""
     tracemalloc.start()
     try:
         parse_event_log(log_20k)
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.6 * len(log_20k)
+    assert peak < 0.8 * len(log_20k)
+
+
+@pytest.mark.parametrize("scope", ["global", "per_service", "both"])
+def test_sessionize_peak_memory_bounded(log_20k, scope):
+    """Sessionizing holds each scope's open session and one copy of each
+    distinct session, never a copy of the log: its working memory stays
+    within a tenth of the text (0.04 measured)."""
+    log = parse_event_log(log_20k)
+    tracemalloc.start()
+    try:
+        extract_traces(log, 1000, scope=scope)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * len(log_20k)
+
+
+@pytest.mark.parametrize("scope", ["global", "per_service", "both"])
+def test_equal_sessions_are_one_object(log_20k, scope):
+    traces = [t for ts in extract_traces(parse_event_log(log_20k), 1000, scope=scope).values()
+              for t in ts]
+    first = {}  # each distinct session: the first trace of it
+    for trace in traces:
+        assert first.setdefault(trace, trace) is trace
+    assert len(first) < len(traces) // 2
+
+
+def test_equal_calls_are_one_tuple(log_20k):
+    calls = parse_event_log(log_20k).calls
+    first = {}  # each distinct call: its first row's tuple
+    for call in calls:
+        assert first.setdefault(call, call) is call
+    assert len(first) < len(calls) // 100
 
 
 def test_events_share_method_and_path(log_20k):
-    events = parse_event_log(log_20k)
+    events = as_events(parse_event_log(log_20k))
     first = {}  # (method, path) -> the first event with them
     repeats = 0
     for ev in events:

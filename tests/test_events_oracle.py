@@ -23,9 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_events as reference
+from _reference_events import HttpEvent, as_events
 from msaconform import events
 from msaconform.errors import InputError, clip
-from msaconform.events import HttpEvent, parse_event_log
+from msaconform.events import parse_event_log
 from msaconform.scenario import ScenarioSpec, generate
 
 FIELDS = ("ts", "src", "dst", "method", "path")
@@ -39,6 +40,11 @@ METHOD_ECHO = "unknown HTTP method "
 NOT_A_STRING = re.compile(r"malformed event log line (\d+): (src|dst) must be a string")
 
 
+def parse(text):
+    """The parser's events, as the reference returns them."""
+    return as_events(parse_event_log(text))
+
+
 def outcome(parse, text):
     """The events, or the error's type and message."""
     try:
@@ -48,7 +54,7 @@ def outcome(parse, text):
 
 
 def assert_same(text):
-    got, want = outcome(parse_event_log, text), outcome(reference.parse_event_log, text)
+    got, want = outcome(parse, text), outcome(reference.parse_event_log, text)
     # the parser rejects a line whose src or dst is not a string, which the
     # reference turns into one: with those names made strings, the two agree
     # up to that line, and the parser gets past every check before the names'
@@ -62,7 +68,7 @@ def assert_same(text):
         obj.update((key, "a") for key in ("src", "dst") if not isinstance(obj[key], str))
         named = "\n".join([*lines[:line_no - 1], json.dumps(obj)])
         assert_same(named)
-        after = outcome(parse_event_log, named)
+        after = outcome(parse, named)
         assert isinstance(after, list) or "normalization" in after[1] or "reserved" in after[1]
         return
     # the parser cuts an unknown method's echo to the bound; the reference echoes it whole
@@ -199,7 +205,7 @@ def test_examples_match_reference(text):
 
 
 def test_duplicate_key_last_wins():
-    events = parse_event_log(VALID.replace('"ts": 7', '"ts": 7, "ts": 9'))
+    events = parse(VALID.replace('"ts": 7', '"ts": 7, "ts": 9'))
     assert events == [HttpEvent(9, "web", "order", "GET", "/o/1")]
 
 
@@ -207,7 +213,7 @@ def test_scenario_log_matches_reference():
     spec = ScenarioSpec(n_services=12, n_edges=30, n_injected_static_nc=2,
                         n_injected_dynamic_nc=2, n_events=3000, rng_seed=4)
     _model, log, _truth = generate(spec)
-    events = parse_event_log(log)
+    events = parse(log)
     assert len(events) == 3000
     assert events == reference.parse_event_log(log)
 
@@ -218,7 +224,9 @@ ALL_SEPARATORS = "".join(f"a{sep}" for sep in SEPARATORS) + "\r\n\n\r\n\r\n\n\nb
 
 def block_lines(text):
     """The lines of ``text``, split one block at a time as the parser splits them."""
-    return [line for block in events._blocks(text) for line in block.splitlines()]
+    size = events._BLOCK_CHARS
+    pieces = (text[i:i + size] for i in range(0, len(text), size))
+    return [line for block in events._blocks(pieces) for line in block.splitlines()]
 
 
 def test_every_block_size_gives_the_same_lines():
@@ -246,6 +254,17 @@ def test_block_cuts_match_reference(log, block):
     with mock.patch.object(events, "_BLOCK_CHARS", block):
         assert block_lines(log) == log.splitlines()
         assert_same(log)
+
+
+@settings(max_examples=300, deadline=None)
+@given(logs_across_cuts(), st.lists(st.integers(0, 400), max_size=8))
+def test_pieces_cut_anywhere_match_the_whole_text(log, cuts):
+    r"""A log given as pieces cut anywhere, between a "\r" and its "\n" or
+    inside a line, gives what the whole text gives."""
+    bounds = [0, *sorted(min(cut, len(log)) for cut in cuts), len(log)]
+    pieces = [log[start:end] for start, end in zip(bounds, bounds[1:])]
+    assert outcome(lambda _text: as_events(parse_event_log(iter(pieces))), log) == (
+        outcome(parse, log))
 
 
 # a string field's text between its quotes, as json.dumps would write it
@@ -307,4 +326,4 @@ def test_each_distinct_call_checked_once():
         parsed = parse_event_log(log)
     distinct = {line.partition(", ")[2] for line in log.splitlines()}  # each line after its ts
     assert read_line.call_count == len(distinct) < len(parsed) // 10
-    assert parsed == reference.parse_event_log(log)
+    assert as_events(parsed) == reference.parse_event_log(log)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import _reference_interpret as reference
 import test_interpret_oracle as oracle
+from msaconform import interpret
 from msaconform.automaton import StateMachine, serialize_state_machine
 from msaconform.detector import (NcKind, NonConformance, detect, extract_dynamic_view,
                                  extract_static_view)
@@ -305,6 +306,29 @@ class TestFindingDetails:
                 assert all(name in (c.caller, c.callee) for c in got.frequent_calls)
                 want = reference.calls_involving(picked, name, top_n=top_n)
             assert list(got.frequent_calls) == want
+
+    @pytest.mark.parametrize("subjects, indexed", [
+        ([], []),
+        ([("a", "b")], ["global"]),
+        ([("m",)], ["global", "a-svc", "m-svc"]),
+        ([("a", "b"), ("z", "y")], ["global", "a-svc", "m-svc", "z-svc"]),
+    ])
+    def test_machines_indexed_only_while_a_subject_is_unresolved(self, monkeypatch, subjects,
+                                                                 indexed):
+        machines = {"z-svc": machine({(0, "z→y:GET /z"): (1, 1)}),
+                    "m-svc": machine({(0, "m→n:GET /m"): (1, 1)}),
+                    "global": machine({(0, "a→b:GET /x"): (1, 2)}),
+                    "a-svc": machine({(0, "a→b:GET /x"): (1, 2)})}
+        built = []
+        scope_of = {id(sm): scope for scope, sm in machines.items()}
+        monkeypatch.setattr(interpret, "CallIndex",
+                            lambda sm: built.append(scope_of[id(sm)]) or CallIndex(sm))
+        model = parse_static_model(json.dumps({"services": [], "information_flows": []}))
+        ncs = [NonConformance(NcKind.Static, "edge" if len(names) == 2 else "node", names)
+               for names in subjects]
+        details = finding_details(machines, model, ncs, top_n=5)
+        assert built == indexed
+        assert all(details[nc.id].frequent_calls for nc in ncs)
 
     def test_page_shows_the_global_machines_counts(self):
         machines = {"alpha": machine({(0, "a→b:GET /x"): (1, 3)}),

@@ -51,6 +51,28 @@ def test_random_trace_sets(traces, alpha, min_freq):
     assert_same_machine(traces, LearnerConfig(alpha=alpha, min_freq=min_freq))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    distinct=trace_sets,
+    picks=st.lists(st.integers(0, 39), min_size=1, max_size=120),
+    shared=st.booleans(),
+    alpha=st.sampled_from(ALPHAS),
+    min_freq=st.sampled_from(MIN_FREQS),
+)
+def test_repeated_traces(distinct, picks, shared, alpha, min_freq):
+    """Many repeats of a few traces, each repeat the same object, as
+    ``extract_traces`` shares equal sessions, or an equal copy: the tree
+    walked once per distinct object is the one walked once per trace, and
+    the learned machine is the reference's."""
+    objects = [Trace(tuple(trace)) for trace in distinct]
+    traces = [objects[i % len(objects)] if shared else Trace(tuple(distinct[i % len(distinct)]))
+              for i in picks]
+    tree, copies = PrefixTree(traces), PrefixTree([list(t.symbols) for t in traces])
+    assert (tree.src, tree.sym, tree.freq, tree.leaf) == (
+        copies.src, copies.sym, copies.freq, copies.leaf)
+    assert_same_machine(traces, LearnerConfig(alpha=alpha, min_freq=min_freq))
+
+
 def acceptance_specs():
     """The scenario specs the acceptance suite runs, in its own order."""
     rng = random.Random(1001)  # criterion 1 draws its 20 specs from this stream
@@ -88,9 +110,8 @@ def random_walk_traces(n_walks: int, seed: int) -> list[list[str]]:
     _model, log, _truth = generate(ScenarioSpec(n_services=30, n_edges=80, n_events=240,
                                                 rng_seed=1))
     calls = {}
-    for ev in parse_event_log(log):
-        calls.setdefault((ev.src, ev.dst),
-                         format_symbol(ev.src, ev.dst, ev.method, template_path(ev.path)))
+    for src, dst, method, path in parse_event_log(log).calls:
+        calls.setdefault((src, dst), format_symbol(src, dst, method, template_path(path)))
     out_edges = {}
     for src, dst in sorted(calls):
         out_edges.setdefault(src, []).append((src, dst))

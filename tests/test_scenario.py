@@ -82,8 +82,8 @@ class TestGenerate:
         model, log, _truth = generate(spec)
         events = parse_event_log(log)
         counts = {}
-        for e in events:
-            counts[(e.src, e.dst)] = counts.get((e.src, e.dst), 0) + 1
+        for src, dst, _method, _path in events.calls:
+            counts[(src, dst)] = counts.get((src, dst), 0) + 1
         assert all(c >= 3 for c in counts.values())
         # statically omitted edges are exercised too
         static_edges = {(f.sender, f.receiver) for f in model.flows}

@@ -68,53 +68,67 @@ def _malformed(line_no: int, reason: str) -> InputError:
     return InputError(f"malformed dot at line {line_no}: {reason}")
 
 
-_START_RE = re.compile(r"^__start\s*->\s*(\d+)$")
-_TRANS_RE = re.compile(r'^(\d+)\s*->\s*(\d+)\s*\[label="([^"|]*) \| (\d+)"\]$')
+_HEADER = "digraph sm {"
+_SPACE = re.compile(r"\s*")
+# a whole statement between two ";", with the whitespace around it
+_START_RE = re.compile(r"\s*__start\s*->\s*(\d+)\s*")
+_TRANS_RE = re.compile(r'\s*(\d+)\s*->\s*(\d+)\s*\[label="([^"|]*) \| (\d+)"\]\s*')
 
 
 def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
     """Parse the DOT subset into a StateMachine, checking that frequencies are
-    positive and that every state is reachable from the initial one."""
-    stripped = dot_text.strip()
-    if not stripped.startswith("digraph sm {") or not stripped.endswith("}"):
+    positive and that every state is reachable from the initial one.
+
+    The statements are matched where they stand in ``dot_text``, found by
+    position between one ``;`` and the next, so no part of the text is
+    copied; equal labels share one ``str``. A statement's line, the line of
+    its first character that is not whitespace, is counted only for an error.
+    """
+    start = _SPACE.match(dot_text).end()
+    end = len(dot_text)
+    while end > start and dot_text[end - 1].isspace():
+        end -= 1
+    if not (dot_text.startswith(_HEADER, start, end) and dot_text.endswith("}", start, end)):
         raise _malformed(1, "expected 'digraph sm { ... }'")
-    body = stripped[len("digraph sm {"): -1]
+
+    def malformed(pos: int, reason: str) -> InputError:
+        return _malformed(dot_text.count("\n", 0, _SPACE.match(dot_text, pos).end()) + 1, reason)
 
     initial: int | None = None
     transitions: dict[tuple[int, str], tuple[int, int]] = {}
-    # newlines before the current statement, carried statement by statement
-    newlines = dot_text.count("\n", 0, dot_text.index("{"))
-    for raw_stmt in body.split(";"):
-        stmt = raw_stmt.strip()
-        leading_ws = len(raw_stmt) - len(raw_stmt.lstrip())
-        line_no = newlines + raw_stmt.count("\n", 0, leading_ws) + 1
-        newlines += raw_stmt.count("\n")
-        if not stmt:
-            continue
-        m = _START_RE.match(stmt)
-        if m:
+    labels: dict[str, str] = {}  # one copy of each distinct label
+    pos, body_end = start + len(_HEADER), end - 1
+    while True:
+        semi = dot_text.find(";", pos, body_end)
+        if semi < 0:
+            semi = body_end
+        m = _TRANS_RE.fullmatch(dot_text, pos, semi)
+        if m is not None:
+            if initial is None:
+                raise malformed(pos, "transition before __start line")
+            try:
+                src, dst, freq = int(m.group(1)), int(m.group(2)), int(m.group(4))
+            except ValueError:  # more digits than int() converts
+                raise malformed(pos, too_many_digits()) from None
+            label = m.group(3)
+            symbol = labels.setdefault(label, label)
+            if freq < 1:
+                raise malformed(pos, "frequency must be positive")
+            if (src, symbol) in transitions:
+                raise InputError(f"state {clip(str(src))} has two transitions on {clip(symbol)!r}")
+            transitions[(src, symbol)] = (dst, freq)
+        elif (m := _START_RE.fullmatch(dot_text, pos, semi)) is not None:
             if initial is not None:
-                raise _malformed(line_no, "duplicate __start line")
+                raise malformed(pos, "duplicate __start line")
             try:
                 initial = int(m.group(1))
             except ValueError:  # more digits than int() converts
-                raise _malformed(line_no, too_many_digits()) from None
-            continue
-        m = _TRANS_RE.match(stmt)
-        if m is None:
-            raise _malformed(line_no, f"unrecognized statement {clip(stmt)!r}")
-        if initial is None:
-            raise _malformed(line_no, "transition before __start line")
-        try:
-            src, dst, freq = int(m.group(1)), int(m.group(2)), int(m.group(4))
-        except ValueError:  # more digits than int() converts
-            raise _malformed(line_no, too_many_digits()) from None
-        symbol = m.group(3)
-        if freq < 1:
-            raise _malformed(line_no, "frequency must be positive")
-        if (src, symbol) in transitions:
-            raise InputError(f"state {clip(str(src))} has two transitions on {clip(symbol)!r}")
-        transitions[(src, symbol)] = (dst, freq)
+                raise malformed(pos, too_many_digits()) from None
+        elif _SPACE.match(dot_text, pos, semi).end() != semi:
+            raise malformed(pos, f"unrecognized statement {clip(dot_text[pos:semi].strip())!r}")
+        if semi == body_end:
+            break
+        pos = semi + 1
     if initial is None:
         raise _malformed(1, "missing __start line")
 

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import detector, evaluator, interpret, report
 from .automaton import StateMachine, parse_state_machine
-from .errors import InputError, clip, too_many_digits
+from .errors import InputError, clip, encode_utf8, too_many_digits
 from .events import (GLOBAL_SCOPE, EventLog, Trace, extract_traces, parse_event_log,
                      parse_symbol)
 from .learner import LearnerConfig, learn
@@ -118,64 +118,59 @@ def _parse_config_file(path: Path) -> Config:
     return cfg
 
 
-def _encode(name: str, text: str) -> bytes:
-    try:
-        return text.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        # only a JSON escape such as "\ud800" in an input can put one there
-        raise InputError(f"{name}: the input holds a lone surrogate escape "
-                         f"({text[exc.start]!r}), which is not valid Unicode") from exc
-
-
-def _write_files(out_dir: Path, files: dict[str, str]) -> None:
-    """Write each file, named by its path under ``out_dir`` (such as
+def _write_files(out_dir: Path, files: dict[str, bytes]) -> None:
+    """Write each file's bytes, named by its path under ``out_dir`` (such as
     ``dynamic_models/events.jsonl``), through a temporary file beside it.
 
-    The directories the files need are made first. Each text is encoded as its
-    temporary file is written, so no more than one file's bytes are in memory
-    at once. Only when all are written do they replace the files of their
-    names, each former file first moved aside to a temporary file of its own,
-    which is removed once all are in place. A failure part-way, such as a
-    text that cannot be encoded or a replace that fails, removes the new files
-    that had no former file, moves the former files back, removes the
-    temporary files, then each directory this call made that is empty again,
-    deepest first: the former files stay as they were."""
+    The directories the files need are made first. Only when every temporary
+    file is written do they replace the files of their names. Each former
+    file is first moved, by one rename, into a staging directory that this
+    call makes in ``out_dir`` when it meets the first former file, under its
+    index; the directory and all in it are removed once every file is in
+    place. A failure part-way, such as a write or a replace that fails,
+    removes the new files that had no former file, moves the former files
+    back, removes the temporary files and the staging directory, then each
+    directory this call made that is empty again, deepest first: the former
+    files stay as they were."""
     made: list[Path] = []  # deepest first
     tmps: dict[Path, str] = {}  # each file's path: its temporary file
-    olds: dict[Path, str] = {}  # each file's path: the temporary file its former file moves to
-    moved: list[Path] = []  # the paths whose former file is in its temporary file
+    staging = ""  # the directory the former files move to, once made
+    moved: dict[Path, str] = {}  # each path whose former file is in staging: where it is
     try:
         for directory in dict.fromkeys((out_dir / name).parent for name in files):
             made[:0] = takewhile(lambda path: not path.exists(), (directory, *directory.parents))
             directory.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
+        for name, data in files.items():
             path = out_dir / name
             fd, tmps[path] = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
-                fh.write(_encode(name, text))
-        for path, tmp in tmps.items():
+                fh.write(data)
+        for index, (path, tmp) in enumerate(tmps.items()):
             if os.path.islink(path) or os.path.isfile(path):
-                fd, olds[path] = tempfile.mkstemp(dir=path.parent, prefix=path.name,
-                                                  suffix=".tmp")
-                os.close(fd)
-                os.replace(path, olds[path])
-                moved.append(path)
+                staging = staging or tempfile.mkdtemp(dir=out_dir, suffix=".tmp")
+                aside = os.path.join(staging, str(index))
+                os.replace(path, aside)
+                moved[path] = aside
             os.replace(tmp, path)
     except BaseException:
         for path, tmp in tmps.items():
-            if not os.path.exists(tmp) and path not in olds:
+            if not os.path.exists(tmp) and path not in moved:
                 os.unlink(path)  # a new file where there was none
-        for path in moved:
-            os.replace(olds[path], path)
-        for tmp in (*tmps.values(), *olds.values()):
+        for path, aside in moved.items():
+            os.replace(aside, path)
+        for tmp in tmps.values():
             if os.path.exists(tmp):
                 os.unlink(tmp)
+        if staging:
+            os.rmdir(staging)
         for directory in made:
             with suppress(OSError):  # one that is no longer empty stays
                 directory.rmdir()
         raise
-    for old in olds.values():
-        os.unlink(old)
+    for aside in moved.values():
+        os.unlink(aside)
+    if staging:
+        os.rmdir(staging)
 
 
 # the names of the files an analysis writes into its output directory; a run
@@ -254,12 +249,18 @@ def _summary_line(n_static: int, n_dynamic: int) -> str:
     )
 
 
-def _run_scenario(spec_path: Path, out_dir: Path) -> int:
+def _run_scenario(spec_file: str, out_dir: Path) -> int:
+    """Generate the scenario that the spec file ``spec_file``, a path as the
+    user gave it, describes, and write its three files into ``out_dir``."""
+    spec_path = Path(spec_file)
+    if not spec_path.is_file():  # an empty path is the current directory
+        raise InputError(f"scenario spec file not found: {spec_file}")
     spec = ScenarioSpec.from_json(_read_input(spec_path))
     model, log_text, truth = generate(spec)
-    _write_files(out_dir, {"static_model.json": serialize_static_model(model),
-                           "ground_truth.json": truth.to_json(),
-                           "dynamic_models/events.jsonl": log_text})
+    texts = {"static_model.json": serialize_static_model(model),
+             "ground_truth.json": truth.to_json(),
+             "dynamic_models/events.jsonl": log_text}
+    _write_files(out_dir, {name: encode_utf8(name, text) for name, text in texts.items()})
     print(f"Generated scenario with {spec.n_services} services into {out_dir}")
     return 0
 
@@ -290,10 +291,11 @@ def _run_analysis(args, cfg: Config) -> int:
     print(_summary_line(n_static, n_dynamic))
 
     print("Generating non-conformance interpretations...")
-    details_by_id = interpret.finding_details(machines, model, ncs, cfg.top_n_calls)
+    # made one finding at a time, as the report renders each page
+    details = interpret.finding_details(machines, model, ncs, cfg.top_n_calls)
 
     print("Generating non-conformance visualizations...")
-    files = report.render_bundle(tagged, ncs, details_by_id)
+    files = report.render_bundle(tagged, ncs, details)
 
     print("Generating interpretation visualizations...")
     out_dir = Path(args.output_path)
@@ -307,9 +309,9 @@ def _run_analysis(args, cfg: Config) -> int:
         else:
             k = min(10, len(global_traces))
             metrics = evaluator.evaluate(global_traces, learner_cfg, k=k, rng_seed=0)
-            files["evaluation.txt"] = metrics.to_table()
-            files["evaluation.json"] = metrics.to_json()
-    # every file is made before the first is written, so a bad input leaves none
+            files["evaluation.txt"] = encode_utf8("evaluation.txt", metrics.to_table())
+            files["evaluation.json"] = encode_utf8("evaluation.json", metrics.to_json())
+    # every file is made and encoded before the first is written, so a bad input leaves none
     _write_files(out_dir, files)
     _remove_stale(out_dir, files)
     if metrics is not None:
@@ -369,7 +371,7 @@ def run(argv: list[str] | None = None) -> int:
         if missing:
             return _usage_error(parser, f"missing required flags: {', '.join(missing)}")
         if scenario:
-            return _run_scenario(Path(args.scenario), Path(args.output_path))
+            return _run_scenario(args.scenario, Path(args.output_path))
         return _run_analysis(args, cfg)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

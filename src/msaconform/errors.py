@@ -27,6 +27,16 @@ def too_many_digits() -> str:
     return f"a number has more than {sys.get_int_max_str_digits()} digits"
 
 
+def encode_utf8(name: str, text: str) -> bytes:
+    """``text``, the output file ``name``'s, as UTF-8 bytes."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        # only a JSON escape such as "\ud800" in an input can put one there
+        raise InputError(f"{name}: the input holds a lone surrogate escape "
+                         f"({text[exc.start]!r}), which is not valid Unicode") from exc
+
+
 def load_json(text: str, error: Callable[[Exception], InputError]) -> Any:
     """``json.loads``, raising ``error(exc)`` for a document it cannot load.
 

@@ -8,8 +8,10 @@ iterable of text pieces such as a file read in chunks, so no more than one
 block's lines are alive at once. Lines in the exact shape ``json.dumps``
 writes an event are read one pattern scan per block, with each distinct
 call checked once; any other valid line is read on its own, at the slower
-per-line speed, with the same result. A parsed log is two columns, one
-timestamp and one shared call tuple per event, not an object per event.
+per-line speed, with the same result. A parsed log is two columns, not an
+object per event: the timestamps, packed as 64-bit integers in an
+``array('q')`` (8 bytes each, not an int object and a pointer), and one
+shared call tuple per event.
 
 Events become alphabet symbols of the form ``<src>→<dst>:<METHOD> <path>``
 and are cut into bounded traces whenever the idle gap between consecutive
@@ -21,8 +23,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import islice
-from operator import le
+from array import array
 from typing import Iterable, NamedTuple
 
 from .errors import InputError, clip, load_json
@@ -43,11 +44,12 @@ class EventLog:
     """A parsed event log as two columns with one row per event, in line
     order: ``stamps[i]`` is event ``i``'s ``ts`` and ``calls[i]`` its
     ``(src, dst, method, path)``, one tuple shared by every event of that
-    call."""
+    call. The parser gives ``stamps`` as an ``array('q')``, or as a list if
+    a stamp does not fit in 64 bits."""
 
     __slots__ = ("stamps", "calls")
 
-    def __init__(self, stamps: list[int], calls: list[tuple[str, str, str, str]]):
+    def __init__(self, stamps: array | list[int], calls: list[tuple[str, str, str, str]]):
         self.stamps = stamps
         self.calls = calls
 
@@ -179,6 +181,20 @@ def _read_line(line: str, line_no: int, names: dict[str, str],
     return ts, (src, dst, shared.setdefault(method, method), shared.setdefault(path, path))
 
 
+def _extend_stamps(stamps: array | list[int], block: list[int]) -> array | list[int]:
+    """``stamps`` with the stamps of ``block`` added, all or none: an
+    ``array('q')`` while every stamp fits in 64 bits, from the first that
+    does not a list."""
+    if type(stamps) is array:
+        try:
+            stamps.fromlist(block)  # leaves the array as it was if it raises
+            return stamps
+        except OverflowError:
+            stamps = stamps.tolist()
+    stamps.extend(block)
+    return stamps
+
+
 def parse_event_log(log: str | Iterable[str]) -> EventLog:
     """Parse a JSON Lines event log, given whole or as an iterable of text
     pieces cut anywhere, such as a file read in chunks; blank lines are
@@ -194,12 +210,14 @@ def parse_event_log(log: str | Iterable[str]) -> EventLog:
     Both ways check a line with ``_read_line``, so a log gives the same
     events, or the same error at the same line, either way. Both share one
     tuple per distinct call, and calls share one copy of each distinct
-    method and path.
+    method and path. Both add a block's stamps to the ``array('q')`` column
+    at once; the pattern admits no stamp past 64 bits, and the first such
+    stamp a line gives turns the column into a list.
     """
     pieces = log
     if isinstance(log, str):
         pieces = (log[i:i + _BLOCK_CHARS] for i in range(0, len(log), _BLOCK_CHARS))
-    stamps: list[int] = []
+    stamps: array | list[int] = array("q")
     rows: list[tuple[str, str, str, str]] = []  # the call of each event
     names: dict[str, str] = {}  # raw service name -> normalized, per distinct name
     shared: dict[str, str] = {}  # one copy of each distinct method and path
@@ -210,24 +228,27 @@ def parse_event_log(log: str | Iterable[str]) -> EventLog:
         # the first line is tried alone, so that a log in another shape costs no scan
         matches = _DUMPS_LINE.findall(block) if _DUMPS_LINE.match(block) else ()
         # a match holds no line separator, so as many as there are lines means each matched
+        block_stamps: list[int] = []
         if len(matches) == block.count("\n") + (not block.endswith("\n")):
-            for ts, text in matches:
-                line_no += 1
+            for ts, text in matches:  # each line is an event: one stamp per line so far
                 call = calls.get(text)
                 if call is None:
                     line = '{"ts": ' + ts + ", " + text + "}"
-                    call = _read_line(line, line_no, names, shared)[1]
+                    n = line_no + len(block_stamps) + 1
+                    call = _read_line(line, n, names, shared)[1]
                     call = calls[text] = calls.setdefault(call, call)
-                stamps.append(int(ts))
+                block_stamps.append(int(ts))
                 rows.append(call)
+            line_no += len(matches)
         else:
             for line in block.splitlines():
                 line_no += 1
                 event = _read_line(line, line_no, names, shared)
                 if event is not None:
                     ts, call = event
-                    stamps.append(ts)
+                    block_stamps.append(ts)
                     rows.append(calls.setdefault(call, call))
+        stamps = _extend_stamps(stamps, block_stamps)
     return EventLog(stamps, rows)
 
 
@@ -236,19 +257,29 @@ def extract_traces(log: EventLog, gap_ms: int, scope: str = "global") -> dict[st
 
     ``scope`` is ``"global"`` (one key covering all events), ``"per_service"``
     (one key per service, in sorted order, keeping events where it is src or
-    dst), or ``"both"`` (global first). One pass in time order, the log's
-    own when its stamps never decrease, else a stable sort of its rows by
-    stamp, appends each event to the open session of each scope it joins,
-    first closing that session if the idle gap exceeds ``gap_ms``. Each
+    dst), or ``"both"`` (global first). One pass in time order appends each
+    event to the open session of each scope it joins, first closing that
+    session if the idle gap exceeds ``gap_ms``. The pass walks the two
+    columns side by side, and stops at the first stamp that decreases; the
+    pass is then made anew over a stable sort of the rows by stamp. Each
     distinct call is formatted once, when first seen, and equal sessions
     are one ``Trace`` object. Precondition: no service is named
     ``GLOBAL_SCOPE`` (``parse_event_log`` rejects that name), or its
     sessions and the global ones would be one.
     """
     stamps, rows = log.stamps, log.calls
-    order: Iterable[int] = range(len(stamps))
-    if not all(map(le, stamps, islice(stamps, 1, None))):
-        order = sorted(order, key=stamps.__getitem__)  # stable: keeps line order on ties
+    out = _sessions(zip(stamps, rows), gap_ms, scope)
+    if out is None:
+        order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable: keeps ties' order
+        out = _sessions(zip(map(stamps.__getitem__, order), map(rows.__getitem__, order)),
+                        gap_ms, scope)
+    return out
+
+
+def _sessions(events: Iterable[tuple[int, tuple[str, str, str, str]]], gap_ms: int,
+              scope: str) -> dict[str, list[Trace]] | None:
+    """``extract_traces`` over ``events``, each a stamp and its call, or None
+    at the first stamp that is less than the one before it."""
     distinct: dict[tuple[str, ...], Trace] = {}  # each session's symbols: its one Trace
 
     def close(symbols: list[str]) -> Trace:
@@ -262,11 +293,14 @@ def extract_traces(log: EventLog, gap_ms: int, scope: str = "global") -> dict[st
     # scope key -> [its last event's stamp, its open session's symbols, its closed sessions]
     scopes: dict[str, list] = {}
     known: dict[tuple[str, str, str, str], tuple] = {}  # call -> its symbol, its scopes
-    for i in order:
-        ts = stamps[i]
-        seen = known.get(rows[i])
+    last = float("-inf")  # the stamp before
+    for ts, call in events:
+        if ts < last:
+            return None
+        last = ts
+        seen = known.get(call)
         if seen is None:
-            src, dst, method, path = call = rows[i]
+            src, dst, method, path = call
             keys = [GLOBAL_SCOPE] if scope in ("global", "both") else []
             if scope in ("per_service", "both"):
                 keys += {src, dst}  # a self-call joins its service once

@@ -5,8 +5,9 @@ by non-conformance kind). Details differ by kind: static non-conformances
 get the sub-machine showing the unexpected communication plus the most
 frequent calls; dynamic non-conformances get a code pointer from the
 static model's traceability and the flow sequence expected to trigger the
-missing behavior. ``finding_details`` builds the details of every finding,
-choosing for each static one the machine that holds its subject.
+missing behavior. ``finding_details`` makes the details of every finding,
+one at a time as the report asks for them, choosing for each static one the
+machine that holds its subject.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from importlib import resources
-from operator import itemgetter
+from operator import attrgetter, itemgetter
+from typing import Iterator
 
 from .automaton import StateMachine, breadth_first, canonicalize, reachable_states
 from .detector import NcKind, NonConformance
@@ -273,12 +275,18 @@ def static_nc_details(sm: CallIndex | None, nc: NonConformance, top_n: int) -> N
 
 def finding_details(
     machines: dict[str, StateMachine], model: StaticModel, ncs: list[NonConformance], top_n: int
-) -> dict[str, NcDetails]:
-    """Details per finding id. A static finding's come from the global machine
-    if it holds the subject, else from the lowest-named machine that does; a
-    dynamic finding's from the static model. Machines are indexed in that
-    order, and only while some static finding's subject is in none indexed
-    so far. The call indexes die with this call, before rendering."""
+) -> Iterator[tuple[NonConformance, NcDetails]]:
+    """Each finding with its details, in id order, the order of the report's
+    pages. A static finding's come from the global machine if it holds the
+    subject, else from the lowest-named machine that does; a dynamic
+    finding's from the static model. Machines are indexed in that order, and
+    only while some static finding's subject is in none indexed so far.
+
+    Nothing is made until the first finding is asked for. Then the call
+    indexes are built, and they live until the last finding is given; each
+    finding's details are made only when it is asked for and are not kept,
+    so a reader that drops them before asking for the next holds one
+    finding's sub-machine at a time."""
     # subjects still without a machine: an edge (src, dst) or a service (name,)
     unresolved = {nc.names for nc in ncs if nc.kind is NcKind.Static}
     indexes: dict[tuple[str, ...], CallIndex] = {}  # each subject's index
@@ -290,6 +298,6 @@ def finding_details(
             [*index.calls_by_pair, *((name,) for name in index.calls_by_service)])
         indexes.update(dict.fromkeys(held, index))
         unresolved -= held
-    return {nc.id: static_nc_details(indexes.get(nc.names), nc, top_n=top_n)
-            if nc.kind is NcKind.Static else dynamic_nc_details(model, nc)
-            for nc in ncs}
+    for nc in sorted(ncs, key=attrgetter("id")):
+        yield nc, (static_nc_details(indexes.get(nc.names), nc, top_n=top_n)
+                   if nc.kind is NcKind.Static else dynamic_nc_details(model, nc))

@@ -13,10 +13,11 @@ rendering the same inputs twice produces byte-identical text.
 from __future__ import annotations
 
 import html
-from operator import attrgetter
+from typing import Iterable
 
 from .automaton import StateMachine
 from .detector import NcKind, NonConformance, PresenceTag, TaggedView
+from .errors import encode_utf8
 from .interpret import CallSummary, NcDetails, interpretations_for
 
 NO_TRACEABILITY = "No traceability information available."
@@ -202,12 +203,23 @@ def render_index(ncs: list[NonConformance], architecture_puml: str) -> str:
 
 
 def render_bundle(
-    tv: TaggedView, ncs: list[NonConformance], details_by_id: dict[str, NcDetails]
-) -> dict[str, str]:
-    """The report bundle's text by file name: the architecture diagram, the
-    index page, then one page per non-conformance in id order."""
+    tv: TaggedView, ncs: list[NonConformance],
+    details: Iterable[tuple[NonConformance, NcDetails]],
+) -> dict[str, bytes]:
+    """The report bundle's UTF-8 bytes by file name: the architecture
+    diagram, the index page, then one page per pair of ``details``, each
+    finding with its details, in the order given (``finding_details`` gives
+    id order).
+
+    Each file is encoded as soon as it is rendered, and each finding's
+    details are dropped before the next finding's are asked for, so no page
+    text and no sub-machine outlives its page. A text that cannot be encoded
+    raises ``InputError``, naming the first such file."""
     puml = render_architecture_puml(tv)
-    files = {"architecture.puml": puml, "index.html": render_index(ncs, puml)}
-    for nc in sorted(ncs, key=attrgetter("id")):
-        files[page_filename(nc.id)] = render_nc_page(nc, details_by_id[nc.id])
+    files = {"architecture.puml": encode_utf8("architecture.puml", puml),
+             "index.html": encode_utf8("index.html", render_index(ncs, puml))}
+    for nc, nc_details in details:
+        name = page_filename(nc.id)
+        files[name] = encode_utf8(name, render_nc_page(nc, nc_details))
+        del nc_details  # dead before the next finding's details are made
     return files

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from msaconform.automaton import (
@@ -70,6 +70,69 @@ class TestParse:
         with pytest.raises(InputError,
                            match="^malformed dot at line 1: frequency must be positive$"):
             parse_state_machine('digraph sm { __start -> 0; 0 -> 1 [label="x | 0"]; }')
+
+
+# whitespace that str.strip removes, line ends of every kind among it
+SPACES = [" ", "\t", "\n", "\r\n", "\x1c", "\xa0", "\u2003", "\u3000", "\x85", "\u2028"]
+LONG = "9" * 4301  # more digits than int() converts
+GOOD = ['0 -> 1 [label="a→b:GET /x | 2"]', '1 -> 0 [label="a→b:GET /x | 1"]',
+        '0->2 [label="b→c:PUT /y | 3"]', '0 -> 0 [label="a→b:GET /x | 1"]',
+        '2 -> 1 [label="c→b:GET /z | 1"]', ""]
+BAD = ["__start -> 0", "__start->1", f"__start -> {LONG}", "__start -> 0 0",
+       '2 -> 3 [label="x | 0"]', f'0 -> {LONG} [label="x | 1"]', f'0 -> 1 [label="x | {LONG}"]',
+       '5 -> 6 [label="z | 1"]', '0 -> 1 [label="a | b | 1"]', '0 -> 1 [label="x\n | 1"]',
+       "bogus", "{", "}", "digraph sm {"]
+
+
+@st.composite
+def dot_like_texts(draw):
+    """A machine's statements padded with whitespace, at most two of them
+    bad, between a header and a closing brace that may be wrong or missing."""
+    ws = st.lists(st.sampled_from(SPACES), max_size=3).map("".join)
+    stmts = ["__start -> 0", *draw(st.lists(st.sampled_from(GOOD), max_size=6, unique=True))]
+    for _ in range(draw(st.integers(0, 2))):
+        stmts.insert(draw(st.integers(0, len(stmts))), draw(st.sampled_from(BAD)))
+    body = ";".join(draw(ws) + stmt + draw(ws) for stmt in stmts)
+    head = draw(st.sampled_from(["digraph sm {"] * 9 + ["digraph sm{", "graph g {", ""]))
+    tail = draw(st.sampled_from(["}"] * 9 + ["", ";}", "}}", "} x"]))
+    return draw(ws) + head + body + draw(ws) + tail + draw(ws)
+
+
+free_texts = st.lists(st.sampled_from([*SPACES, *GOOD, *BAD, ";", ";;"]), max_size=12).map(
+    "".join)
+
+
+def parse_outcome(parse, text: str):
+    """The machine ``parse`` makes of ``text``, or its error's message."""
+    try:
+        return parse(text, name="m")
+    except InputError as exc:
+        return str(exc)
+
+
+class TestParseAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(text=st.one_of(dot_like_texts(), dot_like_texts(), free_texts))
+    @example(text="")
+    @example(text=" \x1c\xa0\u2003\r\n")
+    @example(text="\xa0digraph sm {\r\n__start -> 0;;\r\n\r\n;bogus;\r\n}\x1c")
+    @example(text="digraph sm {}")
+    @example(text="digraph sm { __start -> 0;")
+    @example(text=('digraph sm {\n__start -> 0;\n0 -> 1 [label="x | 1"];\n'
+                   '\n 0 -> 2 [label="x | 1"]}'))
+    @example(text=f"digraph sm {{\n__start -> 0;\n\n__start -> {LONG};\n}}")
+    @example(text=f'digraph sm {{\n__start -> 0;\n0 -> {LONG} [label="x | 1"];\n}}')
+    def test_same_as_reference(self, text):
+        assert parse_outcome(parse_state_machine, text) == parse_outcome(
+            reference.parse_state_machine, text)
+
+    def test_equal_labels_are_one_object(self):
+        text = ('digraph sm {\n__start -> 0;\n0 -> 1 [label="a→b:GET /x | 2"];\n'
+                '1 -> 2 [label="a→b:GET /x | 1"];\n2 -> 0 [label="b→a:GET /y | 1"];\n}\n')
+        sm = parse_state_machine(text)
+        first, second, third = (sym for _state, sym in sm.transitions)
+        assert first == second and first is second
+        assert third == "b→a:GET /y"
 
 
 class TestSerialize:

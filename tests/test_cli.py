@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import weakref
 from dataclasses import fields
 from unittest import mock
 from fnmatch import fnmatchcase
@@ -345,13 +346,13 @@ class TestScenarioMode:
             "error: missing required flags: --output_path"]
 
     def test_empty_scenario_path(self, tmp_path, capsys, monkeypatch):
-        """An empty spec path asks for a scenario too: reading it is the error,
-        and the analysis flags stay refused."""
+        """An empty spec path asks for a scenario too: it names no file, which
+        is the error, and the analysis flags stay refused."""
         monkeypatch.chdir(tmp_path)
         code = run(["--scenario", "", "--output_path", str(tmp_path / "gen")])
         err = capsys.readouterr().err
         assert_one_error_line(code, err)
-        assert err == "error: [Errno 21] Is a directory: '.'\n"
+        assert err == "error: scenario spec file not found: \n"
         assert not (tmp_path / "gen").exists()
         assert run(["--scenario", ""]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
@@ -359,6 +360,17 @@ class TestScenarioMode:
         assert run(["--scenario", "", "--output_path", "gen", "--evaluate"]) == 2
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: --scenario does not take --evaluate")
+
+    @pytest.mark.parametrize("spec", ["missing.json", "specs", "./specs/"])
+    def test_scenario_spec_not_a_file(self, tmp_path, capsys, monkeypatch, spec):
+        """A spec path that names no file, or a directory, is named as given."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "specs").mkdir()
+        code = run(["--scenario", spec, "--output_path", "gen"])
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert err == f"error: scenario spec file not found: {spec}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["specs"]
 
     @pytest.mark.parametrize("flags", [
         ["--config", "bad.conf"],
@@ -694,6 +706,28 @@ def test_details_parse_each_symbol_once_per_machine(tmp_path, monkeypatch):
     assert len(calls) <= sum(len(sm.transitions) for sm in machines.values())
 
 
+def test_each_findings_details_die_before_the_next_are_made(tmp_path, monkeypatch):
+    """The report holds one static finding's details, and so one sub-machine,
+    at a time: when a finding's details are made, no earlier finding's live."""
+    alive_before = []  # per static finding: how many earlier details still live
+    refs = []
+    original = interpret.static_nc_details
+
+    def static_nc_details(*args, **kwargs):
+        alive_before.append(sum(ref() is not None for ref in refs))
+        details = original(*args, **kwargs)
+        refs.append(weakref.ref(details))
+        if details.submachine is not None:
+            refs.append(weakref.ref(details.submachine))
+        return details
+
+    monkeypatch.setattr(interpret, "static_nc_details", static_nc_details)
+    assert invoke(*write_inputs(tmp_path, 3, 1), tmp_path / "out") == 0
+    assert len(alive_before) == 3
+    assert len(refs) > len(alive_before)  # some findings have a sub-machine
+    assert alive_before == [0, 0, 0]
+
+
 def test_dynamic_view_parses_each_symbol_once_per_machine(tmp_path, monkeypatch):
     """The dynamic view parses each distinct symbol of a machine once, however many
     of its transitions carry it."""
@@ -820,7 +854,8 @@ class TestOutputDirectory:
         assert capsys.readouterr().err == "error: disk full\n"
         assert listing(out_dir) == before
 
-        # then a text that cannot be encoded, in a file after the first
+        # then a text that cannot be encoded, in a file after the first: it
+        # fails while the report is rendered, before any temporary file is made
         made = patch_mkstemp(monkeypatch)
         with (dyn_dir / "events.jsonl").open("a", encoding="utf-8") as log:
             log.write('{"ts": 1, "src": "a", "dst": "ghost", "method": "GET", '
@@ -829,7 +864,7 @@ class TestOutputDirectory:
         err = capsys.readouterr().err
         assert_one_error_line(code, err)
         assert "lone surrogate" in err
-        assert len(made) > 1, made
+        assert made == []
         assert listing(out_dir) == before
 
     def test_failed_scenario_write_leaves_former_scenario(self, tmp_path, monkeypatch, capsys):
@@ -865,6 +900,31 @@ class TestOutputDirectory:
         capsys.readouterr()
         assert invoke(*faulty, out_dir) == 2
         assert capsys.readouterr().err == "error: rename failed\n"
+        assert listing(out_dir) == before
+        assert not list(out_dir.rglob("*.tmp"))
+
+    def test_failed_move_into_staging_leaves_former_files(self, tmp_path, monkeypatch, capsys):
+        """The second move of a former file into the staging directory fails:
+        the first comes back, and neither temporary files nor the staging
+        directory stay."""
+        out_dir = tmp_path / "out"
+        assert invoke(*write_inputs(tmp_path / "faulty", 2, 1), out_dir) == 0
+        before = listing(out_dir)
+        staged = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if Path(dst).parent.name.endswith(".tmp"):  # into the staging directory
+                staged.append(dst)
+                if len(staged) == 2:
+                    raise OSError("rename failed")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", replace)
+        capsys.readouterr()
+        assert invoke(*write_inputs(tmp_path / "clean", 0, 0), out_dir) == 2
+        assert capsys.readouterr().err == "error: rename failed\n"
+        assert len(staged) == 2
         assert listing(out_dir) == before
         assert not list(out_dir.rglob("*.tmp"))
 
@@ -924,7 +984,7 @@ def patch_mkstemp(monkeypatch, fail_at: int | None = None) -> list[str]:
 
 # the calls that make a directory or write a file, known by their module where
 # a method of the same name is no write (str.replace), else by their name
-MODULE_WRITES = {"os.fdopen", "os.replace", "tempfile.mkstemp"}
+MODULE_WRITES = {"os.fdopen", "os.replace", "tempfile.mkstemp", "tempfile.mkdtemp"}
 METHOD_WRITES = {"mkdir", "rmdir", "write_text", "write_bytes", "unlink"}
 WRITERS = {  # the only functions allowed to make them, and what each may call
     "cli._write_files": {"open", *MODULE_WRITES, *METHOD_WRITES},

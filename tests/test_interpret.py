@@ -284,8 +284,9 @@ class TestFindingDetails:
     def test_details_come_from_a_machine_holding_the_subject(self, machines, model, top_n):
         _tv, ncs = detect(extract_static_view(model),
                           extract_dynamic_view(list(machines.values())))
-        details = finding_details(machines, model, ncs, top_n)
-        assert sorted(details) == sorted(nc.id for nc in ncs)
+        pairs = list(finding_details(machines, model, ncs, top_n))
+        assert [nc.id for nc, _details in pairs] == sorted(nc.id for nc in ncs)
+        details = {nc.id: nc_details for nc, nc_details in pairs}
         for nc in ncs:
             if nc.kind is not NcKind.Static:
                 continue
@@ -326,7 +327,7 @@ class TestFindingDetails:
         model = parse_static_model(json.dumps({"services": [], "information_flows": []}))
         ncs = [NonConformance(NcKind.Static, "edge" if len(names) == 2 else "node", names)
                for names in subjects]
-        details = finding_details(machines, model, ncs, top_n=5)
+        details = {nc.id: d for nc, d in finding_details(machines, model, ncs, top_n=5)}
         assert built == indexed
         assert all(details[nc.id].frequent_calls for nc in ncs)
 
@@ -335,7 +336,7 @@ class TestFindingDetails:
                     "global": machine({(0, "a→b:GET /x"): (1, 7)})}
         model = parse_static_model(json.dumps({"services": [], "information_flows": []}))
         nc = NonConformance(NcKind.Static, "edge", ("a", "b"))
-        details = finding_details(machines, model, [nc], top_n=5)
+        details = {nc.id: d for nc, d in finding_details(machines, model, [nc], top_n=5)}
         assert details[nc.id].frequent_calls == (CallSummary("a", "b", "GET", "/x", 7),)
         page = render_nc_page(nc, details[nc.id])
         assert "<td>7</td>" in page and "(7)" in page

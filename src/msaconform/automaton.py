@@ -16,20 +16,38 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, TypeVar
 
 from .errors import InputError, clip, too_many_digits
 
-@dataclass(frozen=True)
+
 class StateMachine:
     """All states reachable from ``initial``, all frequencies positive: the
-    program's producers build it so, and ``parse_state_machine`` checks it."""
+    program's producers build it so, and ``parse_state_machine`` checks it.
 
-    states: frozenset[int]
-    initial: int
-    transitions: dict[tuple[int, str], tuple[int, int]]  # (state, symbol) -> (target, frequency)
-    name: str | None = None
+    Two machines are equal when all four fields are. A machine can be
+    weakly referenced."""
+
+    __slots__ = ("states", "initial", "transitions", "name", "__weakref__")
+
+    def __init__(self, states: frozenset[int], initial: int,
+                 transitions: dict[tuple[int, str], tuple[int, int]], name: str | None = None):
+        self.states = states
+        self.initial = initial
+        self.transitions = transitions  # (state, symbol) -> (target, frequency)
+        self.name = name
+
+    def _key(self) -> tuple:
+        return self.states, self.initial, self.transitions, self.name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self) -> str:
+        return "StateMachine(states={!r}, initial={!r}, transitions={!r}, name={!r})".format(
+            *self._key())
 
 
 Node = TypeVar("Node", bound=Hashable)

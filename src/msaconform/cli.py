@@ -19,11 +19,11 @@ import re
 import sys
 import tempfile
 from contextlib import suppress
-from dataclasses import dataclass, fields
 from fnmatch import fnmatchcase
 from functools import partial
 from itertools import takewhile
 from pathlib import Path
+from typing import NamedTuple
 
 from . import detector, evaluator, interpret, report
 from .automaton import StateMachine, parse_state_machine
@@ -35,11 +35,10 @@ from .scenario import ScenarioSpec, generate
 from .static_model import normalize_name, parse_static_model, serialize_static_model
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     session_gap_ms: int = 1000
-    alpha: float = LearnerConfig.alpha
-    min_freq: int = LearnerConfig.min_freq
+    alpha: float = LearnerConfig._field_defaults["alpha"]
+    min_freq: int = LearnerConfig._field_defaults["min_freq"]
     top_n_calls: int = 5
     include_externals: bool = False
     trace_scope: str = "both"
@@ -84,13 +83,15 @@ def _flag(text: str) -> bool:
     return text == "true"
 
 
-# converts a configuration value's text by its Config field's type; ValueError if bad
-_CONVERTERS = {"int": int, "float": float, "bool": _flag, "str": str}
+# converts a configuration value's text by the type of its Config field's
+# default; ValueError if bad
+_CONVERTERS = {int: int, float: float, bool: _flag, str: str}
 
 
 def _parse_config_file(path: Path) -> Config:
-    cfg = Config()
-    convert = {f.name: _CONVERTERS[f.type] for f in fields(Config)}
+    convert = {name: _CONVERTERS[type(default)]
+               for name, default in Config._field_defaults.items()}
+    values = {}
     for line_no, raw in enumerate(_read_input(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -101,7 +102,7 @@ def _parse_config_file(path: Path) -> Config:
         if key not in convert:
             raise InputError(f"{path}:{line_no}: unknown configuration key {clip(key)!r}")
         try:
-            setattr(cfg, key, convert[key](value))
+            values[key] = convert[key](value)
         except ValueError as exc:
             # int() refuses a run of digits only for its length
             if convert[key] is int and re.fullmatch(r"[+-]?\d+", value):
@@ -109,6 +110,7 @@ def _parse_config_file(path: Path) -> Config:
             else:
                 why = repr(clip(value))
             raise InputError(f"{path}:{line_no}: bad value for {key!r}: {why}") from exc
+    cfg = Config(**values)
     # alpha and min_freq are checked by the LearnerConfig built from them
     for key, ok in (("session_gap_ms", cfg.session_gap_ms > 0),
                     ("top_n_calls", cfg.top_n_calls >= 1),

@@ -12,8 +12,8 @@ emits one non-conformance per item that is not present in both views:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .automaton import StateMachine
 from .events import parse_symbol
@@ -31,20 +31,17 @@ class NcKind(Enum):
     Dynamic = "dynamic"
 
 
-@dataclass(frozen=True)
-class ArchView:
+class ArchView(NamedTuple):
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str]]
 
 
-@dataclass(frozen=True)
-class TaggedView:
+class TaggedView(NamedTuple):
     nodes: dict[str, PresenceTag]
     edges: dict[tuple[str, str], PresenceTag]
 
 
-@dataclass(frozen=True)
-class NonConformance:
+class NonConformance(NamedTuple):
     kind: NcKind
     subject_type: str  # "node" | "edge"
     names: tuple[str, ...]

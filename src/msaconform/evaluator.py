@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .automaton import StateMachine, accepts
 from .errors import InputError
@@ -20,8 +19,7 @@ from .events import Trace
 from .learner import LearnerConfig, PrefixTree, learn
 
 
-@dataclass(frozen=True)
-class EvalMetrics:
+class EvalMetrics(NamedTuple):
     avg_nodes: float
     avg_edges: float
     recall: float
@@ -29,7 +27,7 @@ class EvalMetrics:
     balanced_accuracy: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+        return json.dumps(self._asdict(), indent=2) + "\n"
 
     def to_table(self) -> str:
         header = f"{'avg_nodes':>12} {'avg_edges':>12} {'recall':>8} {'specificity':>12} {'balanced_accuracy':>18}"

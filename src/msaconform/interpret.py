@@ -13,10 +13,9 @@ machine that holds its subject.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from importlib import resources
 from operator import attrgetter, itemgetter
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .automaton import StateMachine, breadth_first, canonicalize, reachable_states
 from .detector import NcKind, NonConformance
@@ -24,8 +23,7 @@ from .events import GLOBAL_SCOPE, parse_symbol
 from .static_model import Flow, StaticModel, Traceability
 
 
-@dataclass(frozen=True)
-class Interpretation:
+class Interpretation(NamedTuple):
     cause_id: str
     kind: NcKind
     title: str
@@ -33,8 +31,7 @@ class Interpretation:
     source: str
 
 
-@dataclass(frozen=True)
-class CallSummary:
+class CallSummary(NamedTuple):
     caller: str
     callee: str
     method: str
@@ -42,18 +39,25 @@ class CallSummary:
     count: int
 
 
-@dataclass(frozen=True)
 class NcDetails:
-    """Kind-specific supporting material; exactly one variant is populated."""
+    """Kind-specific supporting material; exactly one variant is populated:
+    ``submachine`` and ``frequent_calls`` for a static finding, the other
+    three for a dynamic one. A finding's details can be weakly referenced."""
 
-    kind: NcKind
-    # static kind
-    submachine: StateMachine | None = None
-    frequent_calls: tuple[CallSummary, ...] = ()
-    # dynamic kind
-    code_pointer: Traceability | None = None
-    trigger_sequence: tuple[Flow, ...] = ()
-    call_details: tuple[CallSummary, ...] = ()
+    __slots__ = ("kind", "submachine", "frequent_calls", "code_pointer", "trigger_sequence",
+                 "call_details", "__weakref__")
+
+    def __init__(self, kind: NcKind, submachine: StateMachine | None = None,
+                 frequent_calls: tuple[CallSummary, ...] = (),
+                 code_pointer: Traceability | None = None,
+                 trigger_sequence: tuple[Flow, ...] = (),
+                 call_details: tuple[CallSummary, ...] = ()):
+        self.kind = kind
+        self.submachine = submachine
+        self.frequent_calls = frequent_calls
+        self.code_pointer = code_pointer
+        self.trigger_sequence = trigger_sequence
+        self.call_details = call_details
 
 
 _source = itemgetter(0)  # of a transition key (state, symbol)

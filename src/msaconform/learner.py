@@ -80,7 +80,7 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import insort
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .automaton import StateMachine, canonicalize
@@ -88,16 +88,18 @@ from .errors import InputError, clip
 from .events import Trace
 
 
-@dataclass(frozen=True)
-class LearnerConfig:
-    alpha: float = 0.05
-    min_freq: int = 0
+class LearnerConfig(namedtuple("LearnerConfig", ("alpha", "min_freq"), defaults=(0.05, 0))):
+    """The learner's settings, checked when made: a bad value is a ValueError."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0 < self.alpha <= 1) or math.isinf(2.0 / self.alpha):
             raise ValueError(f"alpha must be in (0, 1] with 2 / alpha finite, got {self.alpha}")
         if self.min_freq < 0:
             raise ValueError(f"min_freq must be non-negative, got {clip(str(self.min_freq))}")
+        return self
 
 
 class PrefixTree:

@@ -12,7 +12,6 @@ rendering the same inputs twice produces byte-identical text.
 
 from __future__ import annotations
 
-import html
 from typing import Iterable
 
 from .automaton import StateMachine
@@ -21,6 +20,13 @@ from .errors import encode_utf8
 from .interpret import CallSummary, NcDetails, interpretations_for
 
 NO_TRACEABILITY = "No traceability information available."
+
+
+def _escape(s: str) -> str:
+    """``html.escape(s)``: ``&``, ``<``, ``>``, ``"`` and ``'`` as character
+    references, without loading ``html``'s table of named entities."""
+    return (s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("'", "&#x27;"))
 
 
 def _alias(name: str) -> str:
@@ -67,8 +73,8 @@ def _calls_table(calls: tuple[CallSummary, ...] | list[CallSummary]) -> str:
     for c in calls:
         rows.append(
             "<tr>"
-            f"<td>{html.escape(c.caller)}</td><td>{html.escape(c.callee)}</td>"
-            f"<td>{html.escape(c.method)}</td><td>{html.escape(c.path_template)}</td>"
+            f"<td>{_escape(c.caller)}</td><td>{_escape(c.callee)}</td>"
+            f"<td>{_escape(c.method)}</td><td>{_escape(c.path_template)}</td>"
             f"<td>{c.count}</td></tr>"
         )
     rows.append("</table>")
@@ -99,7 +105,7 @@ def _page(title: str, parts: list[str]) -> str:
     return "\n".join([
         "<!DOCTYPE html>",
         f'<html lang="en"><head><meta charset="utf-8">'
-        f"<title>{html.escape(title)}</title>{_PAGE_STYLE}</head><body>",
+        f"<title>{_escape(title)}</title>{_PAGE_STYLE}</head><body>",
         *parts,
         "</body></html>",
     ]) + "\n"
@@ -117,19 +123,19 @@ def render_nc_page(nc: NonConformance, details: NcDetails) -> str:
         raise ValueError("details variant does not match non-conformance kind")
     label, definition = _DEFINITIONS[nc.kind]
     parts = [
-        f"<h1>{html.escape(label.capitalize())}: {html.escape(_describe_subject(nc))}</h1>",
+        f"<h1>{_escape(label.capitalize())}: {_escape(_describe_subject(nc))}</h1>",
         "<h2>1. Type and involved services</h2>",
         f"<p>This is a <strong>{label}</strong>: {definition}.</p>",
         "<p>Involved services: "
-        + ", ".join(f"<code>{html.escape(s)}</code>" for s in nc.names)
+        + ", ".join(f"<code>{_escape(s)}</code>" for s in nc.names)
         + "</p>",
         "<h2>2. Possible interpretations</h2>",
         "<ul>",
     ]
     for interp in interpretations_for(nc.kind):
         parts.append(
-            f"<li><strong>{html.escape(interp.title)}</strong>: "
-            f"{html.escape(interp.body)} <em>[{html.escape(interp.source)}]</em></li>"
+            f"<li><strong>{_escape(interp.title)}</strong>: "
+            f"{_escape(interp.body)} <em>[{_escape(interp.source)}]</em></li>"
         )
     parts.append("</ul>")
     parts.append("<h2>3. Additional details</h2>")
@@ -139,7 +145,7 @@ def render_nc_page(nc: NonConformance, details: NcDetails) -> str:
         if details.submachine is not None:
             parts.append(
                 '<pre class="plantuml">'
-                + html.escape(_submachine_puml(details.submachine))
+                + _escape(_submachine_puml(details.submachine))
                 + "</pre>"
             )
         else:
@@ -150,9 +156,9 @@ def render_nc_page(nc: NonConformance, details: NcDetails) -> str:
         parts.append("<h3>Code pointer</h3>")
         if details.code_pointer is not None:
             cp = details.code_pointer
-            parts.append(f"<p><code>{html.escape(cp.file)}:{cp.line}</code></p>")
+            parts.append(f"<p><code>{_escape(cp.file)}:{cp.line}</code></p>")
             if cp.snippet:
-                parts.append(f"<pre>{html.escape(cp.snippet)}</pre>")
+                parts.append(f"<pre>{_escape(cp.snippet)}</pre>")
         else:
             parts.append(f"<p>{NO_TRACEABILITY}</p>")
         parts.append("<h3>Expected trigger sequence</h3>")
@@ -160,7 +166,7 @@ def render_nc_page(nc: NonConformance, details: NcDetails) -> str:
             parts.append("<ol>")
             for flow in details.trigger_sequence:
                 parts.append(
-                    f"<li>{html.escape(flow.sender)} → {html.escape(flow.receiver)}</li>"
+                    f"<li>{_escape(flow.sender)} → {_escape(flow.receiver)}</li>"
                 )
             parts.append("</ol>")
         else:
@@ -188,8 +194,8 @@ def render_index(ncs: list[NonConformance], architecture_puml: str) -> str:
         for nc in ncs:
             label, _defn = _DEFINITIONS[nc.kind]
             parts.append(
-                f'<li><a href="{page_filename(nc.id)}">{html.escape(nc.id)}</a>'
-                f" ({label}, {html.escape(_describe_subject(nc))})</li>"
+                f'<li><a href="{page_filename(nc.id)}">{_escape(nc.id)}</a>'
+                f" ({label}, {_escape(_describe_subject(nc))})</li>"
             )
         parts.append("</ul>")
     else:
@@ -198,7 +204,7 @@ def render_index(ncs: list[NonConformance], architecture_puml: str) -> str:
             "no non-conformances were detected.</p>"
         )
     parts.append("<h2>Architecture</h2>")
-    parts.append('<pre class="plantuml">' + html.escape(architecture_puml) + "</pre>")
+    parts.append('<pre class="plantuml">' + _escape(architecture_puml) + "</pre>")
     return _page("Conformance analysis report", parts)
 
 

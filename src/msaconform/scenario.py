@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import MISSING, dataclass, fields
+from collections import namedtuple
+from typing import NamedTuple
 
 from .detector import NcKind, NonConformance
 from .errors import InputError, load_json
@@ -24,16 +25,18 @@ _INTRA_SESSION_GAP_MS = 10
 _INTER_SESSION_GAP_MS = 5_000
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    n_services: int
-    n_edges: int
-    n_injected_static_nc: int = 0
-    n_injected_dynamic_nc: int = 0
-    n_events: int = 1000
-    rng_seed: int = 0
+class ScenarioSpec(namedtuple(
+        "ScenarioSpec",
+        ("n_services", "n_edges",  # required: the defaults are the other four's
+         "n_injected_static_nc", "n_injected_dynamic_nc", "n_events", "rng_seed"),
+        defaults=(0, 0, 1000, 0))):
+    """A scenario's integer settings, checked when made: one that cannot be
+    generated is an InputError."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_services < 1 or self.n_events < 1:
             raise InputError("n_services and n_events must be positive")
         if self.n_edges > self.n_services * (self.n_services - 1):
@@ -51,6 +54,7 @@ class ScenarioSpec:
             raise InputError("not enough free node pairs for the extra static-only edges")
         if self.n_events < 3 * self.n_edges:
             raise InputError("n_events must allow every edge to appear at least 3 times")
+        return self
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":
@@ -60,21 +64,20 @@ class ScenarioSpec:
         if not isinstance(doc, dict):
             raise InputError("scenario spec must be a JSON object")
         values = {}
-        for f in fields(cls):
-            if f.name not in doc:
-                if f.default is MISSING:
-                    raise InputError(f"scenario spec: missing key {f.name!r}")
+        for name in cls._fields:
+            if name not in doc:
+                if name not in cls._field_defaults:
+                    raise InputError(f"scenario spec: missing key {name!r}")
                 continue
-            value = doc[f.name]
+            value = doc[name]
             # type() and not isinstance(): JSON true/false load as bool, an int subclass
             if type(value) is not int:
-                raise InputError(f"scenario spec: {f.name} must be an integer")
-            values[f.name] = value
+                raise InputError(f"scenario spec: {name} must be an integer")
+            values[name] = value
         return cls(**values)
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     expected: tuple[NonConformance, ...]
 
     def to_json(self) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, clip, load_json
 
@@ -30,30 +30,26 @@ def normalize_name(raw: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class Traceability:
+class Traceability(NamedTuple):
     file: str
     line: int
     snippet: str | None = None
 
 
-@dataclass(frozen=True)
-class ServiceNode:
+class ServiceNode(NamedTuple):
     name: str
     stereotypes: tuple[str, ...] = ()
     traceability: Traceability | None = None
 
 
-@dataclass(frozen=True)
-class Flow:
+class Flow(NamedTuple):
     sender: str
     receiver: str
     stereotypes: tuple[str, ...] = ()
     traceability: Traceability | None = None
 
 
-@dataclass(frozen=True)
-class StaticModel:
+class StaticModel(NamedTuple):
     services: tuple[ServiceNode, ...] = ()
     external_entities: tuple[ServiceNode, ...] = ()
     flows: tuple[Flow, ...] = ()

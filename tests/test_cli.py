@@ -9,7 +9,6 @@ import subprocess
 import sys
 import tempfile
 import weakref
-from dataclasses import fields
 from unittest import mock
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 from msaconform import cli, detector, interpret
 from msaconform.automaton import serialize_state_machine
 from msaconform.cli import Config, _parse_config_file, run
-from msaconform.learner import build_pta
+from msaconform.learner import LearnerConfig, build_pta
 from msaconform.scenario import ScenarioSpec, generate
 from msaconform.static_model import serialize_static_model
 
@@ -281,20 +280,25 @@ class TestConfigFile:
         "trace_scope": ("per_service", "per_service", ["all", ""]),
     }
 
-    @pytest.mark.parametrize("field", fields(Config), ids=lambda f: f.name)
+    @pytest.mark.parametrize("field", Config._fields)
     def test_every_field(self, tmp_path, capsys, field):
-        text, value, bad_texts = self.FIELD_CASES[field.name]
+        text, value, bad_texts = self.FIELD_CASES[field]
+        default = Config._field_defaults[field]
         cfg = tmp_path / "conf.txt"
-        cfg.write_text(f"{field.name} = {text}\n", "utf-8")
-        parsed = getattr(_parse_config_file(cfg), field.name)
-        assert parsed == value != field.default
-        assert type(parsed).__name__ == field.type
+        cfg.write_text(f"{field} = {text}\n", "utf-8")
+        parsed = getattr(_parse_config_file(cfg), field)
+        assert parsed == value != default
+        assert type(parsed) is type(default)
         for bad in bad_texts:
-            cfg.write_text(f"{field.name} = {bad}\n", "utf-8")
+            cfg.write_text(f"{field} = {bad}\n", "utf-8")
             code = invoke(tmp_path / "model.json", tmp_path, tmp_path / "out", "--config", str(cfg))
             err = capsys.readouterr().err
             assert_one_error_line(code, err)
-            assert field.name in err.replace(str(tmp_path), "")  # the path may hold it
+            assert field in err.replace(str(tmp_path), "")  # the path may hold it
+
+    def test_learner_defaults_have_one_source(self):
+        cfg, learner_cfg = Config(), LearnerConfig()
+        assert (cfg.alpha, cfg.min_freq) == (learner_cfg.alpha, learner_cfg.min_freq)
 
     @pytest.mark.parametrize("key, value, message", [
         ("min_freq", "9" * 5000, "bad value for 'min_freq': a number has more than 4300 digits"),

@@ -1,9 +1,12 @@
 """Rendering contract tests: PlantUML tokens, HTML sections, golden files."""
 
+import html
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from msaconform.automaton import StateMachine
 from msaconform.detector import NcKind, NonConformance, PresenceTag, TaggedView, detect, ArchView
@@ -14,6 +17,7 @@ from msaconform.interpret import (
 )
 from msaconform.report import (
     NO_TRACEABILITY,
+    _escape,
     page_filename,
     render_architecture_puml,
     render_index,
@@ -229,3 +233,20 @@ class TestIndex:
         tv, ncs = detect(v, v)
         html = render_index(ncs, render_architecture_puml(tv))
         assert html == (GOLDEN / "index_conforming.html").read_text("utf-8")
+
+
+# any character, lone surrogates included, mixed with runs of the characters
+# html.escape replaces and with character references that are already escaped
+_ESCAPE_TEXT = st.lists(st.one_of(
+    st.characters(blacklist_categories=()),
+    st.sampled_from(["&", "<", ">", '"', "'", "&amp;", "&lt;", "&#x27;", "&quot;", "&#39;"]),
+)).map("".join)
+
+
+@given(_ESCAPE_TEXT)
+@example("")
+@example("&<>\"'&&<<>>\"\"''")
+@example("&amp;&lt;&gt;&quot;&#x27;")
+@example("\ud800a\udfff")
+def test_escape_matches_html_escape(text):
+    assert _escape(text) == html.escape(text)

@@ -104,3 +104,15 @@ class TestGenerate:
     def test_from_json(self):
         spec = ScenarioSpec.from_json('{"n_services": 4, "n_edges": 5, "rng_seed": 3}')
         assert spec.n_services == 4 and spec.n_events == 1000
+
+    def test_from_json_missing_keys(self):
+        """A missing optional key takes its default; a missing n_services or
+        n_edges is an error that names it."""
+        spec = ScenarioSpec.from_json('{"n_edges": 5, "n_services": 4}')
+        assert spec == ScenarioSpec(4, 5, n_injected_static_nc=0, n_injected_dynamic_nc=0,
+                                    n_events=1000, rng_seed=0)
+        for text, key in [('{"n_edges": 5}', "n_services"), ('{"n_services": 4}', "n_edges"),
+                          ("{}", "n_services")]:
+            with pytest.raises(InputError) as err:
+                ScenarioSpec.from_json(text)
+            assert str(err.value) == f"scenario spec: missing key {key!r}"

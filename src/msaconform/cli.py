@@ -120,24 +120,25 @@ def _parse_config_file(path: Path) -> Config:
     return cfg
 
 
-def _write_files(out_dir: Path, files: dict[str, bytes]) -> None:
+def _write_files(out_dir: Path, files: dict[str, bytes], retire: tuple[str, ...] = ()) -> None:
     """Write each file's bytes, named by its path under ``out_dir`` (such as
-    ``dynamic_models/events.jsonl``), through a temporary file beside it.
+    ``dynamic_models/events.jsonl``), through a temporary file beside it, and
+    retire each entry at the top of ``out_dir`` that matches a ``retire``
+    pattern, is not in ``files`` and is not a directory (or a link to one).
 
     The directories the files need are made first. Only when every temporary
     file is written do they replace the files of their names. Each former
-    file is first moved, by one rename, into a staging directory that this
-    call makes in ``out_dir`` when it meets the first former file, under its
-    index; the directory and all in it are removed once every file is in
-    place. A failure part-way, such as a write or a replace that fails,
-    removes the new files that had no former file, moves the former files
-    back, removes the temporary files and the staging directory, then each
-    directory this call made that is empty again, deepest first: the former
-    files stay as they were."""
+    file, then each entry to retire, is moved by one rename into a staging
+    directory that this call makes in ``out_dir`` when it meets the first;
+    the directory and all in it are removed once every file is in place. A
+    failure part-way, such as a write or a rename that fails, removes the new
+    files that had no former file, moves the former entries back, removes the
+    temporary files and the staging directory, then each directory this call
+    made that is empty again, deepest first: ``out_dir`` stays as it was."""
     made: list[Path] = []  # deepest first
     tmps: dict[Path, str] = {}  # each file's path: its temporary file
-    staging = ""  # the directory the former files move to, once made
-    moved: dict[Path, str] = {}  # each path whose former file is in staging: where it is
+    staging = ""  # the directory the former entries move to, once made
+    moved: dict[Path, str] = {}  # each path whose former entry is in staging: where it is
     try:
         for directory in dict.fromkeys((out_dir / name).parent for name in files):
             made[:0] = takewhile(lambda path: not path.exists(), (directory, *directory.parents))
@@ -147,13 +148,18 @@ def _write_files(out_dir: Path, files: dict[str, bytes]) -> None:
             fd, tmps[path] = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
-        for index, (path, tmp) in enumerate(tmps.items()):
-            if os.path.islink(path) or os.path.isfile(path):
+        stale = [(path, None) for path in out_dir.iterdir()
+                 if path.name not in files
+                 and any(fnmatchcase(path.name, pattern) for pattern in retire)
+                 and not path.is_dir()]
+        for path, tmp in [*tmps.items(), *stale]:
+            if tmp is None or os.path.islink(path) or os.path.isfile(path):
                 staging = staging or tempfile.mkdtemp(dir=out_dir, suffix=".tmp")
-                aside = os.path.join(staging, str(index))
+                aside = os.path.join(staging, str(len(moved)))
                 os.replace(path, aside)
                 moved[path] = aside
-            os.replace(tmp, path)
+            if tmp is not None:
+                os.replace(tmp, path)
     except BaseException:
         for path, tmp in tmps.items():
             if not os.path.exists(tmp) and path not in moved:
@@ -176,18 +182,10 @@ def _write_files(out_dir: Path, files: dict[str, bytes]) -> None:
 
 
 # the names of the files an analysis writes into its output directory; a run
-# removes those that it did not write, so that no earlier run's file lingers
+# retires those that it did not write, in the same all-or-nothing write as
+# its own files, so that no earlier run's file lingers
 OUTPUT_NAMES = ("architecture.puml", "index.html", "nc_*.html", "evaluation.txt",
                 "evaluation.json")
-
-
-def _remove_stale(out_dir: Path, written: dict[str, str]) -> None:
-    """Delete each file in ``out_dir`` that has one of ``OUTPUT_NAMES`` but
-    is not in ``written``; every other file or directory stays."""
-    for path in out_dir.iterdir():
-        if (path.name not in written and not path.is_dir()
-                and any(fnmatchcase(path.name, pattern) for pattern in OUTPUT_NAMES)):
-            path.unlink()
 
 
 def _load_dot(dot_file: Path) -> StateMachine:
@@ -314,8 +312,7 @@ def _run_analysis(args, cfg: Config) -> int:
             files["evaluation.txt"] = encode_utf8("evaluation.txt", metrics.to_table())
             files["evaluation.json"] = encode_utf8("evaluation.json", metrics.to_json())
     # every file is made and encoded before the first is written, so a bad input leaves none
-    _write_files(out_dir, files)
-    _remove_stale(out_dir, files)
+    _write_files(out_dir, files, retire=OUTPUT_NAMES)
     if metrics is not None:
         print(metrics.to_table(), end="")
 

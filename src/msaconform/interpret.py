@@ -175,45 +175,31 @@ class CallIndex:
         return canonicalize(root, kept, name=self.machine.name)
 
 
-def _entry_nodes(model: StaticModel) -> list[str]:
-    if model.external_entities:
-        return sorted(e.name for e in model.external_entities)
-    receivers = {f.receiver for f in model.flows}
-    return sorted(s.name for s in model.services if s.name not in receivers)
-
-
-def _shortest_flow_path(model: StaticModel, target: str) -> list[Flow]:
-    """Lexicographically least shortest path from any entry node to target."""
-    entries = _entry_nodes(model)
-    if target in entries:
-        return []
-    succ: dict[str, list[str]] = {}
+def _trigger_path(model: StaticModel, target: str) -> tuple[Flow, ...]:
+    """The flows of the lexicographically least shortest path to ``target``
+    from an entry node: an external entity, else a service that no flow
+    reaches. It starts at the least entry nearest the target, and each hop
+    takes the least receiver one step nearer, by the first such flow in model
+    order; empty if the target is an entry or no entry reaches it."""
+    senders: dict[str, list[str]] = {}  # each receiver's senders
+    flows_from: dict[str, list[Flow]] = {}  # each sender's flows, in model order
     for f in model.flows:
-        succ.setdefault(f.sender, []).append(f.receiver)
-
-    # distance from each node to the target, over reversed edges
-    pred: dict[str, list[str]] = {}
-    for f in model.flows:
-        pred.setdefault(f.receiver, []).append(f.sender)
-    rdist = breadth_first([target], pred)
-
-    candidates = [e for e in entries if e in rdist]
-    if not candidates:
-        return []
-    best = min(rdist[e] for e in candidates)
-    start = min(e for e in candidates if rdist[e] == best)
-
-    path_nodes = [start]
-    node = start
+        senders.setdefault(f.receiver, []).append(f.sender)
+        flows_from.setdefault(f.sender, []).append(f)
+    entries = sorted(e.name for e in model.external_entities) or sorted(
+        s.name for s in model.services if s.name not in senders)
+    rdist = breadth_first([target], senders)  # each node's distance to the target
+    reached = [e for e in entries if e in rdist]
+    if target in entries or not reached:
+        return ()
+    node = min(reached, key=rdist.__getitem__)  # the first, so the least, nearest
+    path = []
     while node != target:
-        node = min(w for w in succ.get(node, ()) if rdist.get(w) == rdist[node] - 1)
-        path_nodes.append(node)
-    flows = []
-    for s, r in zip(path_nodes, path_nodes[1:]):
-        flow = model.flow(s, r)
-        assert flow is not None
-        flows.append(flow)
-    return flows
+        nearer = rdist[node] - 1
+        path.append(min((f for f in flows_from[node] if rdist.get(f.receiver) == nearer),
+                        key=attrgetter("receiver")))
+        node = path[-1].receiver
+    return tuple(path)
 
 
 def _call_summary_from_flow(flow: Flow) -> CallSummary | None:
@@ -240,13 +226,12 @@ def dynamic_nc_details(model: StaticModel, nc: NonConformance) -> NcDetails:
         sender, receiver = nc.names
         missing = model.flow(sender, receiver)
         code_pointer = missing.traceability if missing else None
-        prefix = _shortest_flow_path(model, sender)
-        trigger = tuple(prefix) + ((missing,) if missing else ())
+        trigger = _trigger_path(model, sender) + ((missing,) if missing else ())
     else:
         (name,) = nc.names
         node = model.node(name)
         code_pointer = node.traceability if node else None
-        trigger = tuple(_shortest_flow_path(model, name))
+        trigger = _trigger_path(model, name)
 
     call_details = tuple(
         s for s in (_call_summary_from_flow(f) for f in trigger) if s is not None

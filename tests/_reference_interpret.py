@@ -1,6 +1,9 @@
 """Reference detail code: the per-finding sub-machine and call lists as they
 were before ``msaconform.interpret.CallIndex``, kept verbatim as a test
-oracle, with ``transition_frequencies``, which only they use.
+oracle, with ``transition_frequencies``, which only they use; and the
+trigger path search as it was before ``msaconform.interpret._trigger_path``,
+also verbatim, which rebuilt its maps and looked up each hop's flow in the
+model.
 
 Every call re-parses all of the machine's symbols, rebuilds its adjacency
 and reruns the breadth-first search from the initial state, so it is slow
@@ -14,9 +17,10 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
-from msaconform.automaton import StateMachine, canonicalize, reachable_states
+from msaconform.automaton import StateMachine, breadth_first, canonicalize, reachable_states
 from msaconform.events import parse_symbol
 from msaconform.interpret import CallSummary
+from msaconform.static_model import Flow, StaticModel
 
 
 class NoInvolvedTransitions(Exception):
@@ -140,3 +144,42 @@ def calls_involving(sm: StateMachine, service: str, top_n: int = 5) -> list[Call
     return _top_calls(sm, lambda src, dst: service in (src, dst), top_n)
 
 
+def _entry_nodes(model: StaticModel) -> list[str]:
+    if model.external_entities:
+        return sorted(e.name for e in model.external_entities)
+    receivers = {f.receiver for f in model.flows}
+    return sorted(s.name for s in model.services if s.name not in receivers)
+
+
+def _shortest_flow_path(model: StaticModel, target: str) -> list[Flow]:
+    """Lexicographically least shortest path from any entry node to target."""
+    entries = _entry_nodes(model)
+    if target in entries:
+        return []
+    succ: dict[str, list[str]] = {}
+    for f in model.flows:
+        succ.setdefault(f.sender, []).append(f.receiver)
+
+    # distance from each node to the target, over reversed edges
+    pred: dict[str, list[str]] = {}
+    for f in model.flows:
+        pred.setdefault(f.receiver, []).append(f.sender)
+    rdist = breadth_first([target], pred)
+
+    candidates = [e for e in entries if e in rdist]
+    if not candidates:
+        return []
+    best = min(rdist[e] for e in candidates)
+    start = min(e for e in candidates if rdist[e] == best)
+
+    path_nodes = [start]
+    node = start
+    while node != target:
+        node = min(w for w in succ.get(node, ()) if rdist.get(w) == rdist[node] - 1)
+        path_nodes.append(node)
+    flows = []
+    for s, r in zip(path_nodes, path_nodes[1:]):
+        flow = model.flow(s, r)
+        assert flow is not None
+        flows.append(flow)
+    return flows

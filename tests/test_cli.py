@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from contextlib import nullcontext
 from unittest import mock
 from fnmatch import fnmatchcase
 from pathlib import Path
@@ -932,6 +933,42 @@ class TestOutputDirectory:
         assert listing(out_dir) == before
         assert not list(out_dir.rglob("*.tmp"))
 
+    def test_failed_retire_leaves_output_directory_as_it_was(self, tmp_path, monkeypatch,
+                                                             capsys):
+        """A stale page of a former run that cannot be retired fails the run,
+        and the output directory stays as it was: the stale page is there, and
+        neither the new run's evaluation files nor a temporary entry are."""
+        clean = write_inputs(tmp_path / "clean", 0, 0)
+        out_dir = tmp_path / "out"
+        assert invoke(*clean, out_dir) == 0
+        (out_dir / "nc_9.html").write_bytes(b"<p>stale</p>")
+        before = listing(out_dir)
+        real_unlink, real_replace = Path.unlink, os.replace
+
+        def unlink(path, *args, **kwargs):  # the root user may unlink any file
+            if path.name == "nc_9.html":
+                raise PermissionError("permission denied")
+            real_unlink(path, *args, **kwargs)
+
+        def replace(src, dst):
+            if Path(src).name == "nc_9.html":
+                raise PermissionError("permission denied")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        monkeypatch.setattr(cli.os, "replace", replace)
+        capsys.readouterr()
+        code = invoke(*clean, out_dir, "--evaluate")
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert err == "error: permission denied\n"
+        assert listing(out_dir) == before
+        assert not list(out_dir.rglob("*.tmp"))
+        monkeypatch.undo()
+        assert invoke(*clean, out_dir, "--evaluate") == 0  # the same run, unhindered
+        after = set(listing(out_dir))
+        assert {"evaluation.txt", "evaluation.json"} <= after and "nc_9.html" not in after
+
     @pytest.mark.parametrize("fail_at", [2, 3, 6])
     def test_failed_scenario_replace_leaves_former_scenario(self, tmp_path, monkeypatch, capsys,
                                                             fail_at):
@@ -986,13 +1023,109 @@ def patch_mkstemp(monkeypatch, fail_at: int | None = None) -> list[str]:
     return made
 
 
+# the entries a former output directory may hold: former report files, stale
+# pages and evaluation files, entries that merely look like pages, and an
+# unrelated file
+FORMER_ENTRIES = ("architecture.puml", "index.html", "nc_1.html", "nc_7.html", "evaluation.txt",
+                  "evaluation.json", "nc_dir.html", "nc_dirlink.html", "nc_filelink.html",
+                  "nc_dangling.html", "notes.txt")
+NEW_FILES = ("architecture.puml", "index.html", "nc_1.html", "nc_2.html", "evaluation.txt",
+             "dynamic_models/events.jsonl")
+FAILING_CALLS = {"mkstemp": tempfile, "mkdtemp": tempfile, "replace": os}
+
+
+def make_former(out_dir: Path, names) -> None:
+    out_dir.mkdir()
+    for name in names:
+        path = out_dir / name
+        if name == "nc_dir.html":  # a directory named like a page, with a page in it
+            path.mkdir()
+            (path / "nc_3.html").write_bytes(b"inner")
+        elif name == "nc_dirlink.html":
+            (out_dir / "pages").mkdir()
+            (out_dir / "pages" / "p.html").write_bytes(b"page")
+            path.symlink_to("pages", target_is_directory=True)
+        elif name == "nc_filelink.html":
+            (out_dir / "target.bin").write_bytes(b"target")
+            path.symlink_to("target.bin")
+        elif name == "nc_dangling.html":
+            path.symlink_to("missing")
+        else:
+            path.write_bytes(b"former " + name.encode())
+
+
+def tree(root: Path) -> dict[str, object] | None:
+    """Each entry under ``root``, by its relative path: a link's target, a
+    file's bytes, or None for a directory; None if ``root`` is missing."""
+    if not root.exists():
+        return None
+    entries = {}
+    for dirpath, dirnames, filenames in os.walk(root):  # no link is followed
+        for name in dirnames + filenames:
+            path = Path(dirpath, name)
+            entries[str(path.relative_to(root))] = (
+                ("link", os.readlink(path)) if path.is_symlink()
+                else path.read_bytes() if path.is_file() else None)
+    return entries
+
+
+def failing(real, k: int):
+    """``real``, but its call numbered ``k``, counting from 0, fails."""
+    calls = []
+
+    def call(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == k + 1:
+            raise OSError("injected")
+        return real(*args, **kwargs)
+
+    return call
+
+
+@settings(max_examples=300, deadline=None)
+@given(former=st.none() | st.lists(st.sampled_from(FORMER_ENTRIES), unique=True),
+       new=st.lists(st.sampled_from(NEW_FILES), min_size=1, unique=True),
+       retire=st.sampled_from([cli.OUTPUT_NAMES, ()]),
+       fail=st.none() | st.tuples(st.sampled_from(sorted(FAILING_CALLS)), st.integers(0, 8)))
+# the third rename fails, after the first of two stale entries has moved aside
+@example(former=["nc_7.html", "evaluation.json"], new=["index.html"], retire=cli.OUTPUT_NAMES,
+         fail=("replace", 2))
+def test_write_files_is_all_or_nothing(tmp_path_factory, former, new, retire, fail):
+    """A failing call leaves the former output directory as it was, with no
+    temporary entry; a success leaves the new files and every former entry
+    that was not written and either matches no ``retire`` pattern or is a
+    directory, or a link to one."""
+    out_dir = tmp_path_factory.mktemp("write") / "out"
+    if former is not None:
+        make_former(out_dir, former)
+    before = tree(out_dir)
+    files = {name: f"new {name}".encode() for name in new}
+    kept = {top for top in (before or ()) if "/" not in top and top not in files
+            and (not any(fnmatchcase(top, pattern) for pattern in retire)
+                 or (out_dir / top).is_dir())}
+    if fail:
+        name, k = fail
+        module = FAILING_CALLS[name]
+        patch = mock.patch.object(module, name, failing(getattr(module, name), k))
+    with patch if fail else nullcontext():
+        try:
+            cli._write_files(out_dir, files, retire)
+        except OSError as exc:
+            assert fail and str(exc) == "injected"
+            assert tree(out_dir) == before
+            return
+    assert tree(out_dir) == {
+        **{rel: entry for rel, entry in (before or {}).items() if rel.split("/")[0] in kept},
+        **({"dynamic_models": None} if "dynamic_models/events.jsonl" in files else {}),
+        **files}
+
+
 # the calls that make a directory or write a file, known by their module where
 # a method of the same name is no write (str.replace), else by their name
 MODULE_WRITES = {"os.fdopen", "os.replace", "tempfile.mkstemp", "tempfile.mkdtemp"}
 METHOD_WRITES = {"mkdir", "rmdir", "write_text", "write_bytes", "unlink"}
 WRITERS = {  # the only functions allowed to make them, and what each may call
     "cli._write_files": {"open", *MODULE_WRITES, *METHOD_WRITES},
-    "cli._remove_stale": {"unlink"},
 }
 
 
@@ -1012,10 +1145,9 @@ def write_call(call: ast.Call) -> str | None:
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def writes_outside_the_writer() -> list[str]:
-    """``module.function: call`` for each file write in ``src/msaconform`` that
-    ``WRITERS`` does not allow; code outside any function counts as ``<module>``."""
-    found = []
+def write_calls():
+    """``(module.function, call)`` for each file write in ``src/msaconform``;
+    code outside any function counts as ``<module>``."""
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text("utf-8"))
         scopes = []
@@ -1028,18 +1160,30 @@ def writes_outside_the_writer() -> list[str]:
             else:
                 scopes.append(("<module>", node))
         for name, scope in scopes:
-            qualname = f"{path.stem}.{name}"
             for node in ast.walk(scope):
                 call = isinstance(node, ast.Call) and write_call(node)
-                if call and call not in WRITERS.get(qualname, ()):
-                    found.append(f"{qualname}: {call}")
-    return found
+                if call:
+                    yield f"{path.stem}.{name}", call
+
+
+def writes_outside_the_writer() -> list[str]:
+    """``module.function: call`` for each file write that ``WRITERS`` does not allow."""
+    return [f"{qualname}: {call}" for qualname, call in write_calls()
+            if call not in WRITERS.get(qualname, ())]
 
 
 def test_one_writer():
     """``cli._write_files`` is the only code that makes a directory or writes a
     file, so every output is written whole or not at all."""
     assert writes_outside_the_writer() == []
+
+
+def test_writer_allowlist_is_needed():
+    """Every ``WRITERS`` entry names a function of ``src/msaconform`` that
+    makes at least one of the calls it allows, so no stale exception stays."""
+    made = set(write_calls())
+    assert sorted(qualname for qualname, allowed in WRITERS.items()
+                  if not any((qualname, call) in made for call in allowed)) == []
 
 
 # pieces of a text file: line ends of every kind, multi-byte characters, and

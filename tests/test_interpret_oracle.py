@@ -1,20 +1,22 @@
-"""The per-machine call index gives exactly the details the former code did.
+"""The per-machine call index and the trigger path search give exactly the
+details the former code did.
 
 ``_reference_interpret`` keeps the former per-finding code verbatim. Every
 case here requires byte-identical ``serialize_state_machine`` text for each
-sub-machine, ``None`` where the reference raises ``NoInvolvedTransitions`` and equal
-``CallSummary`` lists.
+sub-machine, ``None`` where the reference raises ``NoInvolvedTransitions``, equal
+``CallSummary`` lists, and the very same ``Flow`` objects on each trigger path.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_interpret as reference
 from msaconform.automaton import StateMachine, reachable_states, serialize_state_machine
 from msaconform.events import format_symbol, parse_symbol
-from msaconform.interpret import CallIndex
+from msaconform.interpret import CallIndex, _trigger_path
 from msaconform.learner import LearnerConfig, build_pta, learn
+from msaconform.static_model import Flow, ServiceNode, StaticModel
 from test_learner_oracle import random_walk_traces
 
 SERVICES = ("a", "b", "c", "d")
@@ -95,3 +97,49 @@ def test_random_walks_large_pta(learned):
     edges = sorted({parse_symbol(sym)[:2] for _src, sym in sm.transitions})
     absent = [(b, a) for a, b in edges if (b, a) not in set(edges)][:10]
     assert_same_details(sm, edges + absent, services, top_ns=(5,))
+
+
+NAMES = ("a", "b", "c", "d", "e")
+
+
+def model_of(services=(), externals=(), flows=()):
+    """A static model; each flow is a new ``Flow`` object, so two flows of one
+    pair are equal but not the same object."""
+    return StaticModel(services=tuple(ServiceNode(name) for name in services),
+                       external_entities=tuple(ServiceNode(name) for name in externals),
+                       flows=tuple(Flow(sender, receiver) for sender, receiver in flows))
+
+
+# few names, so that pairs repeat, flows loop back to their sender, and
+# entries tie in distance and name; external entities or none
+static_models = st.builds(
+    model_of,
+    st.lists(st.sampled_from(NAMES), unique=True),
+    st.one_of(st.just([]), st.lists(st.sampled_from(NAMES), unique=True, max_size=2)),
+    st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), max_size=14),
+)
+DIAMOND = [("x", "a"), ("x", "b"), ("b", "c"), ("a", "c"), ("a", "c"), ("c", "c")]
+
+
+@settings(max_examples=3000, deadline=None)
+@given(model=static_models, target=st.sampled_from((*NAMES, "x", "zz")))
+@example(model=model_of("abc", "x", DIAMOND), target="c")  # tie: x-a-c, by a's first flow
+@example(model=model_of("abc", "x", DIAMOND), target="x")  # the target is an entry
+@example(model=model_of("abc", (), [("b", "a"), ("a", "b")]), target="a")  # no entry
+@example(model=model_of("abc", "x", [("b", "a")]), target="a")  # no entry reaches it
+@example(model=model_of("abc", "x", DIAMOND), target="zz")  # not in the model
+@example(model=model_of("abcd", (), [("b", "c"), ("a", "c"), ("c", "d")]), target="d")
+def test_trigger_path_takes_the_former_flows(model, target):
+    """The trigger path is the one the former search took, flow for flow:
+    the very objects ``StaticModel.flow`` gave at each hop."""
+    want = reference._shortest_flow_path(model, target)
+    got = _trigger_path(model, target)
+    assert len(got) == len(want)
+    assert all(g is w for g, w in zip(got, want))
+
+
+def test_trigger_path_tie_takes_the_first_flow_of_the_least_pair():
+    model = model_of("abc", "x", DIAMOND)
+    assert _trigger_path(model, "c") == (Flow("x", "a"), Flow("a", "c"))
+    assert _trigger_path(model, "c")[1] is model.flows[3]
+

@@ -99,8 +99,11 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
 
     The statements are matched where they stand in ``dot_text``, found by
     position between one ``;`` and the next, so no part of the text is
-    copied; equal labels share one ``str``. A statement's line, the line of
-    its first character that is not whitespace, is counted only for an error.
+    copied; equal labels share one ``str``, and equal state ids one ``int``.
+    A statement's line, the line of its first character that is not
+    whitespace, is counted only for an error. The text is let go once the
+    statements are read, and the machine's states are the ones the
+    reachability check reaches.
     """
     start = _SPACE.match(dot_text).end()
     end = len(dot_text)
@@ -115,6 +118,7 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
     initial: int | None = None
     transitions: dict[tuple[int, str], tuple[int, int]] = {}
     labels: dict[str, str] = {}  # one copy of each distinct label
+    ids: dict[int, int] = {}  # one int of each distinct state id
     pos, body_end = start + len(_HEADER), end - 1
     while True:
         semi = dot_text.find(";", pos, body_end)
@@ -128,6 +132,7 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
                 src, dst, freq = int(m.group(1)), int(m.group(2)), int(m.group(4))
             except ValueError:  # more digits than int() converts
                 raise malformed(pos, too_many_digits()) from None
+            src, dst = ids.setdefault(src, src), ids.setdefault(dst, dst)
             label = m.group(3)
             symbol = labels.setdefault(label, label)
             if freq < 1:
@@ -142,22 +147,26 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
                 initial = int(m.group(1))
             except ValueError:  # more digits than int() converts
                 raise malformed(pos, too_many_digits()) from None
+            ids[initial] = initial
         elif _SPACE.match(dot_text, pos, semi).end() != semi:
             raise malformed(pos, f"unrecognized statement {clip(dot_text[pos:semi].strip())!r}")
         if semi == body_end:
             break
         pos = semi + 1
+    del dot_text, malformed, ids  # the text dies here unless the caller holds it
     if initial is None:
         raise _malformed(1, "missing __start line")
 
-    states = {initial}
-    for (src, _sym), (dst, _f) in transitions.items():
-        states.add(src)
-        states.add(dst)
-    states = frozenset(states)
-    for state in states.difference(reachable_states(initial, transitions)):
-        raise InputError(f"state {clip(str(state))} is unreachable from the initial state")
-    return StateMachine(states, initial, transitions, name=name)
+    # every state is reachable when every transition's source is
+    reached = reachable_states(initial, transitions)
+    if any(src not in reached for src, _sym in transitions):
+        states = {initial}
+        for (src, _sym), (dst, _f) in transitions.items():
+            states.add(src)
+            states.add(dst)
+        for state in frozenset(states).difference(reached):
+            raise InputError(f"state {clip(str(state))} is unreachable from the initial state")
+    return StateMachine(frozenset(reached), initial, transitions, name=name)
 
 
 def serialize_state_machine(sm: StateMachine) -> str:

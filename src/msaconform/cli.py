@@ -18,7 +18,7 @@ import os
 import re
 import sys
 import tempfile
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from fnmatch import fnmatchcase
 from functools import partial
 from itertools import takewhile
@@ -120,36 +120,46 @@ def _parse_config_file(path: Path) -> Config:
     return cfg
 
 
-def _write_files(out_dir: Path, files: dict[str, bytes], retire: tuple[str, ...] = ()) -> None:
-    """Write each file's bytes, named by its path under ``out_dir`` (such as
-    ``dynamic_models/events.jsonl``), through a temporary file beside it, and
-    retire each entry at the top of ``out_dir`` that matches a ``retire``
-    pattern, is not in ``files`` and is not a directory (or a link to one).
+@contextmanager
+def _write_files(out_dir: Path, retire: tuple[str, ...] = ()):
+    """A transaction that writes files under ``out_dir``: the body is given
+    ``put(name, data)``, which writes ``data`` at once to a temporary file
+    beside the file named by its path under ``out_dir`` (such as
+    ``dynamic_models/events.jsonl``), making the directories it needs. Each
+    name is put once.
 
-    The directories the files need are made first. Only when every temporary
-    file is written do they replace the files of their names. Each former
-    file, then each entry to retire, is moved by one rename into a staging
-    directory that this call makes in ``out_dir`` when it meets the first;
-    the directory and all in it are removed once every file is in place. A
-    failure part-way, such as a write or a rename that fails, removes the new
-    files that had no former file, moves the former entries back, removes the
-    temporary files and the staging directory, then each directory this call
-    made that is empty again, deepest first: ``out_dir`` stays as it was."""
+    Only when the body ends normally do the temporary files replace the
+    files of their names, and each entry at the top of ``out_dir`` that
+    matches a ``retire`` pattern, was not put and is not a directory (or a
+    link to one) is retired. Each former file, then each entry to retire, is
+    moved by one rename into a staging directory that the commit makes in
+    ``out_dir`` when it meets the first; once every file is in place, the
+    directory and all in it are removed, and a failure to remove them is
+    only a ``warning:`` line on stderr that names the directory left. An
+    exception in the body, or a failure part-way through the commit, such
+    as a write or a rename that fails, removes the new files that had no
+    former file, moves the former entries back, removes the temporary files
+    and the staging directory, then each directory the transaction made that
+    is empty again, deepest first: ``out_dir`` stays as it was."""
     made: list[Path] = []  # deepest first
     tmps: dict[Path, str] = {}  # each file's path: its temporary file
     staging = ""  # the directory the former entries move to, once made
     moved: dict[Path, str] = {}  # each path whose former entry is in staging: where it is
-    try:
-        for directory in dict.fromkeys((out_dir / name).parent for name in files):
+
+    def put(name: str, data: bytes) -> None:
+        path = out_dir / name
+        directory = path.parent
+        if not directory.is_dir():
             made[:0] = takewhile(lambda path: not path.exists(), (directory, *directory.parents))
             directory.mkdir(parents=True, exist_ok=True)
-        for name, data in files.items():
-            path = out_dir / name
-            fd, tmps[path] = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data)
+        fd, tmps[path] = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+
+    try:
+        yield put
         stale = [(path, None) for path in out_dir.iterdir()
-                 if path.name not in files
+                 if path not in tmps
                  and any(fnmatchcase(path.name, pattern) for pattern in retire)
                  and not path.is_dir()]
         for path, tmp in [*tmps.items(), *stale]:
@@ -175,10 +185,14 @@ def _write_files(out_dir: Path, files: dict[str, bytes], retire: tuple[str, ...]
             with suppress(OSError):  # one that is no longer empty stays
                 directory.rmdir()
         raise
-    for aside in moved.values():
-        os.unlink(aside)
-    if staging:
-        os.rmdir(staging)
+    try:
+        for aside in moved.values():
+            os.unlink(aside)
+        if staging:
+            os.rmdir(staging)
+    except OSError as exc:  # every new file is in place: the run has succeeded
+        print(f"warning: could not remove {staging}, which holds the former files: {exc}",
+              file=sys.stderr)
 
 
 # the names of the files an analysis writes into its output directory; a run
@@ -260,7 +274,9 @@ def _run_scenario(spec_file: str, out_dir: Path) -> int:
     texts = {"static_model.json": serialize_static_model(model),
              "ground_truth.json": truth.to_json(),
              "dynamic_models/events.jsonl": log_text}
-    _write_files(out_dir, {name: encode_utf8(name, text) for name, text in texts.items()})
+    with _write_files(out_dir) as put:
+        for name, text in texts.items():
+            put(name, encode_utf8(name, text))
     print(f"Generated scenario with {spec.n_services} services into {out_dir}")
     return 0
 
@@ -295,24 +311,23 @@ def _run_analysis(args, cfg: Config) -> int:
     details = interpret.finding_details(machines, model, ncs, cfg.top_n_calls)
 
     print("Generating non-conformance visualizations...")
-    files = report.render_bundle(tagged, ncs, details)
-
-    print("Generating interpretation visualizations...")
-    out_dir = Path(args.output_path)
     metrics = None
-    if args.evaluate:
-        if global_traces is None:
-            print("Skipping evaluation: there is no events.jsonl log to evaluate on")
-        elif len(global_traces) < 2:
-            print(f"Skipping evaluation: it needs at least 2 global traces, "
-                  f"the log has {len(global_traces)}")
-        else:
-            k = min(10, len(global_traces))
-            metrics = evaluator.evaluate(global_traces, learner_cfg, k=k, rng_seed=0)
-            files["evaluation.txt"] = encode_utf8("evaluation.txt", metrics.to_table())
-            files["evaluation.json"] = encode_utf8("evaluation.json", metrics.to_json())
-    # every file is made and encoded before the first is written, so a bad input leaves none
-    _write_files(out_dir, files, retire=OUTPUT_NAMES)
+    # each file is written as soon as it is made; a bad input met later still leaves none
+    with _write_files(Path(args.output_path), retire=OUTPUT_NAMES) as put:
+        report.render_bundle(tagged, ncs, details, put)
+
+        print("Generating interpretation visualizations...")
+        if args.evaluate:
+            if global_traces is None:
+                print("Skipping evaluation: there is no events.jsonl log to evaluate on")
+            elif len(global_traces) < 2:
+                print(f"Skipping evaluation: it needs at least 2 global traces, "
+                      f"the log has {len(global_traces)}")
+            else:
+                k = min(10, len(global_traces))
+                metrics = evaluator.evaluate(global_traces, learner_cfg, k=k, rng_seed=0)
+                put("evaluation.txt", encode_utf8("evaluation.txt", metrics.to_table()))
+                put("evaluation.json", encode_utf8("evaluation.json", metrics.to_json()))
     if metrics is not None:
         print(metrics.to_table(), end="")
 

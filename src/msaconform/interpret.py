@@ -17,7 +17,7 @@ from importlib import resources
 from operator import attrgetter, itemgetter
 from typing import Iterator, NamedTuple
 
-from .automaton import StateMachine, breadth_first, canonicalize, reachable_states
+from .automaton import StateMachine, breadth_first, canonicalize
 from .detector import NcKind, NonConformance
 from .events import GLOBAL_SCOPE, parse_symbol
 from .static_model import Flow, StaticModel, Traceability
@@ -91,13 +91,31 @@ def interpretations_for(kind: NcKind) -> list[Interpretation]:
     return [entry for entry in _CATALOG if entry.kind == kind]
 
 
+class _Runs:
+    """A mapping from each key of the sorted list ``keys`` to the slice of
+    the parallel list ``values`` beside that key's run, found by bisection:
+    two flat lists in place of one list per key."""
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: list, values: list):
+        self.keys = keys
+        self.values = values
+
+    def get(self, key, _default=()) -> list:
+        keys = self.keys
+        return self.values[bisect_left(keys, key):bisect_right(keys, key)]
+
+
 class CallIndex:
     """One machine's transitions indexed for static-finding details.
 
     Built in one pass over the transitions that parses each distinct symbol
-    once, plus two sorts; after that, a sub-machine or a call list costs in
-    proportion to the finding's neighbourhood, not to the machine. It holds
-    the machine's own ``(state, symbol)`` keys.
+    once, plus two sorts and a breadth-first walk for ``dist`` that finds each
+    state's successors by bisection, so that no list is made per state; after
+    that, a sub-machine or a call list costs in proportion to the finding's
+    neighbourhood, not to the machine. It holds the machine's own
+    ``(state, symbol)`` keys.
     """
 
     def __init__(self, sm: StateMachine):
@@ -126,22 +144,16 @@ class CallIndex:
                 self.calls_by_service.setdefault(callee, []).append(summary)
 
         # transition keys sorted by source and by target state: the keys that
-        # leave or enter a state are a slice of each, found by bisection (on
-        # the key itself for the source, on a parallel list for the target).
-        # Flat lists take a fraction of the memory of one list per state.
-        self._by_source = sorted(transitions, key=_source)
-        self._by_target = sorted(transitions, key=lambda key: transitions[key][0])
-        self._targets = [transitions[key][0] for key in self._by_target]
-
-        self.dist = reachable_states(sm.initial, transitions)
-
-    def _leaving(self, state: int) -> list[tuple[int, str]]:
-        keys = self._by_source
-        return keys[bisect_left(keys, state, key=_source):bisect_right(keys, state, key=_source)]
-
-    def _entering(self, state: int) -> list[tuple[int, str]]:
-        targets = self._targets
-        return self._by_target[bisect_left(targets, state):bisect_right(targets, state)]
+        # leave or enter a state are a slice of each, and a state's successors
+        # a slice of the targets in source order. Flat lists take a fraction
+        # of the memory of one list per state.
+        by_source = sorted(transitions, key=_source)
+        by_target = sorted(transitions, key=lambda key: transitions[key][0])
+        sources = list(map(_source, by_source))
+        self._leaving = _Runs(sources, by_source)
+        self._entering = _Runs([transitions[key][0] for key in by_target], by_target)
+        self.dist = breadth_first(
+            [sm.initial], _Runs(sources, [transitions[key][0] for key in by_source]))
 
     def submachine(self, a: str, b: str) -> StateMachine | None:
         """Sub-machine around the transitions whose symbol communicates a→b.
@@ -161,7 +173,7 @@ class CallIndex:
         kept = {
             key: transitions[key]
             for state in core
-            for key in (*self._leaving(state), *self._entering(state))
+            for key in (*self._leaving.get(state), *self._entering.get(state))
         }
 
         # the root is the state nearest the initial state among those that can

@@ -12,7 +12,7 @@ rendering the same inputs twice produces byte-identical text.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .automaton import StateMachine
 from .detector import NcKind, NonConformance, PresenceTag, TaggedView
@@ -211,21 +211,22 @@ def render_index(ncs: list[NonConformance], architecture_puml: str) -> str:
 def render_bundle(
     tv: TaggedView, ncs: list[NonConformance],
     details: Iterable[tuple[NonConformance, NcDetails]],
-) -> dict[str, bytes]:
-    """The report bundle's UTF-8 bytes by file name: the architecture
-    diagram, the index page, then one page per pair of ``details``, each
-    finding with its details, in the order given (``finding_details`` gives
-    id order).
+    put: Callable[[str, bytes], None],
+) -> None:
+    """Hand the report bundle to ``put`` as each file's name and UTF-8
+    bytes: the architecture diagram, the index page, then one page per pair
+    of ``details``, each finding with its details, in the order given
+    (``finding_details`` gives id order).
 
-    Each file is encoded as soon as it is rendered, and each finding's
-    details are dropped before the next finding's are asked for, so no page
-    text and no sub-machine outlives its page. A text that cannot be encoded
-    raises ``InputError``, naming the first such file."""
+    Each file is encoded as soon as it is rendered and put at once, and each
+    finding's details are dropped before the next finding's are asked for,
+    so no page, in text or in bytes, and no sub-machine outlives its turn. A
+    text that cannot be encoded raises ``InputError``, naming the first such
+    file, after the files before it were put."""
     puml = render_architecture_puml(tv)
-    files = {"architecture.puml": encode_utf8("architecture.puml", puml),
-             "index.html": encode_utf8("index.html", render_index(ncs, puml))}
+    put("architecture.puml", encode_utf8("architecture.puml", puml))
+    put("index.html", encode_utf8("index.html", render_index(ncs, puml)))
     for nc, nc_details in details:
         name = page_filename(nc.id)
-        files[name] = encode_utf8(name, render_nc_page(nc, nc_details))
+        put(name, encode_utf8(name, render_nc_page(nc, nc_details)))
         del nc_details  # dead before the next finding's details are made
-    return files

@@ -333,6 +333,32 @@ class TestWalksAgainstReference:
             initial, transitions)
         assert canonicalize(initial, transitions, name="m") == reference.canonicalize(
             initial, transitions, name="m")
-        states = {initial, *(s for s, _sym in transitions), *(t for t, _f in transitions.values())}
-        sm = StateMachine(frozenset(states), initial, transitions)
+        sm = StateMachine(frozenset(all_states(initial, transitions)), initial, transitions)
         assert CallIndex(sm).dist == level_distances(initial, transitions)
+        assert CallIndex(sm).dist == reachable_states(initial, transitions)
+
+    def test_strategy_has_several_unreached_states(self):
+        def several(m):
+            initial, transitions = m
+            return len(all_states(initial, transitions)
+                       - reference.reachable_states(initial, transitions)) >= 3
+
+        find(loose_machines(), several)
+
+    @settings(max_examples=300, deadline=None)
+    @given(loose_machines())
+    @example((7, {(7, "x"): (900, 1), (5, "y"): (6, 1), (40, "z"): (5, 2), (6, "x"): (1000, 1)}))
+    def test_parse_same_as_reference(self, m):
+        """The text of a machine whose states are far apart, often with several
+        of them unreachable: the parser gives the same machine, states
+        included, or the same error, naming the same state."""
+        initial, transitions = m
+        text = "".join([f"digraph sm {{\n__start -> {initial};\n",
+                        *(f'{src} -> {dst} [label="{sym} | {freq}"];\n'
+                          for (src, sym), (dst, freq) in transitions.items()), "}\n"])
+        assert parse_outcome(parse_state_machine, text) == parse_outcome(
+            reference.parse_state_machine, text)
+
+
+def all_states(initial, transitions) -> set[int]:
+    return {initial, *(s for s, _sym in transitions), *(t for t, _f in transitions.values())}

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from contextlib import nullcontext
 from unittest import mock
@@ -733,6 +734,55 @@ def test_each_findings_details_die_before_the_next_are_made(tmp_path, monkeypatc
     assert alive_before == [0, 0, 0]
 
 
+def test_each_page_is_written_before_the_next_findings_details_are_made(tmp_path,
+                                                                       monkeypatch):
+    """The report keeps no page: when a static finding's details are made,
+    the diagram, the index page and every earlier finding's page are already
+    in their temporary files."""
+    out_dir = tmp_path / "out"
+    written = []  # per static finding: its id and the temporary files then
+    original = interpret.static_nc_details
+
+    def static_nc_details(sm, nc, top_n):
+        written.append((nc.id, len(list(out_dir.glob("*.tmp")))))
+        return original(sm, nc, top_n)
+
+    monkeypatch.setattr(interpret, "static_nc_details", static_nc_details)
+    assert invoke(*write_inputs(tmp_path, 3, 1), out_dir) == 0
+    ids = sorted(path.name[len("nc_"):-len(".html")] for path in out_dir.glob("nc_*.html"))
+    assert len(written) == 3 and len(ids) == 4
+    assert written == [(nc_id, 2 + ids.index(nc_id)) for nc_id, _tmps in written]
+
+
+def test_load_dot_peak_memory_bounded(tmp_path):
+    """Loading a ``.dot`` machine holds, beyond the machine it keeps, at most
+    about twice the text (2.4 times measured, 5.9 when the text lived
+    through the reachability check beside a set and a frozenset of the
+    states): the text dies once its statements are read, and each state id
+    is one ``int``."""
+    rng = random.Random(3)
+    services = [f"s{i}" for i in range(12)]
+    walks = []
+    for _ in range(2000):
+        walk, src = [], rng.choice(services)
+        for _ in range(rng.randint(2, 8)):
+            dst = rng.choice(services)
+            walk.append(f"{src}→{dst}:GET /{rng.randint(0, 3)}")
+            src = dst
+        walks.append(walk)
+    text = serialize_state_machine(build_pta(walks))
+    dot_file = tmp_path / "global.dot"
+    dot_file.write_text(text, "utf-8")
+    tracemalloc.start()
+    try:
+        machine = cli._load_dot(dot_file)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(machine.transitions) > 8000
+    assert peak < kept + 3 * len(text)
+
+
 def test_dynamic_view_parses_each_symbol_once_per_machine(tmp_path, monkeypatch):
     """The dynamic view parses each distinct symbol of a machine once, however many
     of its transitions carry it."""
@@ -860,7 +910,8 @@ class TestOutputDirectory:
         assert listing(out_dir) == before
 
         # then a text that cannot be encoded, in a file after the first: it
-        # fails while the report is rendered, before any temporary file is made
+        # fails while the report is rendered, after the files before it were
+        # put, and each of their temporary files goes
         made = patch_mkstemp(monkeypatch)
         with (dyn_dir / "events.jsonl").open("a", encoding="utf-8") as log:
             log.write('{"ts": 1, "src": "a", "dst": "ghost", "method": "GET", '
@@ -869,7 +920,8 @@ class TestOutputDirectory:
         err = capsys.readouterr().err
         assert_one_error_line(code, err)
         assert "lone surrogate" in err
-        assert made == []
+        assert len(made) >= 2  # the diagram and the index page at least
+        assert not [tmp for tmp in made if os.path.lexists(tmp)]
         assert listing(out_dir) == before
 
     def test_failed_scenario_write_leaves_former_scenario(self, tmp_path, monkeypatch, capsys):
@@ -969,6 +1021,56 @@ class TestOutputDirectory:
         after = set(listing(out_dir))
         assert {"evaluation.txt", "evaluation.json"} <= after and "nc_9.html" not in after
 
+    def test_failed_evaluation_leaves_former_bundle(self, clean_inputs, capsys):
+        """An evaluation that fails after the pages are put, because every
+        mutant collides with a training trace, leaves the former bundle as
+        it was."""
+        static_path, dyn_dir, out_dir = clean_inputs
+        assert invoke(static_path, dyn_dir, out_dir, "--evaluate") == 0
+        before = listing(out_dir)
+        assert "evaluation.json" in before
+        (dyn_dir / "events.jsonl").write_text(
+            '{"ts": 0, "src": "a", "dst": "b", "method": "GET", "path": "/x"}\n'
+            '{"ts": 5000, "src": "a", "dst": "b", "method": "GET", "path": "/x"}\n'
+            '{"ts": 10000, "src": "a", "dst": "b", "method": "GET", "path": "/y"}\n',
+            "utf-8",
+        )
+        capsys.readouterr()
+        code = invoke(static_path, dyn_dir, out_dir, "--evaluate")
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert "collides with a training trace" in err
+        assert listing(out_dir) == before
+
+    @pytest.mark.parametrize("flags, exit_code", [((), 0), (("--fail-on-nc",), 3)])
+    def test_failed_cleanup_after_commit_warns(self, tmp_path, monkeypatch, capsys, flags,
+                                               exit_code):
+        """Once every new file is in place, a staged former file that cannot
+        be deleted leaves the staging directory, one warning line that names
+        it, and the run's own exit code and files."""
+        faulty = write_inputs(tmp_path / "faulty", 2, 1)
+        out_dir = tmp_path / "out"
+        assert invoke(*faulty, out_dir, "--evaluate") == 0
+        real_unlink = os.unlink
+
+        def unlink(path):
+            if Path(path).parent.name.endswith(".tmp"):  # in the staging directory
+                raise PermissionError("permission denied")
+            real_unlink(path)
+
+        monkeypatch.setattr(cli.os, "unlink", unlink)
+        capsys.readouterr()
+        assert invoke(*faulty, out_dir, "--evaluate", *flags) == exit_code
+        out, err = capsys.readouterr()
+        [staging] = [path for path in out_dir.iterdir() if path.name.endswith(".tmp")]
+        assert err == (f"warning: could not remove {staging}, which holds the former files: "
+                       "permission denied\n")
+        monkeypatch.undo()
+        assert invoke(*faulty, tmp_path / "fresh", "--evaluate") == 0
+        assert out == capsys.readouterr().out
+        assert {name: data for name, data in listing(out_dir).items()
+                if not name.startswith(staging.name)} == listing(tmp_path / "fresh")
+
     @pytest.mark.parametrize("fail_at", [2, 3, 6])
     def test_failed_scenario_replace_leaves_former_scenario(self, tmp_path, monkeypatch, capsys,
                                                             fail_at):
@@ -1009,15 +1111,16 @@ REAL_MKSTEMP = tempfile.mkstemp
 
 
 def patch_mkstemp(monkeypatch, fail_at: int | None = None) -> list[str]:
-    """The prefixes of the temporary files ``cli`` makes from now on, in order;
+    """The paths of the temporary files ``cli`` makes from now on, in order;
     the one numbered ``fail_at``, counting from 0, fails with 'disk full'."""
     made: list[str] = []
 
     def mkstemp(**kwargs):
         if len(made) == fail_at:
             raise OSError("disk full")
-        made.append(kwargs["prefix"])
-        return REAL_MKSTEMP(**kwargs)
+        fd, tmp = REAL_MKSTEMP(**kwargs)
+        made.append(tmp)
+        return fd, tmp
 
     monkeypatch.setattr(cli.tempfile, "mkstemp", mkstemp)
     return made
@@ -1082,19 +1185,29 @@ def failing(real, k: int):
     return call
 
 
+class BodyFailed(Exception):
+    """Raised by a transaction's body, as a page that cannot be encoded or an
+    evaluation that fails after the pages are put would raise."""
+
+
 @settings(max_examples=300, deadline=None)
 @given(former=st.none() | st.lists(st.sampled_from(FORMER_ENTRIES), unique=True),
        new=st.lists(st.sampled_from(NEW_FILES), min_size=1, unique=True),
        retire=st.sampled_from([cli.OUTPUT_NAMES, ()]),
-       fail=st.none() | st.tuples(st.sampled_from(sorted(FAILING_CALLS)), st.integers(0, 8)))
+       fail=st.none() | st.tuples(st.sampled_from(sorted(FAILING_CALLS)), st.integers(0, 8)),
+       stop=st.none() | st.integers(0, len(NEW_FILES)))
 # the third rename fails, after the first of two stale entries has moved aside
 @example(former=["nc_7.html", "evaluation.json"], new=["index.html"], retire=cli.OUTPUT_NAMES,
-         fail=("replace", 2))
-def test_write_files_is_all_or_nothing(tmp_path_factory, former, new, retire, fail):
-    """A failing call leaves the former output directory as it was, with no
-    temporary entry; a success leaves the new files and every former entry
-    that was not written and either matches no ``retire`` pattern or is a
-    directory, or a link to one."""
+         fail=("replace", 2), stop=None)
+# the body fails after a file in a new directory and a file of a former name are put
+@example(former=["index.html", "nc_7.html"], new=["dynamic_models/events.jsonl", "index.html",
+                                                  "nc_1.html"],
+         retire=cli.OUTPUT_NAMES, fail=None, stop=2)
+def test_write_files_is_all_or_nothing(tmp_path_factory, former, new, retire, fail, stop):
+    """A failing call, or a body that raises after its ``stop``-th put, leaves
+    the former output directory as it was, with no temporary entry; a success
+    leaves the new files and every former entry that was not written and
+    either matches no ``retire`` pattern or is a directory, or a link to one."""
     out_dir = tmp_path_factory.mktemp("write") / "out"
     if former is not None:
         make_former(out_dir, former)
@@ -1109,10 +1222,15 @@ def test_write_files_is_all_or_nothing(tmp_path_factory, former, new, retire, fa
         patch = mock.patch.object(module, name, failing(getattr(module, name), k))
     with patch if fail else nullcontext():
         try:
-            cli._write_files(out_dir, files, retire)
-        except OSError as exc:
-            assert fail and str(exc) == "injected"
+            with cli._write_files(out_dir, retire) as put:
+                for name, data in list(files.items())[:stop]:
+                    put(name, data)
+                if stop is not None:
+                    raise BodyFailed
+        except (OSError, BodyFailed) as exc:
+            assert isinstance(exc, BodyFailed) or (fail and str(exc) == "injected")
             assert tree(out_dir) == before
+            assert not out_dir.exists() or not list(out_dir.rglob("*.tmp"))
             return
     assert tree(out_dir) == {
         **{rel: entry for rel, entry in (before or {}).items() if rel.split("/")[0] in kept},

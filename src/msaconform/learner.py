@@ -73,14 +73,37 @@ own floating-point expression. The check fails that root pair, on
 ``n2 <= sure``, where the bound exceeds 1.0. So a skip is one of the
 check's own failures, and the remaining reds are tried in id order as
 before.
+
+Visiting every red for every blue would still make the scan quadratic in
+the reds, so an index gives the reds the skip may not cover. At
+promotion, a red with a non-empty row and a total ``n1 >= min_freq`` goes
+into the bucket of its ``heavy`` symbol and, at its threshold
+``top[r] / n1 / coeff - 1 / sqrt(n1)``, into one ascending list. Any other
+red goes into the ascending "always" list, and so does a red that a merge
+changes, for good, since its ``heavy``, ``top`` and total are then no
+longer those it was indexed by. Divided by ``coeff``, the skip test reads
+``inv_b <= threshold``, where ``inv_b`` is ``1 / sqrt(n2)``. Both sides are
+at most 2: ``1 / sqrt(n)`` is at most 1, and ``coeff`` is at least
+``sqrt(0.5 * ln 2)``, about 0.59, so ``top[r] / n1 / coeff`` is at most 1.7.
+Each expression rounds a few times with a relative error of 2**-53, so the
+two tests can disagree only within about 1e-15 of the threshold, far
+inside ``_MARGIN`` (1e-9). The reds tried for blue ``q`` are therefore the
+always list, the buckets of the symbols in ``q``'s row, and the reds whose
+threshold is below ``inv_b + _MARGIN``: every red outside them is one the
+skip test skips. They are visited in ascending id order and each is
+re-tested with the exact expression, so the check is called on the very
+reds, in the very order, of a scan over every red. A blue that skips
+nothing (``n2`` is 0 or below ``min_freq``) visits every red, and so does a
+blue for which the always list and the threshold prefix hold half of the
+reds or more, where the index would save little.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import insort
-from collections import namedtuple
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter, namedtuple
 from typing import Iterable, Sequence
 
 from .automaton import StateMachine, canonicalize
@@ -100,6 +123,11 @@ class LearnerConfig(namedtuple("LearnerConfig", ("alpha", "min_freq"), defaults=
         if self.min_freq < 0:
             raise ValueError(f"min_freq must be non-negative, got {clip(str(self.min_freq))}")
         return self
+
+
+# how far an indexed red's threshold is widened: far above the rounding
+# error of the threshold and of the skip test (module docstring)
+_MARGIN = 1e-9
 
 
 class PrefixTree:
@@ -209,8 +237,9 @@ class _RedBlue:
         self.top = top = [0] * len(src)
         self.heavy = heavy = [""] * len(src)
         self.trans = trans = {0: {}}
-        for state in tree.leaf:
-            end[state] += 1
+        # a leaf met again only adds to its count: Counter keeps first-seen order
+        for state, times in Counter(tree.leaf).items():
+            end[state] += times
             path = []  # the states this trace makes, deepest first
             while state not in trans:
                 path.append(state)
@@ -226,6 +255,14 @@ class _RedBlue:
         self.total = freq.copy()
         self.red: set[int] = set()
         self.red_order: list[int] = []  # ascending: merge candidates in id order
+        # the red index (module docstring): each indexed red's threshold, the
+        # thresholds ascending beside their reds, the indexed reds of each
+        # heaviest symbol, and the reds tried for every blue, ascending
+        self.indexed: dict[int, float] = {}
+        self.thresholds: list[float] = []
+        self.by_threshold: list[int] = []
+        self.buckets: dict[str, list[int]] = {}
+        self.always: list[int] = []
         self.fringe: list[int] = []
         self._promote(0)
 
@@ -235,6 +272,26 @@ class _RedBlue:
         self.parent_src[state] = -1
         for t, _f in self.trans[state].values():
             heapq.heappush(self.fringe, t)
+        n1, f = self.total[state], self.top[state]
+        if f and n1 >= self.min_freq:  # a non-empty row, so n1 >= f > 0
+            threshold = f / n1 / self.coeff - 1.0 / math.sqrt(n1)
+            i = bisect_right(self.thresholds, threshold)
+            self.thresholds.insert(i, threshold)
+            self.by_threshold.insert(i, state)
+            self.buckets.setdefault(self.heavy[state], []).append(state)
+            self.indexed[state] = threshold
+        else:  # a skip needs both, and only a merge into it changes either
+            insort(self.always, state)
+
+    def _unindex(self, red: int) -> None:
+        """Move an indexed red, about to change, to the reds tried for every
+        blue. Its ``heavy`` is still the one it was indexed under."""
+        i = bisect_left(self.thresholds, self.indexed.pop(red))
+        while self.by_threshold[i] != red:  # past equal thresholds of other reds
+            i += 1
+        del self.thresholds[i], self.by_threshold[i]
+        self.buckets[self.heavy[red]].remove(red)
+        insort(self.always, red)
 
     def _next_blue(self) -> int | None:
         """Pop the lowest-id blue state, skipping merged, red or moved ids."""
@@ -284,7 +341,7 @@ class _RedBlue:
     def _merge(self, red: int, blue: int) -> None:
         """Redirect blue's parent edge to red, then fold blue's subtree in."""
         trans, end, total, top = self.trans, self.end, self.total, self.top
-        parent_src, heavy = self.parent_src, self.heavy
+        parent_src, heavy, reds, indexed = self.parent_src, self.heavy, self.red, self.indexed
         src, sym = parent_src[blue], self.sym[blue]
         parent_src[blue] = -1
         trans[src][sym] = (red, trans[src][sym][1])
@@ -295,7 +352,9 @@ class _RedBlue:
             total[a] += total[b]
             parent_src[b] = -1
             row_a = trans[a]
-            a_red = a in self.red
+            a_red = a in reds
+            if a_red and a in indexed:
+                self._unindex(a)
             for sym, (t, f) in trans.pop(b, {}).items():
                 if sym in row_a:
                     t2, f2 = row_a[sym]
@@ -311,14 +370,34 @@ class _RedBlue:
                 if f > top[a]:
                     top[a], heavy[a] = f, sym
 
+    def _reds_to_try(self, row_q: dict, inv_b: float) -> list[int]:
+        """The reds, ascending, that the skip test in :meth:`run` may not skip
+        for a blue with row ``row_q`` and ``1 / sqrt(n2)`` ``inv_b``: a
+        superset, by the module docstring's index. ``red_order`` itself when
+        the index would leave half of the reds or more."""
+        always = self.always
+        k = bisect_right(self.thresholds, inv_b + _MARGIN)
+        if 2 * (k + len(always)) >= len(self.red_order):
+            return self.red_order
+        reds = always + self.by_threshold[:k]
+        buckets = self.buckets
+        for symbol in row_q:
+            if symbol in buckets:
+                reds += buckets[symbol]
+        return sorted(set(reds))
+
     def run(self) -> _RedBlue:
         trans, total, top, heavy = self.trans, self.total, self.top, self.heavy
         coeff, min_freq, sqrt = self.coeff, self.min_freq, math.sqrt
         while (q := self._next_blue()) is not None:
             n2 = total[q]
             row_q = trans[q]
-            inv_b = 1.0 / sqrt(n2) if n2 > 0 and n2 >= min_freq else None
-            for r in self.red_order:
+            if n2 > 0 and n2 >= min_freq:
+                inv_b = 1.0 / sqrt(n2)
+                reds = self._reds_to_try(row_q, inv_b)
+            else:  # no red is skipped
+                inv_b, reds = None, self.red_order
+            for r in reds:
                 n1 = total[r]
                 # skip r if _compatible's root pair fails on r's heaviest
                 # symbol, which q lacks (module docstring)

@@ -6,9 +6,11 @@ Event log format: JSON Lines, one object per line with fields
 The log is read in blocks of about 64 KiB, from a string or from any
 iterable of text pieces such as a file read in chunks, so no more than one
 block's lines are alive at once. Lines in the exact shape ``json.dumps``
-writes an event are read one pattern scan per block, with each distinct
-call checked once; any other valid line is read on its own, at the slower
-per-line speed, with the same result. A parsed log is two columns, not an
+writes an event are read one lax pattern scan per block, which matches a
+line by its start and end, with the text between checked against the
+exact shape once per distinct call; any other valid line is read on its
+own, at the slower per-line speed, with the same result. A parsed log is
+two columns, not an
 object per event: the timestamps, packed as 64-bit integers in an
 ``array('q')`` (8 bytes each, not an int object and a pointer), and one
 shared call tuple per event.
@@ -122,10 +124,12 @@ def _blocks(pieces: Iterable[str]):
 # of str.splitlines: the text between its quotes is its value
 _PLAIN = r'"[^"\\\x00-\x1f\x85\u2028\u2029]*"'
 _INT = r"(?:0|[1-9][0-9]{0,17})"  # as json.dumps writes an int that int() takes
-# a whole line as json.dumps writes an event, in groups: ts, and the call after it
-_DUMPS_LINE = re.compile(
-    rf'^{{"ts": ({_INT}), ("src": {_PLAIN}, "dst": {_PLAIN}, "method": {_PLAIN}, '
-    rf'"path": {_PLAIN}(?:, "status": -?{_INT})?)}}$', re.M)
+# a whole line that starts as json.dumps writes an event, in groups: ts, and
+# the text after it; the text may hold any character but "\n"
+_LINE = re.compile(rf'^\{{"ts": ({_INT}), (.*)\}}$', re.M)
+# the text after the ts, as json.dumps writes an event
+_CALL = re.compile(rf'"src": {_PLAIN}, "dst": {_PLAIN}, "method": {_PLAIN}, '
+                   rf'"path": {_PLAIN}(?:, "status": -?{_INT})?')
 _scan_once = json.JSONDecoder().scan_once
 
 
@@ -181,6 +185,27 @@ def _read_line(line: str, line_no: int, names: dict[str, str],
     return ts, (src, dst, shared.setdefault(method, method), shared.setdefault(path, path))
 
 
+def _read_calls(stamps: tuple[str, ...], texts: tuple[str, ...], line_no: int,
+                calls: dict, names: dict[str, str], shared: dict[str, str]) -> bool:
+    """Whether each text of one block's lines that ``calls`` lacks, a line's
+    text after its ``ts``, has the exact shape ``json.dumps`` writes. In line
+    order, each such text is checked and then read into ``calls`` by
+    ``_read_line`` at its first line, up to the first that fails the check;
+    line ``line_no + i + 1`` has ``stamps[i]`` and ``texts[i]``."""
+    unseen = set(texts).difference(calls)
+    for i, text in enumerate(texts):
+        if not unseen:
+            break
+        if text in unseen:
+            if not _CALL.fullmatch(text):
+                return False
+            line = '{"ts": ' + stamps[i] + ", " + text + "}"
+            call = _read_line(line, line_no + i + 1, names, shared)[1]
+            calls[text] = calls.setdefault(call, call)
+            unseen.remove(text)
+    return True
+
+
 def _extend_stamps(stamps: array | list[int], block: list[int]) -> array | list[int]:
     """``stamps`` with the stamps of ``block`` added, all or none: an
     ``array('q')`` while every stamp fits in 64 bits, from the first that
@@ -202,17 +227,25 @@ def parse_event_log(log: str | Iterable[str]) -> EventLog:
 
     Lines are split as ``str.splitlines`` splits the whole text, one block
     of about 64 KiB at a time. A block whose lines all have the exact shape
-    ``json.dumps`` gives an event is read by one pattern scan, and each
-    distinct call in it (the line after its ``ts``) is checked once, the
-    first time it is seen: the pattern admits only a ``ts`` the check
-    accepts, and no other check reads it, so the result holds for every
-    line with that call. Any other block is read line by line.
-    Both ways check a line with ``_read_line``, so a log gives the same
-    events, or the same error at the same line, either way. Both share one
-    tuple per distinct call, and calls share one copy of each distinct
-    method and path. Both add a block's stamps to the ``array('q')`` column
-    at once; the pattern admits no stamp past 64 bits, and the first such
-    stamp a line gives turns the column into a list.
+    ``json.dumps`` gives an event is read by one pattern scan. The scan is
+    lax: it matches each line split at ``"\n"`` that starts with a ``ts``
+    and ends with ``}``, whatever the text between. Each distinct text, the
+    call, is then checked against the exact shape the first time it is
+    seen, and read with ``_read_line`` at its first line: the pattern admits
+    only a ``ts`` the check accepts, and no other check reads it, so the
+    result holds for every line with that call. The check is exact where
+    the scan is not. Where the exact pattern matches a line, the lax one
+    matches it with the same groups, for ``.*`` runs to the line's last
+    ``}``. The text may hold every other separator of ``str.splitlines``,
+    which the check refuses, so the count of matches is trusted only once
+    every text has passed it. A block with a line the scan misses, or a
+    text the check refuses, is read line by line. Both ways check a line
+    with ``_read_line``, so a log gives the same events, or the same error
+    at the same line, either way. Both share one tuple per distinct call,
+    and calls share one copy of each distinct method and path. Both add a
+    block's stamps to the ``array('q')`` column at once; the pattern admits
+    no stamp past 64 bits, and the first such stamp a line gives turns the
+    column into a list.
     """
     pieces = log
     if isinstance(log, str):
@@ -226,21 +259,20 @@ def parse_event_log(log: str | Iterable[str]) -> EventLog:
     line_no = 0  # of the line last read
     for block in _blocks(pieces):
         # the first line is tried alone, so that a log in another shape costs no scan
-        matches = _DUMPS_LINE.findall(block) if _DUMPS_LINE.match(block) else ()
-        # a match holds no line separator, so as many as there are lines means each matched
-        block_stamps: list[int] = []
+        matches = _LINE.findall(block) if _LINE.match(block) else ()
+        # a match holds no "\n", so as many as there are lines split at "\n" means
+        # each matched; they are the lines of str.splitlines once each text is checked
+        columns = ()
         if len(matches) == block.count("\n") + (not block.endswith("\n")):
-            for ts, text in matches:  # each line is an event: one stamp per line so far
-                call = calls.get(text)
-                if call is None:
-                    line = '{"ts": ' + ts + ", " + text + "}"
-                    n = line_no + len(block_stamps) + 1
-                    call = _read_line(line, n, names, shared)[1]
-                    call = calls[text] = calls.setdefault(call, call)
-                block_stamps.append(int(ts))
-                rows.append(call)
+            columns = tuple(zip(*matches))  # the stamps' digits, the texts after them
+            if not _read_calls(*columns, line_no, calls, names, shared):
+                columns = ()
+        if columns:
+            block_stamps = list(map(int, columns[0]))
+            rows.extend(map(calls.__getitem__, columns[1]))
             line_no += len(matches)
         else:
+            block_stamps = []
             for line in block.splitlines():
                 line_no += 1
                 event = _read_line(line, line_no, names, shared)

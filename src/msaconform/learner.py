@@ -280,7 +280,7 @@ class _RedBlue:
             self.by_threshold.insert(i, state)
             self.buckets.setdefault(self.heavy[state], []).append(state)
             self.indexed[state] = threshold
-        else:  # a skip needs both, and only a merge into it changes either
+        else:  # the skip test needs both, so the index has no place for it
             insort(self.always, state)
 
     def _unindex(self, red: int) -> None:

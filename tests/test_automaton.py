@@ -28,6 +28,19 @@ def machine(transitions, initial=0, name=None):
     return StateMachine(frozenset(states), initial, transitions, name=name)
 
 
+class TestStateMachine:
+    def test_repr_names_every_field(self):
+        sm = machine({(0, "a→b:GET /x"): (1, 5)}, name="global")
+        assert repr(sm) == ("StateMachine(states=frozenset({0, 1}), initial=0, "
+                            "transitions={(0, 'a→b:GET /x'): (1, 5)}, name='global')")
+
+    def test_not_equal_to_another_type(self):
+        sm = machine({(0, "a→b:GET /x"): (1, 5)})
+        assert sm.__eq__(repr(sm)) is NotImplemented
+        assert sm != repr(sm) and sm != None  # noqa: E711 - the != operator is under test
+        assert sm == machine({(0, "a→b:GET /x"): (1, 5)})
+
+
 class TestParse:
     def test_basic(self):
         sm = parse_state_machine('digraph sm { __start -> 0; 0 -> 1 [label="a→b:GET /x | 5"]; }')

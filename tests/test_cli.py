@@ -451,6 +451,34 @@ class TestBadInput:
         assert_one_error_line(code, err)
         assert err == f"error: {log}: not valid UTF-8 (invalid start byte at byte {len(good)})\n"
 
+    def test_config_line_without_equals(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        cfg = out_dir.parent / "conf.txt"
+        cfg.write_text("alpha = 0.1\ntop_n_calls 3\n", "utf-8")
+        code = invoke(static_path, dyn_dir, out_dir, "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert err == f"error: {cfg}:2: expected 'key = value'\n"
+        assert not out_dir.exists()
+
+    def test_dynamic_models_path_is_a_file(self, clean_inputs, capsys):
+        static_path, dyn_dir, out_dir = clean_inputs
+        log = dyn_dir / "events.jsonl"
+        code = invoke(static_path, log, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert err == f"error: dynamic models path is not a directory: {log}\n"
+        assert not out_dir.exists()
+
+    def test_static_model_missing(self, clean_inputs, capsys):
+        _static_path, dyn_dir, out_dir = clean_inputs
+        missing = out_dir.parent / "no_such_model.json"
+        code = invoke(missing, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert err == f"error: static model file not found: {missing}\n"
+        assert not out_dir.exists()
+
     def test_deeply_nested_static_model(self, clean_inputs, capsys):
         static_path, dyn_dir, out_dir = clean_inputs
         static_path.write_text("[" * 100_000, "utf-8")

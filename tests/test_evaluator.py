@@ -36,6 +36,10 @@ class TestMutateTrace:
         mutant = mutate_trace(tr("a"), ["a", "b", "c"], 0, exclude={("b",)})
         assert mutant.symbols == ("c",)
 
+    def test_empty_trace(self):
+        with pytest.raises(ValueError, match="cannot mutate an empty trace"):
+            mutate_trace(tr(), ["a", "b"], 0)
+
     def test_alphabet_too_small(self):
         with pytest.raises(InputError, match="^need at least 2 symbols to mutate$"):
             mutate_trace(tr("a"), ["a"], 0)

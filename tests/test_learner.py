@@ -7,7 +7,7 @@ import pytest
 
 from msaconform.automaton import accepts, serialize_state_machine
 from msaconform.errors import InputError
-from msaconform.learner import LearnerConfig, build_pta, learn
+from msaconform.learner import LearnerConfig, PrefixTree, build_pta, learn
 
 
 def random_trace_set(rng: random.Random, n_symbols=4, n_traces=12, max_len=6):
@@ -45,6 +45,13 @@ class TestBuildPta:
     def test_empty_trace_set(self):
         with pytest.raises(InputError, match="^cannot learn from an empty trace set$"):
             build_pta([])
+
+    def test_fold_holding_every_trace(self):
+        tree = PrefixTree([["a"], ["b"], ["a"]])
+        for held in ([0, 1, 2], range(3), [2, 0, 1, 1]):
+            with pytest.raises(InputError, match="^cannot learn from an empty trace set$"):
+                tree.without(held)
+        assert tree.without([0, 1]).leaf == tree.leaf[2:]
 
     def test_prefix_membership_oracle(self):
         rng = random.Random(11)

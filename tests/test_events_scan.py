@@ -26,10 +26,11 @@ BLOCKS = [1, 40, 100, 250, 1 << 16]
 
 
 def field(name, odd):
-    """A field's text between its quotes, now and then with ``odd`` put in."""
+    """A field's text between its quotes, now and then with one of ``odd``
+    put in, after a path's leading ``/``."""
     value = st.sampled_from(VALUES[name])
-    spliced = st.tuples(value, st.sampled_from(odd), st.integers(0, 8)).map(
-        lambda v: v[0][:max(v[2], name == "path")] + v[1] + v[0][max(v[2], name == "path"):])
+    spliced = st.builds(lambda text, put, at: text[:at] + put + text[at:],
+                        value, st.sampled_from(odd), st.integers(1 if name == "path" else 0, 8))
     return st.one_of(value, spliced)
 
 

@@ -38,9 +38,9 @@ def field(name, odd):
 def calls(draw, odd, fields=tuple(VALUES)):
     """A line's text after its ``ts``, in the shape ``json.dumps`` writes,
     with ``odd`` text in the values of ``fields``."""
-    text = ", ".join(
-        f'"{name}": "{draw(field(name, odd) if name in fields else st.sampled_from(VALUES[name]))}"'
-        for name in VALUES)
+    values = {name: draw(field(name, odd) if name in fields else st.sampled_from(VALUES[name]))
+              for name in VALUES}
+    text = ", ".join(f'"{name}": "{value}"' for name, value in values.items())
     return text + draw(st.sampled_from(["", ', "status": 200']))
 
 

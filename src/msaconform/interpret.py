@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 from .automaton import StateMachine, breadth_first, canonicalize
 from .detector import NcKind, NonConformance
 from .events import GLOBAL_SCOPE, parse_symbol
-from .static_model import Flow, StaticModel, Traceability
+from .static_model import Flow, ServiceNode, StaticModel, Traceability
 
 
 class Interpretation(NamedTuple):
@@ -187,28 +187,42 @@ class CallIndex:
         return canonicalize(root, kept, name=self.machine.name)
 
 
-def _trigger_path(model: StaticModel, target: str) -> tuple[Flow, ...]:
+class ModelIndex:
+    """The static model indexed once per run for dynamic-finding details: each
+    subject's declaration (a node by ``(name,)``, a pair ``(sender, receiver)``
+    by its first flow in model order), each receiver's senders, each sender's
+    flows in model order, and the sorted entry list: the external entities,
+    else the services that no flow reaches. It holds the model's own objects."""
+
+    __slots__ = ("declared", "senders", "flows_from", "entries")
+
+    def __init__(self, model: StaticModel):
+        nodes = model.services + model.external_entities
+        self.declared: dict[tuple[str, ...], ServiceNode | Flow] = {(n.name,): n for n in nodes}
+        self.senders: dict[str, list[str]] = {}
+        self.flows_from: dict[str, list[Flow]] = {}
+        for f in model.flows:
+            self.declared.setdefault((f.sender, f.receiver), f)
+            self.senders.setdefault(f.receiver, []).append(f.sender)
+            self.flows_from.setdefault(f.sender, []).append(f)
+        self.entries = sorted(e.name for e in model.external_entities) or sorted(
+            s.name for s in model.services if s.name not in self.senders)
+
+
+def _trigger_path(index: ModelIndex, target: str) -> tuple[Flow, ...]:
     """The flows of the lexicographically least shortest path to ``target``
-    from an entry node: an external entity, else a service that no flow
-    reaches. It starts at the least entry nearest the target, and each hop
-    takes the least receiver one step nearer, by the first such flow in model
-    order; empty if the target is an entry or no entry reaches it."""
-    senders: dict[str, list[str]] = {}  # each receiver's senders
-    flows_from: dict[str, list[Flow]] = {}  # each sender's flows, in model order
-    for f in model.flows:
-        senders.setdefault(f.receiver, []).append(f.sender)
-        flows_from.setdefault(f.sender, []).append(f)
-    entries = sorted(e.name for e in model.external_entities) or sorted(
-        s.name for s in model.services if s.name not in senders)
-    rdist = breadth_first([target], senders)  # each node's distance to the target
-    reached = [e for e in entries if e in rdist]
-    if target in entries or not reached:
+    from an entry node. It starts at the least entry nearest the target, and
+    each hop takes the least receiver one step nearer, by the first such flow
+    in model order; empty if the target is an entry or no entry reaches it."""
+    rdist = breadth_first([target], index.senders)  # each node's distance to the target
+    reached = [e for e in index.entries if e in rdist]
+    if not reached:
         return ()
     node = min(reached, key=rdist.__getitem__)  # the first, so the least, nearest
     path = []
     while node != target:
         nearer = rdist[node] - 1
-        path.append(min((f for f in flows_from[node] if rdist.get(f.receiver) == nearer),
+        path.append(min((f for f in index.flows_from[node] if rdist.get(f.receiver) == nearer),
                         key=attrgetter("receiver")))
         node = path[-1].receiver
     return tuple(path)
@@ -225,32 +239,26 @@ def _call_summary_from_flow(flow: Flow) -> CallSummary | None:
     return None
 
 
-def dynamic_nc_details(model: StaticModel, nc: NonConformance) -> NcDetails:
-    """Code pointer, expected trigger sequence, and call details.
+def dynamic_nc_details(index: ModelIndex, nc: NonConformance) -> NcDetails:
+    """Code pointer, expected trigger sequence, and call details, from the
+    index of the static model that declares the finding's subject.
 
     Absent traceability or an unreachable trigger path degrade to empty
     fields; the renderer reports the absence.
     """
     if nc.kind is not NcKind.Dynamic:
         raise ValueError("dynamic_nc_details requires a dynamic non-conformance")
-
+    declared = index.declared[nc.names]  # the missing node, or the missing flow
+    trigger = _trigger_path(index, nc.names[0])  # to the node, or to the flow's sender
     if nc.subject_type == "edge":
-        sender, receiver = nc.names
-        missing = model.flow(sender, receiver)
-        code_pointer = missing.traceability if missing else None
-        trigger = _trigger_path(model, sender) + ((missing,) if missing else ())
-    else:
-        (name,) = nc.names
-        node = model.node(name)
-        code_pointer = node.traceability if node else None
-        trigger = _trigger_path(model, name)
+        trigger += (declared,)
 
     call_details = tuple(
         s for s in (_call_summary_from_flow(f) for f in trigger) if s is not None
     )
     return NcDetails(
         kind=NcKind.Dynamic,
-        code_pointer=code_pointer,
+        code_pointer=declared.traceability,
         trigger_sequence=trigger,
         call_details=call_details,
     )
@@ -284,10 +292,10 @@ def finding_details(
     only while some static finding's subject is in none indexed so far.
 
     Nothing is made until the first finding is asked for. Then the call
-    indexes are built, and they live until the last finding is given; each
-    finding's details are made only when it is asked for and are not kept,
-    so a reader that drops them before asking for the next holds one
-    finding's sub-machine at a time."""
+    indexes and the static model's index are built, once each, and they
+    live until the last finding is given; each finding's details are made
+    only when it is asked for and are not kept, so a reader that drops them
+    before asking for the next holds one finding's sub-machine at a time."""
     # subjects still without a machine: an edge (src, dst) or a service (name,)
     unresolved = {nc.names for nc in ncs if nc.kind is NcKind.Static}
     indexes: dict[tuple[str, ...], CallIndex] = {}  # each subject's index
@@ -299,6 +307,7 @@ def finding_details(
             [*index.calls_by_pair, *((name,) for name in index.calls_by_service)])
         indexes.update(dict.fromkeys(held, index))
         unresolved -= held
+    model_index = ModelIndex(model)
     for nc in sorted(ncs, key=attrgetter("id")):
         yield nc, (static_nc_details(indexes.get(nc.names), nc, top_n=top_n)
-                   if nc.kind is NcKind.Static else dynamic_nc_details(model, nc))
+                   if nc.kind is NcKind.Static else dynamic_nc_details(model_index, nc))

@@ -54,18 +54,6 @@ class StaticModel(NamedTuple):
     external_entities: tuple[ServiceNode, ...] = ()
     flows: tuple[Flow, ...] = ()
 
-    def node(self, name: str) -> ServiceNode | None:
-        for n in self.services + self.external_entities:
-            if n.name == name:
-                return n
-        return None
-
-    def flow(self, sender: str, receiver: str) -> Flow | None:
-        for f in self.flows:
-            if f.sender == sender and f.receiver == receiver:
-                return f
-        return None
-
 
 def _list_field(obj: dict, key: str, path: str) -> list:
     value = obj.get(key, [])

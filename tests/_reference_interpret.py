@@ -3,7 +3,8 @@ were before ``msaconform.interpret.CallIndex``, kept verbatim as a test
 oracle, with ``transition_frequencies``, which only they use; and the
 trigger path search as it was before ``msaconform.interpret._trigger_path``,
 also verbatim, which rebuilt its maps and looked up each hop's flow in the
-model.
+model. That lookup, the former ``StaticModel.flow``, is kept here as
+``_first_flow``: the first flow of the pair in model order.
 
 Every call re-parses all of the machine's symbols, rebuilds its adjacency
 and reruns the breadth-first search from the initial state, so it is slow
@@ -151,6 +152,13 @@ def _entry_nodes(model: StaticModel) -> list[str]:
     return sorted(s.name for s in model.services if s.name not in receivers)
 
 
+def _first_flow(model: StaticModel, sender: str, receiver: str) -> Flow | None:
+    for f in model.flows:
+        if f.sender == sender and f.receiver == receiver:
+            return f
+    return None
+
+
 def _shortest_flow_path(model: StaticModel, target: str) -> list[Flow]:
     """Lexicographically least shortest path from any entry node to target."""
     entries = _entry_nodes(model)
@@ -179,7 +187,7 @@ def _shortest_flow_path(model: StaticModel, target: str) -> list[Flow]:
         path_nodes.append(node)
     flows = []
     for s, r in zip(path_nodes, path_nodes[1:]):
-        flow = model.flow(s, r)
+        flow = _first_flow(model, s, r)
         assert flow is not None
         flows.append(flow)
     return flows

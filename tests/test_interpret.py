@@ -12,16 +12,19 @@ from msaconform import interpret
 from msaconform.automaton import StateMachine, serialize_state_machine
 from msaconform.detector import (NcKind, NonConformance, detect, extract_dynamic_view,
                                  extract_static_view)
-from msaconform.events import parse_symbol
+from msaconform.events import GLOBAL_SCOPE, extract_traces, parse_event_log, parse_symbol
 from msaconform.interpret import (
     CallIndex,
     CallSummary,
+    ModelIndex,
     dynamic_nc_details,
     finding_details,
     interpretations_for,
     static_nc_details,
 )
+from msaconform.learner import LearnerConfig, learn
 from msaconform.report import render_nc_page
+from msaconform.scenario import ScenarioSpec, generate
 from msaconform.static_model import parse_static_model
 
 
@@ -170,7 +173,7 @@ class TestDynamicDetails:
             )
         )
         nc = NonConformance(NcKind.Dynamic, "edge", ("order", "payment"))
-        details = dynamic_nc_details(model, nc)
+        details = dynamic_nc_details(ModelIndex(model), nc)
         assert [(f.sender, f.receiver) for f in details.trigger_sequence] == [
             ("user", "gateway"),
             ("gateway", "order"),
@@ -187,13 +190,13 @@ class TestDynamicDetails:
             )
         )
         nc = NonConformance(NcKind.Dynamic, "edge", ("a", "b"))
-        details = dynamic_nc_details(model, nc)
+        details = dynamic_nc_details(ModelIndex(model), nc)
         assert [(f.sender, f.receiver) for f in details.trigger_sequence] == [("a", "b")]
 
     def test_diamond_lexicographic_tiebreak(self):
         model = diamond_model()
         nc = NonConformance(NcKind.Dynamic, "edge", ("sink", "pay"))
-        details = dynamic_nc_details(model, nc)
+        details = dynamic_nc_details(ModelIndex(model), nc)
         got = [(f.sender, f.receiver) for f in details.trigger_sequence]
         # oracle: both shortest paths enumerated, the smaller one goes via "left"
         all_paths = [
@@ -214,20 +217,21 @@ class TestDynamicDetails:
             )
         )
         nc = NonConformance(NcKind.Dynamic, "edge", ("a", "b"))
-        details = dynamic_nc_details(model, nc)
+        details = dynamic_nc_details(ModelIndex(model), nc)
         assert details.code_pointer is None
 
     def test_path_is_connected_and_ends_at_missing_edge(self):
         model = diamond_model()
         nc = NonConformance(NcKind.Dynamic, "edge", ("sink", "pay"))
-        seq = dynamic_nc_details(model, nc).trigger_sequence
+        seq = dynamic_nc_details(ModelIndex(model), nc).trigger_sequence
         for a, b in zip(seq, seq[1:]):
             assert a.receiver == b.sender
         assert (seq[-1].sender, seq[-1].receiver) == ("sink", "pay")
 
     def test_kind_mismatch(self):
         with pytest.raises(ValueError):
-            dynamic_nc_details(diamond_model(), NonConformance(NcKind.Static, "node", ("x",)))
+            dynamic_nc_details(ModelIndex(diamond_model()),
+                               NonConformance(NcKind.Static, "node", ("x",)))
 
 
 class TestStaticDetails:
@@ -341,3 +345,26 @@ class TestFindingDetails:
         page = render_nc_page(nc, details[nc.id])
         assert "<td>7</td>" in page and "(7)" in page
         assert "<td>3</td>" not in page and "(3)" not in page
+
+    def test_the_model_is_indexed_once_per_run(self, monkeypatch):
+        """Over a generated scenario's findings, the static model is indexed
+        once, and each dynamic finding's trigger sequence is the former
+        search's, flow object for flow object."""
+        model, log, _truth = generate(ScenarioSpec(100, 300, 0, 25, 5000, rng_seed=1))
+        traces = extract_traces(parse_event_log(log), 1000)[GLOBAL_SCOPE]
+        machines = {GLOBAL_SCOPE: learn(traces, LearnerConfig(), name=GLOBAL_SCOPE)}
+        _tv, ncs = detect(extract_static_view(model), extract_dynamic_view([*machines.values()]))
+        built = []
+        monkeypatch.setattr(interpret, "ModelIndex", lambda m: built.append(m) or ModelIndex(m))
+        dynamic = 0
+        for nc, details in finding_details(machines, model, ncs, top_n=5):
+            if nc.kind is not NcKind.Dynamic:
+                continue
+            dynamic += 1
+            want = reference._shortest_flow_path(model, nc.names[0])
+            if nc.subject_type == "edge":
+                want.append(reference._first_flow(model, *nc.names))
+            assert len(details.trigger_sequence) == len(want)
+            assert all(g is w for g, w in zip(details.trigger_sequence, want))
+        assert dynamic >= 20
+        assert len(built) == 1 and built[0] is model

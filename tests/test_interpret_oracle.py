@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import _reference_interpret as reference
 from msaconform.automaton import StateMachine, reachable_states, serialize_state_machine
 from msaconform.events import format_symbol, parse_symbol
-from msaconform.interpret import CallIndex, _trigger_path
+from msaconform.interpret import CallIndex, ModelIndex, _trigger_path
 from msaconform.learner import LearnerConfig, build_pta, learn
 from msaconform.static_model import Flow, ServiceNode, StaticModel
 from test_learner_oracle import random_walk_traces
@@ -131,15 +131,16 @@ DIAMOND = [("x", "a"), ("x", "b"), ("b", "c"), ("a", "c"), ("a", "c"), ("c", "c"
 @example(model=model_of("abcd", (), [("b", "c"), ("a", "c"), ("c", "d")]), target="d")
 def test_trigger_path_takes_the_former_flows(model, target):
     """The trigger path is the one the former search took, flow for flow:
-    the very objects ``StaticModel.flow`` gave at each hop."""
+    the very objects the former first-match lookup gave at each hop."""
     want = reference._shortest_flow_path(model, target)
-    got = _trigger_path(model, target)
+    got = _trigger_path(ModelIndex(model), target)
     assert len(got) == len(want)
     assert all(g is w for g, w in zip(got, want))
 
 
 def test_trigger_path_tie_takes_the_first_flow_of_the_least_pair():
     model = model_of("abc", "x", DIAMOND)
-    assert _trigger_path(model, "c") == (Flow("x", "a"), Flow("a", "c"))
-    assert _trigger_path(model, "c")[1] is model.flows[3]
+    index = ModelIndex(model)
+    assert _trigger_path(index, "c") == (Flow("x", "a"), Flow("a", "c"))
+    assert _trigger_path(index, "c")[1] is model.flows[3]
 

@@ -52,8 +52,10 @@ def _read_input(path: Path) -> str:
         raise InputError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
-# a file read in chunks is read this many characters at a time
-_CHUNK_CHARS = 1 << 16
+# a file read in chunks is read this many characters at a time: each chunk
+# is scanned in place, so the chunk, its decoding and its scan are the
+# parse's transient memory, which 32 KiB keeps small
+_CHUNK_CHARS = 1 << 15
 
 
 def _read_chunks(path: Path):

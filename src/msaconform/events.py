@@ -3,17 +3,21 @@
 Event log format: JSON Lines, one object per line with fields
 ``ts`` (int, ms since epoch), ``src`` (str), ``dst`` (str), ``method`` (str),
 ``path`` (str) and optional ``status`` (int), which is checked but not kept.
-The log is read in blocks of about 64 KiB, from a string or from any
-iterable of text pieces such as a file read in chunks, so no more than one
-block's lines are alive at once. Lines in the exact shape ``json.dumps``
-writes an event are read one lax pattern scan per block, which matches a
-line by its start and end, with the text between checked against the
-exact shape once per distinct call; any other valid line is read on its
-own, at the slower per-line speed, with the same result. A parsed log is
-two columns, not an
-object per event: the timestamps, packed as 64-bit integers in an
-``array('q')`` (8 bytes each, not an int object and a pointer), and one
-shared call tuple per event.
+The log is read in blocks, from a string cut every 32 KiB or from any
+iterable of text pieces such as a file read in chunks: a block is one
+piece's whole lines, scanned where they lie in it, or the one line that
+spans two pieces, so no more than one block's lines are alive at once and
+no piece is copied whole to be scanned. Lines in the exact shape
+``json.dumps`` writes an event are read one lax pattern scan per block,
+which matches a line by its start and end, with the text between checked
+against the exact shape once per distinct call; any other valid line is
+read on its own, at the slower per-line speed, with the same result. A
+parsed log is
+two columns, not an object per event, and a table of calls: the
+timestamps, packed as 64-bit integers in an ``array('q')`` (8 bytes each,
+not an int object and a pointer), and each event's call as its index in
+the table, packed in an ``array('H')`` (2 bytes each) while there are
+fewer than 65,536 distinct calls. An event takes 10 bytes.
 
 Events become alphabet symbols of the form ``<src>→<dst>:<METHOD> <path>``
 and are cut into bounded traces whenever the idle gap between consecutive
@@ -44,16 +48,21 @@ GLOBAL_SCOPE = "global"
 
 class EventLog:
     """A parsed event log as two columns with one row per event, in line
-    order: ``stamps[i]`` is event ``i``'s ``ts`` and ``calls[i]`` its
-    ``(src, dst, method, path)``, one tuple shared by every event of that
-    call. The parser gives ``stamps`` as an ``array('q')``, or as a list if
-    a stamp does not fit in 64 bits."""
+    order, and a table of its distinct calls: ``stamps[i]`` is event
+    ``i``'s ``ts`` and ``table[ids[i]]`` its ``(src, dst, method, path)``.
+    ``table`` holds each distinct call once, in the order of its first
+    event. The parser gives ``stamps`` as an ``array('q')``, or as a list if
+    a stamp does not fit in 64 bits, and ``ids`` as an array of the
+    narrowest unsigned type of ``_ID_TYPES`` that holds every index of
+    ``table``."""
 
-    __slots__ = ("stamps", "calls")
+    __slots__ = ("stamps", "ids", "table")
 
-    def __init__(self, stamps: array | list[int], calls: list[tuple[str, str, str, str]]):
+    def __init__(self, stamps: array | list[int], ids: array | list[int],
+                 table: list[tuple[str, str, str, str]]):
         self.stamps = stamps
-        self.calls = calls
+        self.ids = ids
+        self.table = table
 
     def __len__(self) -> int:
         return len(self.stamps)
@@ -94,30 +103,39 @@ def _malformed(line_no: int, reason: str) -> InputError:
     return InputError(f"malformed event log line {line_no}: {reason}")
 
 
-# the log is cut into blocks of about this many characters
-_BLOCK_CHARS = 1 << 16
+# a log given as one string is cut into pieces of this many characters
+_BLOCK_CHARS = 1 << 15
 
 
 def _blocks(pieces: Iterable[str]):
     """The text of ``pieces``, cut anew into blocks that ``str.splitlines``
     splits into the lines of the whole text, so that only one block's lines
-    are alive at once.
+    are alive at once. Each block is given as ``(text, start, end)``, the
+    slice ``text[start:end]``: the whole lines that lie in one piece are
+    that piece and their span in it, not a copy, and the line that spans
+    pieces is a block of its own, joined from its parts.
 
     Each block but the last ends just after a ``"\\n"``, which always ends a
     line (a ``"\\r\\n"`` pair at its ``"\\n"``); every other separator is one
     character, so no line or separator straddles a cut."""
     parts: list[str] = []  # the text since the last cut
     for piece in pieces:
-        cut = piece.rfind("\n") + 1
-        if cut:
-            parts.append(piece[:cut])
-            yield "".join(parts)
-            parts = [piece[cut:]]
-        else:
+        end = piece.rfind("\n") + 1
+        if not end:
             parts.append(piece)
+            continue
+        start = 0
+        if parts:
+            start = piece.find("\n") + 1
+            parts.append(piece[:start])
+            head = "".join(parts)
+            yield head, 0, len(head)
+        if start < end:
+            yield piece, start, end
+        parts = [piece[end:]] if end < len(piece) else []
     rest = "".join(parts)
     if rest:
-        yield rest
+        yield rest, 0, len(rest)
 
 
 # a JSON string with no escape, no control character and no line separator
@@ -185,14 +203,25 @@ def _read_line(line: str, line_no: int, names: dict[str, str],
     return ts, (src, dst, shared.setdefault(method, method), shared.setdefault(path, path))
 
 
+def _call_id(call: tuple[str, str, str, str], known: dict,
+             table: list[tuple[str, str, str, str]]) -> int:
+    """The index of ``call`` in ``table``, which ``known`` maps each call in
+    it to; a call not in it is added at the end."""
+    ident = known.setdefault(call, len(table))
+    if ident == len(table):
+        table.append(call)
+    return ident
+
+
 def _read_calls(stamps: tuple[str, ...], texts: tuple[str, ...], line_no: int,
-                calls: dict, names: dict[str, str], shared: dict[str, str]) -> bool:
-    """Whether each text of one block's lines that ``calls`` lacks, a line's
+                known: dict, table: list, names: dict[str, str], shared: dict[str, str]) -> bool:
+    """Whether each text of one block's lines that ``known`` lacks, a line's
     text after its ``ts``, has the exact shape ``json.dumps`` writes. In line
-    order, each such text is checked and then read into ``calls`` by
-    ``_read_line`` at its first line, up to the first that fails the check;
-    line ``line_no + i + 1`` has ``stamps[i]`` and ``texts[i]``."""
-    unseen = set(texts).difference(calls)
+    order, each such text is checked and then read by ``_read_line`` at its
+    first line, and ``known`` maps it to its call's index in ``table``, up
+    to the first that fails the check; line ``line_no + i + 1`` has
+    ``stamps[i]`` and ``texts[i]``."""
+    unseen = set(texts).difference(known)
     for i, text in enumerate(texts):
         if not unseen:
             break
@@ -201,7 +230,7 @@ def _read_calls(stamps: tuple[str, ...], texts: tuple[str, ...], line_no: int,
                 return False
             line = '{"ts": ' + stamps[i] + ", " + text + "}"
             call = _read_line(line, line_no + i + 1, names, shared)[1]
-            calls[text] = calls.setdefault(call, call)
+            known[text] = _call_id(call, known, table)
             unseen.remove(text)
     return True
 
@@ -220,13 +249,25 @@ def _extend_stamps(stamps: array | list[int], block: list[int]) -> array | list[
     return stamps
 
 
+# the typecodes of the id column, narrowest first
+_ID_TYPES = "HIQ"
+
+
+def _widen_ids(ids: array, n_calls: int) -> array:
+    """``ids``, or a copy of it in the narrowest wider type of ``_ID_TYPES``
+    that holds every index of a table of ``n_calls`` calls."""
+    while n_calls > 1 << 8 * ids.itemsize:
+        ids = array(_ID_TYPES[_ID_TYPES.index(ids.typecode) + 1], ids)
+    return ids
+
+
 def parse_event_log(log: str | Iterable[str]) -> EventLog:
     """Parse a JSON Lines event log, given whole or as an iterable of text
     pieces cut anywhere, such as a file read in chunks; blank lines are
     skipped.
 
     Lines are split as ``str.splitlines`` splits the whole text, one block
-    of about 64 KiB at a time. A block whose lines all have the exact shape
+    of ``_blocks`` at a time. A block whose lines all have the exact shape
     ``json.dumps`` gives an event is read by one pattern scan. The scan is
     lax: it matches each line split at ``"\n"`` that starts with a ``ts``
     and ends with ``}``, whatever the text between. Each distinct text, the
@@ -241,47 +282,51 @@ def parse_event_log(log: str | Iterable[str]) -> EventLog:
     every text has passed it. A block with a line the scan misses, or a
     text the check refuses, is read line by line. Both ways check a line
     with ``_read_line``, so a log gives the same events, or the same error
-    at the same line, either way. Both share one tuple per distinct call,
-    and calls share one copy of each distinct method and path. Both add a
-    block's stamps to the ``array('q')`` column at once; the pattern admits
-    no stamp past 64 bits, and the first such stamp a line gives turns the
-    column into a list.
+    at the same line, either way. Both give each distinct call one tuple, in
+    the table, and its index to each of its events, and calls share one
+    copy of each distinct method and path. Both add a block's stamps and
+    ids to the columns at once. The pattern admits no stamp past 64 bits,
+    and the first such stamp a line gives turns the ``array('q')`` into a
+    list; the id column is widened, all at once, before a block adds an id
+    that would not fit.
     """
     pieces = log
     if isinstance(log, str):
         pieces = (log[i:i + _BLOCK_CHARS] for i in range(0, len(log), _BLOCK_CHARS))
     stamps: array | list[int] = array("q")
-    rows: list[tuple[str, str, str, str]] = []  # the call of each event
+    ids = array(_ID_TYPES[0])  # the index in table of each event's call
+    table: list[tuple[str, str, str, str]] = []  # each distinct call, in first-seen order
     names: dict[str, str] = {}  # raw service name -> normalized, per distinct name
     shared: dict[str, str] = {}  # one copy of each distinct method and path
-    # each distinct call, keyed by its line's text after the ts and by itself: its one tuple
-    calls: dict[str | tuple[str, str, str, str], tuple[str, str, str, str]] = {}
+    # each distinct call, keyed by its line's text after the ts and by itself: its index in table
+    known: dict[str | tuple[str, str, str, str], int] = {}
     line_no = 0  # of the line last read
-    for block in _blocks(pieces):
+    for text, start, end in _blocks(pieces):
         # the first line is tried alone, so that a log in another shape costs no scan
-        matches = _LINE.findall(block) if _LINE.match(block) else ()
+        matches = _LINE.findall(text, start, end) if _LINE.match(text, start, end) else ()
         # a match holds no "\n", so as many as there are lines split at "\n" means
         # each matched; they are the lines of str.splitlines once each text is checked
         columns = ()
-        if len(matches) == block.count("\n") + (not block.endswith("\n")):
+        if len(matches) == text.count("\n", start, end) + (not text.endswith("\n", start, end)):
             columns = tuple(zip(*matches))  # the stamps' digits, the texts after them
-            if not _read_calls(*columns, line_no, calls, names, shared):
+            if not _read_calls(*columns, line_no, known, table, names, shared):
                 columns = ()
         if columns:
             block_stamps = list(map(int, columns[0]))
-            rows.extend(map(calls.__getitem__, columns[1]))
+            block_ids = list(map(known.__getitem__, columns[1]))
             line_no += len(matches)
         else:
-            block_stamps = []
-            for line in block.splitlines():
+            block_stamps, block_ids = [], []
+            for line in text[start:end].splitlines():
                 line_no += 1
                 event = _read_line(line, line_no, names, shared)
                 if event is not None:
-                    ts, call = event
-                    block_stamps.append(ts)
-                    rows.append(calls.setdefault(call, call))
+                    block_stamps.append(event[0])
+                    block_ids.append(_call_id(event[1], known, table))
         stamps = _extend_stamps(stamps, block_stamps)
-    return EventLog(stamps, rows)
+        ids = _widen_ids(ids, len(table))
+        ids.fromlist(block_ids)
+    return EventLog(stamps, ids, table)
 
 
 def extract_traces(log: EventLog, gap_ms: int, scope: str = "global") -> dict[str, list[Trace]]:
@@ -294,24 +339,26 @@ def extract_traces(log: EventLog, gap_ms: int, scope: str = "global") -> dict[st
     session if the idle gap exceeds ``gap_ms``. The pass walks the two
     columns side by side, and stops at the first stamp that decreases; the
     pass is then made anew over a stable sort of the rows by stamp. Each
-    distinct call is formatted once, when first seen, and equal sessions
-    are one ``Trace`` object. Precondition: no service is named
-    ``GLOBAL_SCOPE`` (``parse_event_log`` rejects that name), or its
-    sessions and the global ones would be one.
+    distinct call is formatted once, when its index is first seen, and
+    looked up by that index after; equal sessions are one ``Trace``
+    object. Precondition: no service is named ``GLOBAL_SCOPE``
+    (``parse_event_log`` rejects that name), or its sessions and the
+    global ones would be one.
     """
-    stamps, rows = log.stamps, log.calls
-    out = _sessions(zip(stamps, rows), gap_ms, scope)
+    stamps, ids = log.stamps, log.ids
+    out = _sessions(zip(stamps, ids), log.table, gap_ms, scope)
     if out is None:
         order = sorted(range(len(stamps)), key=stamps.__getitem__)  # stable: keeps ties' order
-        out = _sessions(zip(map(stamps.__getitem__, order), map(rows.__getitem__, order)),
-                        gap_ms, scope)
+        out = _sessions(zip(map(stamps.__getitem__, order), map(ids.__getitem__, order)),
+                        log.table, gap_ms, scope)
     return out
 
 
-def _sessions(events: Iterable[tuple[int, tuple[str, str, str, str]]], gap_ms: int,
-              scope: str) -> dict[str, list[Trace]] | None:
-    """``extract_traces`` over ``events``, each a stamp and its call, or None
-    at the first stamp that is less than the one before it."""
+def _sessions(events: Iterable[tuple[int, int]], table: list[tuple[str, str, str, str]],
+              gap_ms: int, scope: str) -> dict[str, list[Trace]] | None:
+    """``extract_traces`` over ``events``, each a stamp and its call's index
+    in ``table``, or None at the first stamp that is less than the one
+    before it."""
     distinct: dict[tuple[str, ...], Trace] = {}  # each session's symbols: its one Trace
 
     def close(symbols: list[str]) -> Trace:
@@ -324,20 +371,20 @@ def _sessions(events: Iterable[tuple[int, tuple[str, str, str, str]]], gap_ms: i
 
     # scope key -> [its last event's stamp, its open session's symbols, its closed sessions]
     scopes: dict[str, list] = {}
-    known: dict[tuple[str, str, str, str], tuple] = {}  # call -> its symbol, its scopes
+    known: list[tuple | None] = [None] * len(table)  # by call index: its symbol, its scopes
     last = float("-inf")  # the stamp before
-    for ts, call in events:
+    for ts, ident in events:
         if ts < last:
             return None
         last = ts
-        seen = known.get(call)
+        seen = known[ident]
         if seen is None:
-            src, dst, method, path = call
+            src, dst, method, path = table[ident]
             keys = [GLOBAL_SCOPE] if scope in ("global", "both") else []
             if scope in ("per_service", "both"):
                 keys += {src, dst}  # a self-call joins its service once
-            seen = known[call] = (format_symbol(src, dst, method, template_path(path)),
-                                  [scopes.setdefault(key, [ts, [], []]) for key in keys])
+            seen = known[ident] = (format_symbol(src, dst, method, template_path(path)),
+                                   [scopes.setdefault(key, [ts, [], []]) for key in keys])
         symbol, joined = seen
         for state in joined:
             if ts - state[0] > gap_ms:

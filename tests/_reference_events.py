@@ -27,14 +27,22 @@ class HttpEvent(NamedTuple):
     path: str
 
 
+def event_calls(log: EventLog) -> list[tuple[str, str, str, str]]:
+    """A parsed log's call of each event, in line order: its tuple in the table."""
+    return list(map(log.table.__getitem__, log.ids))
+
+
 def as_events(log: EventLog) -> list[HttpEvent]:
     """A parsed log's rows as events, to compare with the reference's."""
-    return [HttpEvent(ts, *call) for ts, call in zip(log.stamps, log.calls)]
+    return [HttpEvent(ts, *call) for ts, call in zip(log.stamps, event_calls(log))]
 
 
 def as_log(events: list[HttpEvent]) -> EventLog:
-    """Events as the columns ``extract_traces`` reads."""
-    return EventLog([ev.ts for ev in events], [tuple(ev[1:]) for ev in events])
+    """Events as the columns ``extract_traces`` reads: each distinct call in
+    the table once, in first-seen order."""
+    ids: dict[tuple[str, str, str, str], int] = {}
+    rows = [ids.setdefault(tuple(ev[1:]), len(ids)) for ev in events]
+    return EventLog([ev.ts for ev in events], rows, list(ids))
 
 
 # the former exception classes of these two errors, as the message each gave

@@ -19,9 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from _reference_events import HttpEvent, as_events
 from msaconform import cli, detector, interpret
 from msaconform.automaton import serialize_state_machine
 from msaconform.cli import Config, _parse_config_file, run
+from msaconform.errors import InputError
+from msaconform.events import parse_event_log
 from msaconform.learner import LearnerConfig, build_pta
 from msaconform.scenario import ScenarioSpec, generate
 from msaconform.static_model import serialize_static_model
@@ -1356,3 +1359,35 @@ def test_chunks_join_to_the_whole_text(tmp_path_factory, bom, pieces, size):
         chunks = list(cli._read_chunks(path))
     assert "".join(chunks) == cli._read_input(path)
     assert all(0 < len(chunk) <= size for chunk in chunks)
+
+
+def event_line(ts: int, path_chars: int) -> str:
+    """An event line whose path is ``path_chars`` characters long."""
+    return json.dumps({"ts": ts, "src": "a", "dst": "b", "method": "GET",
+                       "path": "/" + "x" * (path_chars - 1)})
+
+
+@pytest.mark.parametrize("last", ["", "{bad\r\n"], ids=["valid", "malformed last line"])
+def test_line_longer_than_a_chunk(tmp_path, last):
+    """A log read in chunks, whose second line is longer than two chunks and
+    whose first line's "\\r\\n" ends the first chunk, gives the events, or the
+    error at the line, of the whole text given at once."""
+    size = cli._CHUNK_CHARS
+    first = event_line(1, size - len(event_line(1, 1)))  # its "\r" ends the first chunk
+    lines = [first, event_line(2, 2 * size + 100), event_line(3, 5), event_line(4, 5)]
+    path = tmp_path / "events.jsonl"
+    path.write_bytes(("\r\n".join(lines) + "\r\n" + last).encode())
+    assert path.read_bytes()[size - 1:size + 1] == b"\r\n"
+    chunk = next(cli._read_chunks(path))
+    assert (len(chunk), chunk[-1]) == (size, "\n")
+    outcomes = []
+    for read in (cli._read_event_log, lambda path: parse_event_log(cli._read_input(path))):
+        try:
+            outcomes.append(as_events(read(path)))
+        except InputError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == ("malformed event log line 5: Expecting property name enclosed in "
+                           "double quotes: line 1 column 2 (char 1)" if last else
+                           [HttpEvent(ts, "a", "b", "GET", json.loads(text)["path"])
+                            for ts, text in enumerate(lines, 1)])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_events as reference
-from _reference_events import HttpEvent, as_events, as_log
+from _reference_events import HttpEvent, as_events, as_log, event_calls
 from msaconform.errors import InputError
 from msaconform.events import (
     Trace,
@@ -323,10 +323,41 @@ def test_stamps_past_64_bits(ts, after_pattern_block):
         assert extract_traces(log, 1000, scope) == reference_traces(events, 1000, scope)
 
 
+def distinct_calls_log(n_calls: int, order: str) -> str:
+    """A log of ``n_calls`` events, each its own call, over four services; its
+    stamps are 400 ms apart, in line order or shuffled."""
+    stamps = [i * 400 for i in range(n_calls)]
+    if order == "unsorted":
+        random.Random(7).shuffle(stamps)
+    return "".join(f"{line(ts, 'abcd'[i % 4], 'abcd'[i // 4 % 4], path=f'/p{i}')}\n"
+                   for i, ts in enumerate(stamps))
+
+
+@pytest.mark.parametrize("order", ["sorted", "unsorted"])
+def test_id_column_widens_past_its_first_type(order):
+    """A log with one more distinct call than an ``array('H')`` id holds has
+    its id column widened, and gives the reference's events and, under
+    every scope, the reference's traces."""
+    text = distinct_calls_log((1 << 16) + 1, order)
+    log = parse_event_log(text)
+    assert (log.ids.typecode, len(log.table)) == ("I", (1 << 16) + 1)
+    events = as_events(log)
+    assert events == reference.parse_event_log(text)
+    for scope in ("global", "per_service", "both"):
+        got = extract_traces(log, 1000, scope)
+        assert list(got.items()) == list(reference_traces(events, 1000, scope).items())
+
+
+def test_id_column_keeps_its_first_type_while_ids_fit():
+    log = parse_event_log(distinct_calls_log(1 << 16, "sorted"))
+    assert (log.ids.typecode, len(log.table), max(log.ids)) == ("H", 1 << 16, (1 << 16) - 1)
+
+
 def test_parse_peak_memory_bounded(log_20k):
     """The parsed log and the parse's working memory stay within half the
-    text (0.37 measured): the lines are split block by block, never all at
-    once, and each event is an 8-byte stamp and a pointer to a shared call."""
+    text (0.19 measured): the lines are split block by block, never all at
+    once, and each event is an 8-byte stamp and a 2-byte index into the
+    table of calls."""
     tracemalloc.start()
     try:
         parse_event_log(log_20k)
@@ -362,7 +393,7 @@ def test_equal_sessions_are_one_object(log_20k, scope):
 
 
 def test_equal_calls_are_one_tuple(log_20k):
-    calls = parse_event_log(log_20k).calls
+    calls = event_calls(parse_event_log(log_20k))
     first = {}  # each distinct call: its first row's tuple
     for call in calls:
         assert first.setdefault(call, call) is call

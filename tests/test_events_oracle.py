@@ -226,7 +226,8 @@ def block_lines(text):
     """The lines of ``text``, split one block at a time as the parser splits them."""
     size = events._BLOCK_CHARS
     pieces = (text[i:i + size] for i in range(0, len(text), size))
-    return [line for block in events._blocks(pieces) for line in block.splitlines()]
+    return [line for text, start, end in events._blocks(pieces)
+            for line in text[start:end].splitlines()]
 
 
 def test_every_block_size_gives_the_same_lines():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _reference_learner as reference
+from _reference_events import event_calls
 from msaconform import evaluator, learner
 from msaconform.automaton import serialize_state_machine
 from msaconform.evaluator import _fold_indices, evaluate
@@ -110,7 +111,7 @@ def random_walk_traces(n_walks: int, seed: int) -> list[list[str]]:
     _model, log, _truth = generate(ScenarioSpec(n_services=30, n_edges=80, n_events=240,
                                                 rng_seed=1))
     calls = {}
-    for src, dst, method, path in parse_event_log(log).calls:
+    for src, dst, method, path in event_calls(parse_event_log(log)):
         calls.setdefault((src, dst), format_symbol(src, dst, method, template_path(path)))
     out_edges = {}
     for src, dst in sorted(calls):

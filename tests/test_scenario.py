@@ -2,6 +2,7 @@
 
 import pytest
 
+from _reference_events import event_calls
 from msaconform.detector import detect, extract_dynamic_view, extract_static_view
 from msaconform.errors import InputError
 from msaconform.events import extract_traces, parse_event_log
@@ -82,7 +83,7 @@ class TestGenerate:
         model, log, _truth = generate(spec)
         events = parse_event_log(log)
         counts = {}
-        for src, dst, _method, _path in events.calls:
+        for src, dst, _method, _path in event_calls(events):
             counts[(src, dst)] = counts.get((src, dst), 0) + 1
         assert all(c >= 3 for c in counts.values())
         # statically omitted edges are exercised too

@@ -15,30 +15,46 @@ there is no accepting-state set.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from collections import deque
+from operator import itemgetter
 from typing import Hashable, Iterable, Mapping, TypeVar
 
 from .errors import InputError, clip, too_many_digits
+
+
+_source = itemgetter(0)  # of a transition key (state, symbol)
+_target = itemgetter(0)  # of a transition value (target, frequency)
 
 
 class StateMachine:
     """All states reachable from ``initial``, all frequencies positive: the
     program's producers build it so, and ``parse_state_machine`` checks it.
 
-    Two machines are equal when all four fields are. A machine can be
+    ``states`` is not stored but derived: ``initial`` and every transition
+    target, which for such a machine are the states ``initial`` reaches. A
+    ``states`` set given to the constructor must be that set, or it raises
+    ``ValueError``; ``None`` skips the check. Two machines are equal when
+    their initial states, transitions and names are. A machine can be
     weakly referenced."""
 
-    __slots__ = ("states", "initial", "transitions", "name", "__weakref__")
+    __slots__ = ("initial", "transitions", "name", "__weakref__")
 
-    def __init__(self, states: frozenset[int], initial: int,
+    def __init__(self, states: frozenset[int] | None, initial: int,
                  transitions: dict[tuple[int, str], tuple[int, int]], name: str | None = None):
-        self.states = states
         self.initial = initial
         self.transitions = transitions  # (state, symbol) -> (target, frequency)
         self.name = name
+        if states is not None and states != self.states:
+            raise ValueError("a machine's states are its initial state and its transitions' "
+                             "targets")
+
+    @property
+    def states(self) -> frozenset[int]:
+        return frozenset([self.initial, *map(_target, self.transitions.values())])
 
     def _key(self) -> tuple:
-        return self.states, self.initial, self.transitions, self.name
+        return self.initial, self.transitions, self.name
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -47,7 +63,7 @@ class StateMachine:
 
     def __repr__(self) -> str:
         return "StateMachine(states={!r}, initial={!r}, transitions={!r}, name={!r})".format(
-            *self._key())
+            self.states, *self._key())
 
 
 Node = TypeVar("Node", bound=Hashable)
@@ -71,15 +87,35 @@ def breadth_first(
     return dist
 
 
+class Runs:
+    """A mapping from each key of the sorted list ``keys`` to the slice of
+    the parallel list ``values`` beside that key's run, found by bisection:
+    two flat lists in place of one list per key."""
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: list, values: list):
+        self.keys = keys
+        self.values = values
+
+    def get(self, key, _default=()) -> list:
+        keys = self.keys
+        return self.values[bisect_left(keys, key):bisect_right(keys, key)]
+
+
 def reachable_states(
-    initial: int, transitions: dict[tuple[int, str], tuple[int, int]]
+    initial: int, transitions: dict[tuple[int, str], tuple[int, int]],
+    by_source: list[tuple[int, str]] | None = None,
 ) -> dict[int, int]:
     """States reachable from ``initial`` over ``transitions``, ``initial`` included,
-    with their breadth-first distance from it."""
-    adj: dict[int, list[int]] = {}
-    for (src, _sym), (dst, _f) in transitions.items():
-        adj.setdefault(src, []).append(dst)
-    return breadth_first([initial], adj)
+    with their breadth-first distance from it. ``by_source`` is the transition
+    keys sorted by source state, sorted here if not given; a state's
+    successors are taken in that order, found by bisection over two flat
+    lists that live only for the walk."""
+    if by_source is None:
+        by_source = sorted(transitions, key=_source)
+    return breadth_first([initial], Runs(list(map(_source, by_source)),
+                                         [transitions[key][0] for key in by_source]))
 
 
 def _malformed(line_no: int, reason: str) -> InputError:
@@ -102,8 +138,8 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
     copied; equal labels share one ``str``, and equal state ids one ``int``.
     A statement's line, the line of its first character that is not
     whitespace, is counted only for an error. The text is let go once the
-    statements are read, and the machine's states are the ones the
-    reachability check reaches.
+    statements are read, and the reachability check's states are let go
+    once it passes: the machine stores no state set.
     """
     start = _SPACE.match(dot_text).end()
     end = len(dot_text)
@@ -166,7 +202,7 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
             states.add(dst)
         for state in frozenset(states).difference(reached):
             raise InputError(f"state {clip(str(state))} is unreachable from the initial state")
-    return StateMachine(frozenset(reached), initial, transitions, name=name)
+    return StateMachine(None, initial, transitions, name=name)
 
 
 def serialize_state_machine(sm: StateMachine) -> str:
@@ -193,7 +229,7 @@ def canonicalize(
         for (src, sym), (dst, freq) in transitions.items()
         if src in order
     }
-    return StateMachine(frozenset(order.values()), 0, renumbered, name=name)
+    return StateMachine(None, 0, renumbered, name=name)
 
 
 def accepts(sm: StateMachine, trace: Iterable[str]) -> bool:

@@ -25,7 +25,7 @@ from itertools import takewhile
 from pathlib import Path
 from typing import NamedTuple
 
-from . import detector, evaluator, interpret, report
+from . import detector, evaluator, events, interpret, report
 from .automaton import StateMachine, parse_state_machine
 from .errors import InputError, clip, encode_utf8, too_many_digits
 from .events import (GLOBAL_SCOPE, EventLog, Trace, extract_traces, parse_event_log,
@@ -52,19 +52,13 @@ def _read_input(path: Path) -> str:
         raise InputError(f"{path}: not valid UTF-8 ({exc.reason} at byte {exc.start})") from exc
 
 
-# a file read in chunks is read this many characters at a time: each chunk
-# is scanned in place, so the chunk, its decoding and its scan are the
-# parse's transient memory, which 32 KiB keeps small
-_CHUNK_CHARS = 1 << 15
-
-
 def _read_chunks(path: Path):
-    """``_read_input(path)``'s text in chunks of at most ``_CHUNK_CHARS``
+    """``_read_input(path)``'s text in chunks of at most ``events._BLOCK_CHARS``
     characters, decoded and with newlines translated as there, so that the
     whole text is never in memory; raises ``UnicodeDecodeError`` at a chunk
     with bytes that are not UTF-8."""
     with path.open(encoding="utf-8") as fh:
-        yield from iter(partial(fh.read, _CHUNK_CHARS), "")
+        yield from iter(partial(fh.read, events._BLOCK_CHARS), "")
 
 
 def _read_event_log(path: Path) -> EventLog:
@@ -144,9 +138,9 @@ def _write_files(out_dir: Path, retire: tuple[str, ...] = ()):
     and the staging directory, then each directory the transaction made that
     is empty again, deepest first: ``out_dir`` stays as it was."""
     made: list[Path] = []  # deepest first
-    tmps: dict[Path, str] = {}  # each file's path: its temporary file
+    tmps: dict[str, str] = {}  # each file's path: its temporary file
     staging = ""  # the directory the former entries move to, once made
-    moved: dict[Path, str] = {}  # each path whose former entry is in staging: where it is
+    moved: dict[str, str] = {}  # each path whose former entry is in staging: where it is
 
     def put(name: str, data: bytes) -> None:
         path = out_dir / name
@@ -154,14 +148,14 @@ def _write_files(out_dir: Path, retire: tuple[str, ...] = ()):
         if not directory.is_dir():
             made[:0] = takewhile(lambda path: not path.exists(), (directory, *directory.parents))
             directory.mkdir(parents=True, exist_ok=True)
-        fd, tmps[path] = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
+        fd, tmps[str(path)] = tempfile.mkstemp(dir=directory, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
 
     try:
         yield put
-        stale = [(path, None) for path in out_dir.iterdir()
-                 if path not in tmps
+        stale = [(str(path), None) for path in out_dir.iterdir()
+                 if str(path) not in tmps
                  and any(fnmatchcase(path.name, pattern) for pattern in retire)
                  and not path.is_dir()]
         for path, tmp in [*tmps.items(), *stale]:

@@ -103,7 +103,10 @@ def _malformed(line_no: int, reason: str) -> InputError:
     return InputError(f"malformed event log line {line_no}: {reason}")
 
 
-# a log given as one string is cut into pieces of this many characters
+# a log is read in pieces of this many characters: cut from a log given as
+# one string, or read from a file in chunks by the CLI. Each piece is
+# scanned in place, so the piece, its decoding and its scan are the parse's
+# transient memory, which 32 KiB keeps small
 _BLOCK_CHARS = 1 << 15
 
 

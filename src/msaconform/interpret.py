@@ -12,12 +12,14 @@ machine that holds its subject.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_left
 from importlib import resources
+from itertools import repeat
 from operator import attrgetter, itemgetter
-from typing import Iterator, NamedTuple
+from typing import Container, Iterator, NamedTuple
 
-from .automaton import StateMachine, breadth_first, canonicalize
+from .automaton import Runs, StateMachine, breadth_first, canonicalize, reachable_states
 from .detector import NcKind, NonConformance
 from .events import GLOBAL_SCOPE, parse_symbol
 from .static_model import Flow, ServiceNode, StaticModel, Traceability
@@ -61,6 +63,8 @@ class NcDetails:
 
 
 _source = itemgetter(0)  # of a transition key (state, symbol)
+# the typecodes of a call index's depths, narrowest first
+_DEPTH_TYPES = "HIQ"
 
 
 def _load_catalog() -> tuple[Interpretation, ...]:
@@ -91,37 +95,25 @@ def interpretations_for(kind: NcKind) -> list[Interpretation]:
     return [entry for entry in _CATALOG if entry.kind == kind]
 
 
-class _Runs:
-    """A mapping from each key of the sorted list ``keys`` to the slice of
-    the parallel list ``values`` beside that key's run, found by bisection:
-    two flat lists in place of one list per key."""
-
-    __slots__ = ("keys", "values")
-
-    def __init__(self, keys: list, values: list):
-        self.keys = keys
-        self.values = values
-
-    def get(self, key, _default=()) -> list:
-        keys = self.keys
-        return self.values[bisect_left(keys, key):bisect_right(keys, key)]
-
-
 class CallIndex:
     """One machine's transitions indexed for static-finding details.
 
     Built in one pass over the transitions that parses each distinct symbol
-    once, plus two sorts and a breadth-first walk for ``dist`` that finds each
-    state's successors by bisection, so that no list is made per state; after
-    that, a sub-machine or a call list costs in proportion to the finding's
+    once, plus two sorts and a breadth-first walk that finds each state's
+    successors by bisection, so that no list is made per state; after that,
+    a sub-machine or a call list costs in proportion to the finding's
     neighbourhood, not to the machine. It holds the machine's own
-    ``(state, symbol)`` keys.
+    ``(state, symbol)`` keys, and the involved keys only of the pairs among
+    ``subjects``, the findings' subjects it serves. No map is kept per state: a
+    state's breadth-first distance from the initial state is kept beside
+    each key that leaves it, in a flat array in source order, since a
+    sub-machine's root is always a transition source.
     """
 
-    def __init__(self, sm: StateMachine):
+    def __init__(self, sm: StateMachine, subjects: Container[tuple[str, ...]]):
         self.machine = sm
         transitions = sm.transitions
-        # transition keys per communication (caller, callee)
+        # transition keys per communication (caller, callee) among the subjects
         self.involved: dict[tuple[str, str], list[tuple[int, str]]] = {}
         calls: dict[str, tuple[str, str, str, str]] = {}
         totals: dict[tuple[str, str, str, str], int] = {}
@@ -129,7 +121,8 @@ class CallIndex:
             call = calls.get(key[1])
             if call is None:
                 call = calls[key[1]] = parse_symbol(key[1])
-            self.involved.setdefault(call[:2], []).append(key)
+            if call[:2] in subjects:
+                self.involved.setdefault(call[:2], []).append(key)
             totals[call] = totals.get(call, 0) + freq
 
         # calls by descending count, then by call; each bucket keeps that order
@@ -144,16 +137,33 @@ class CallIndex:
                 self.calls_by_service.setdefault(callee, []).append(summary)
 
         # transition keys sorted by source and by target state: the keys that
-        # leave or enter a state are a slice of each, and a state's successors
-        # a slice of the targets in source order. Flat lists take a fraction
-        # of the memory of one list per state.
-        by_source = sorted(transitions, key=_source)
+        # leave or enter a state are a slice of each. Flat lists take a
+        # fraction of the memory of one list per state.
+        self._by_source = sorted(transitions, key=_source)
+        # a source's depth is less than the number of transitions, which marks
+        # a source the initial state does not reach. The walk's lists and map
+        # die before the target sort, so that they are never alive beside it.
+        n = len(self._by_source)
+        code = next(code for code in _DEPTH_TYPES if n < 1 << 8 * array(code).itemsize)
+        dist = reachable_states(sm.initial, transitions, self._by_source)
+        self._depth = array(code, map(dist.get, map(_source, self._by_source), repeat(n)))
+        del dist
         by_target = sorted(transitions, key=lambda key: transitions[key][0])
-        sources = list(map(_source, by_source))
-        self._leaving = _Runs(sources, by_source)
-        self._entering = _Runs([transitions[key][0] for key in by_target], by_target)
-        self.dist = breadth_first(
-            [sm.initial], _Runs(sources, [transitions[key][0] for key in by_source]))
+        self._entering = Runs([transitions[key][0] for key in by_target], by_target)
+
+    def _leaving(self, state: int) -> list[tuple[int, str]]:
+        """The keys that leave ``state``, a run of the keys in source order:
+        ``(state,)`` sorts before each key of the run and ``(state + 1,)``
+        after it."""
+        keys = self._by_source
+        start = bisect_left(keys, (state,))
+        return keys[start:bisect_left(keys, (state + 1,), start)]
+
+    def distance(self, state: int) -> int | None:
+        """The breadth-first distance of ``state``, a transition source, from
+        the initial state; ``None`` if the initial state does not reach it."""
+        depth = self._depth[bisect_left(self._by_source, (state,))]
+        return None if depth == len(self._depth) else depth
 
     def submachine(self, a: str, b: str) -> StateMachine | None:
         """Sub-machine around the transitions whose symbol communicates a→b.
@@ -162,7 +172,8 @@ class CallIndex:
         their endpoint states, re-rooted at the kept state nearest the
         original initial state that still reaches an involved transition.
         States the new root cannot reach within the cut are dropped so the
-        result is a valid machine. ``None`` if no transition communicates a→b.
+        result is a valid machine. ``None`` if no transition communicates a→b,
+        or if ``(a, b)`` is not among the subjects the index was built for.
         """
         involved = self.involved.get((a, b))
         if not involved:
@@ -173,17 +184,18 @@ class CallIndex:
         kept = {
             key: transitions[key]
             for state in core
-            for key in (*self._leaving.get(state), *self._entering.get(state))
+            for key in (*self._leaving(state), *self._entering.get(state))
         }
 
         # the root is the state nearest the initial state among those that can
         # still reach an involved transition inside the cut; rooting one hop
-        # before the involved states keeps their feeding context visible
+        # before the involved states keeps their feeding context visible. Each
+        # such state is an involved source or a kept transition's source.
         preds: dict[int, list[int]] = {}
         for (src, _sym), (dst, _f) in kept.items():
             preds.setdefault(dst, []).append(src)
         reaching = breadth_first(involved_sources, preds)
-        root = min(reaching, key=lambda s: (self.dist[s], s))
+        root = min(reaching, key=lambda s: (self.distance(s), s))
         return canonicalize(root, kept, name=self.machine.name)
 
 
@@ -302,7 +314,7 @@ def finding_details(
     for scope in sorted(machines, key=lambda name: (name != GLOBAL_SCOPE, name)):
         if not unresolved:
             break
-        index = CallIndex(machines[scope])
+        index = CallIndex(machines[scope], unresolved)
         held = unresolved.intersection(
             [*index.calls_by_pair, *((name,) for name in index.calls_by_service)])
         indexes.update(dict.fromkeys(held, index))

@@ -17,6 +17,7 @@ from msaconform.automaton import (
 )
 from msaconform.errors import InputError
 from msaconform.interpret import CallIndex
+from msaconform.learner import LearnerConfig, build_pta, learn
 import _reference_automaton as reference
 from _reference_interpret import transition_frequencies
 
@@ -33,6 +34,16 @@ class TestStateMachine:
         sm = machine({(0, "a→b:GET /x"): (1, 5)}, name="global")
         assert repr(sm) == ("StateMachine(states=frozenset({0, 1}), initial=0, "
                             "transitions={(0, 'a→b:GET /x'): (1, 5)}, name='global')")
+
+    def test_states_are_initial_and_targets(self):
+        sm = machine({(0, "a→b:GET /x"): (1, 5), (1, "a→b:GET /y"): (0, 2)})
+        assert sm.states == frozenset({0, 1})
+        assert StateMachine(None, 7, {}).states == frozenset({7})
+
+    @pytest.mark.parametrize("states", [frozenset({0}), frozenset({0, 1, 2}), frozenset({1})])
+    def test_disagreeing_states_refused(self, states):
+        with pytest.raises(ValueError, match="initial state and its transitions' targets"):
+            StateMachine(states, 0, {(0, "a→b:GET /x"): (1, 5)})
 
     def test_not_equal_to_another_type(self):
         sm = machine({(0, "a→b:GET /x"): (1, 5)})
@@ -346,9 +357,12 @@ class TestWalksAgainstReference:
             initial, transitions)
         assert canonicalize(initial, transitions, name="m") == reference.canonicalize(
             initial, transitions, name="m")
-        sm = StateMachine(frozenset(all_states(initial, transitions)), initial, transitions)
-        assert CallIndex(sm).dist == level_distances(initial, transitions)
-        assert CallIndex(sm).dist == reachable_states(initial, transitions)
+        # no state set: the initial state need not reach every source
+        index = CallIndex(StateMachine(None, initial, transitions), ())
+        depths = {src: index.distance(src) for src, _sym in transitions}
+        for dist in (level_distances(initial, transitions),
+                     reachable_states(initial, transitions)):
+            assert depths == {src: dist.get(src) for src in depths}
 
     def test_strategy_has_several_unreached_states(self):
         def several(m):
@@ -365,12 +379,31 @@ class TestWalksAgainstReference:
         """The text of a machine whose states are far apart, often with several
         of them unreachable: the parser gives the same machine, states
         included, or the same error, naming the same state."""
-        initial, transitions = m
-        text = "".join([f"digraph sm {{\n__start -> {initial};\n",
-                        *(f'{src} -> {dst} [label="{sym} | {freq}"];\n'
-                          for (src, sym), (dst, freq) in transitions.items()), "}\n"])
+        text = dot_text(*m)
         assert parse_outcome(parse_state_machine, text) == parse_outcome(
             reference.parse_state_machine, text)
+
+    @settings(max_examples=200, deadline=None)
+    @given(loose_machines(), st.lists(st.lists(st.sampled_from(SYMBOLS), max_size=6),
+                                      min_size=1, max_size=12))
+    def test_states_are_initial_targets_and_reached(self, m, traces):
+        """A parsed, a canonicalized and a learned machine's states are its
+        initial state and its transitions' targets: the states it reaches."""
+        machines = [canonicalize(*m), learn(traces, LearnerConfig()), build_pta(traces)]
+        try:
+            machines.append(parse_state_machine(dot_text(*m)))
+        except InputError:  # a state the initial one does not reach
+            pass
+        for sm in machines:
+            targets = {dst for dst, _f in sm.transitions.values()}
+            assert sm.states == {sm.initial, *targets} == set(
+                reachable_states(sm.initial, sm.transitions))
+
+
+def dot_text(initial, transitions) -> str:
+    return "".join([f"digraph sm {{\n__start -> {initial};\n",
+                    *(f'{src} -> {dst} [label="{sym} | {freq}"];\n'
+                      for (src, sym), (dst, freq) in transitions.items()), "}\n"])
 
 
 def all_states(initial, transitions) -> set[int]:

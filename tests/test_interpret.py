@@ -79,7 +79,7 @@ CHAIN = {
 class TestSubmachine:
     def test_distance_one_closure(self):
         sm = machine(CHAIN)
-        sub = CallIndex(sm).submachine("a", "b")
+        sub = CallIndex(sm, {("a", "b")}).submachine("a", "b")
         # oracle: brute-force filter on the handcrafted machine — involved
         # transition (3,4); adjacent transitions touch 3 or 4: (2→3), (4→5)
         symbols = {sym for (_s, sym) in sub.transitions}
@@ -89,11 +89,11 @@ class TestSubmachine:
 
     def test_no_involved_transitions(self):
         sm = machine(CHAIN)
-        assert CallIndex(sm).submachine("nope", "nothere") is None
+        assert CallIndex(sm, {("nope", "nothere")}).submachine("nope", "nothere") is None
 
     def test_all_involved_equals_whole(self):
         sm = machine({(0, "a→b:GET /x"): (1, 1), (1, "a→b:GET /y"): (0, 3)})
-        sub = CallIndex(sm).submachine("a", "b")
+        sub = CallIndex(sm, {("a", "b")}).submachine("a", "b")
         assert len(sub.states) == len(sm.states)
         assert sorted(sym for (_s, sym) in sub.transitions) == sorted(
             sym for (_s, sym) in sm.transitions
@@ -101,24 +101,47 @@ class TestSubmachine:
 
     def test_transitions_subset_with_frequencies(self):
         sm = machine(CHAIN)
-        sub = CallIndex(sm).submachine("a", "b")
+        sub = CallIndex(sm, {("a", "b")}).submachine("a", "b")
         original = {(sym, f) for (_s, sym), (_t, f) in sm.transitions.items()}
         assert {(sym, f) for (_s, sym), (_t, f) in sub.transitions.items()} <= original
+
+
+class TestCallIndex:
+    def test_involved_only_for_subject_pairs(self):
+        sm = machine(CHAIN)
+        index = CallIndex(sm, {("a", "b"), ("x",), ("q", "r")})
+        assert index.involved == {("a", "b"): [(3, "a→b:GET /hit")]}
+        every_pair = CallIndex(sm, {("a", "b"), ("x", "y"), ("y", "z")})
+        assert index.submachine("a", "b") == every_pair.submachine("a", "b")
+        assert index.submachine("x", "y") is None and every_pair.submachine("x", "y")
+        assert index.calls_by_pair == every_pair.calls_by_pair
+
+    def test_chain_deeper_than_16_bits(self):
+        """Every source of a chain 70,000 transitions long reads back its
+        depth, past what an unsigned 16-bit array holds, and the last
+        transition's sub-machine is rooted one hop before it."""
+        n = 70_000
+        chain = {(i, "a→b:GET /x"): (i + 1, 1) for i in range(n - 1)}
+        chain[(n - 1, "c→d:GET /y")] = (n, 1)
+        index = CallIndex(StateMachine(None, 0, chain), {("c", "d")})
+        assert [index.distance(i) for i in range(n)] == list(range(n))
+        sub = index.submachine("c", "d")
+        assert sub.transitions == {(0, "a→b:GET /x"): (1, 1), (1, "c→d:GET /y"): (2, 1)}
 
 
 class TestMostFrequentCalls:
     def test_top_n(self):
         sm = machine({(0, "a→b:GET /x"): (1, 5), (1, "a→b:POST /y"): (0, 2)})
-        calls = CallIndex(sm).calls_by_pair.get(("a", "b"), [])[:1]
+        calls = CallIndex(sm, ()).calls_by_pair.get(("a", "b"), [])[:1]
         assert calls == [CallSummary("a", "b", "GET", "/x", 5)]
 
     def test_no_calls(self):
         sm = machine({(0, "c→d:GET /x"): (1, 5)})
-        assert CallIndex(sm).calls_by_pair.get(("a", "b"), [])[:5] == []
+        assert CallIndex(sm, ()).calls_by_pair.get(("a", "b"), [])[:5] == []
 
     def test_grouping(self):
         sm = machine({(0, "a→b:GET /x"): (1, 3), (1, "a→b:GET /x"): (0, 4)})
-        calls = CallIndex(sm).calls_by_pair.get(("a", "b"), [])[:5]
+        calls = CallIndex(sm, ()).calls_by_pair.get(("a", "b"), [])[:5]
         assert calls == [CallSummary("a", "b", "GET", "/x", 7)]
 
     def test_counts_sum_to_total(self):
@@ -129,7 +152,7 @@ class TestMostFrequentCalls:
                 (2, "c→d:GET /z"): (0, 9),
             }
         )
-        calls = CallIndex(sm).calls_by_pair.get(("a", "b"), [])[:100]
+        calls = CallIndex(sm, ()).calls_by_pair.get(("a", "b"), [])[:100]
         assert sum(c.count for c in calls) == 7
 
 
@@ -238,14 +261,14 @@ class TestStaticDetails:
     def test_edge_subject(self):
         sm = machine(CHAIN)
         nc = NonConformance(NcKind.Static, "edge", ("a", "b"))
-        details = static_nc_details(CallIndex(sm), nc, top_n=5)
+        details = static_nc_details(CallIndex(sm, {nc.names}), nc, top_n=5)
         assert details.submachine is not None
         assert details.frequent_calls == (CallSummary("a", "b", "GET", "/hit", 2),)
 
     def test_node_subject(self):
         sm = machine(CHAIN)
         nc = NonConformance(NcKind.Static, "node", ("y",))
-        details = static_nc_details(CallIndex(sm), nc, top_n=5)
+        details = static_nc_details(CallIndex(sm, {nc.names}), nc, top_n=5)
         assert details.submachine is None
         assert all("y" in (c.caller, c.callee) for c in details.frequent_calls)
 
@@ -327,7 +350,8 @@ class TestFindingDetails:
         built = []
         scope_of = {id(sm): scope for scope, sm in machines.items()}
         monkeypatch.setattr(interpret, "CallIndex",
-                            lambda sm: built.append(scope_of[id(sm)]) or CallIndex(sm))
+                            lambda sm, subjects: built.append(scope_of[id(sm)])
+                            or CallIndex(sm, subjects))
         model = parse_static_model(json.dumps({"services": [], "information_flows": []}))
         ncs = [NonConformance(NcKind.Static, "edge" if len(names) == 2 else "node", names)
                for names in subjects]

@@ -63,7 +63,7 @@ def reference_submachine(sm, a, b):
 
 
 def assert_same_details(sm, pairs, services, top_ns=TOP_NS):
-    index = CallIndex(sm)
+    index = CallIndex(sm, set(pairs))
     for a, b in pairs:
         want = reference_submachine(sm, a, b)
         if want is None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from typing import Callable, NamedTuple, Sequence
 
 from .automaton import StateMachine, accepts
@@ -38,6 +39,14 @@ class EvalMetrics(NamedTuple):
         return header + "\n" + row + "\n"
 
 
+def _others(alphabet: Sequence[str], symbol: str) -> list[str]:
+    """``alphabet``, a sorted list of distinct symbols, without ``symbol``, as
+    a new list in the same order."""
+    i = bisect_left(alphabet, symbol)
+    j = i + 1 if i < len(alphabet) and alphabet[i] == symbol else i
+    return [*alphabet[:i], *alphabet[j:]]
+
+
 def mutate_trace(
     trace: Trace,
     alphabet: Sequence[str],
@@ -55,7 +64,7 @@ def mutate_trace(
     start = rng.randrange(len(symbols))
     for offset in range(len(symbols)):
         pos = (start + offset) % len(symbols)
-        choices = [s for s in alphabet if s != symbols[pos]]
+        choices = _others(alphabet, symbols[pos])
         rng.shuffle(choices)
         for replacement in choices:
             mutant = symbols[:pos] + (replacement,) + symbols[pos + 1:]

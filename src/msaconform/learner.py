@@ -17,7 +17,10 @@ Merging is deterministic: blue states are considered in breadth-first id
 order and fold into the lowest-id compatible red state.
 
 The prefix tree is kept as flat lists with one entry per state. States
-are numbered breadth-first with symbols in sorted order. State ``t`` is
+are numbered breadth-first with symbols in sorted order, and the tree is
+built in that order, one level at a time: each state of a level keeps the
+distinct traces through it, split by their next symbol to number its
+children, so no trie is built and renumbered. State ``t`` is
 entered from ``src[t]`` on ``sym[t]`` by ``freq[t]`` traces, the number
 that pass through it; the root has ``src[0] = -1``, ``sym[0] = ""`` and
 ``freq[0]`` the number of traces. ``leaf[i]`` is the state where trace
@@ -26,12 +29,20 @@ cross-validation fold does not build its own tree: ``without`` copies the
 counts and walks each held-out trace from its leaf up to the root,
 decrementing. A state whose count reaches 0 leaves the fold's tree, and so
 does its whole subtree. On the states that remain, the global
-breadth-first order is the fold's own. The merge loop builds each state's
-row in the order its symbols were first inserted, in one pass over the
+breadth-first order is the fold's own. The merge loop orders each
+state's row by when its symbols were first inserted, in one pass over the
 leaves that also counts each state's terminations: a trace makes the
-states between its leaf and the first state an earlier trace made. Ids
-and rows are then those of a tree built from the fold's traces, so the
-merge order, and the learned machine, is the same.
+states between its leaf and the first state an earlier trace made, and
+links each into its parent's chain of children. Ids and rows are then
+those of a tree built from the fold's traces, so the merge order, and the
+learned machine, is the same.
+
+A row is a dict built from its state's chain the first time the loop reads
+it. A row is only changed after it is built, so a row not yet built is
+still the tree's, and a fold that takes in a state whose row was never
+read walks its chain instead: most states of a tree are folded away, deep
+under a blue whose total is too small to fail a test, without a dict of
+their own.
 
 Each merge step does work bounded by the states it touches, not by the
 size of the automaton. Every non-red state is a node of a prefix subtree
@@ -136,9 +147,12 @@ class PrefixTree:
 
     State ``t`` is entered from ``src[t]`` on ``sym[t]`` by ``freq[t]``
     traces; the root's entry is ``-1``, ``""`` and the number of traces.
-    Trace ``i`` ends in ``leaf[i]``. A trace object that occurs more than
-    once, as equal sessions do (``extract_traces`` makes them one), is
-    walked once and adds its multiplicity to each count. A tree made by
+    Trace ``i`` ends in ``leaf[i]``. It is built one breadth-first level at
+    a time from the distinct traces through each state of the level; one
+    that a single trace passes through has at most one child and needs no
+    split. A trace object that occurs more than once, as equal sessions do
+    (``extract_traces`` makes them one), is walked once and adds its
+    multiplicity to each count. A tree made by
     :meth:`without` shares ``src`` and ``sym`` and keeps the states its
     traces left behind with count 0.
     """
@@ -148,42 +162,55 @@ class PrefixTree:
     def __init__(self, traces: Sequence[Trace | Sequence[str]]):
         if not traces:
             raise InputError("cannot learn from an empty trace set")
-        # each distinct trace object, in first-seen order: [the trace, how many times it occurs]
-        distinct: dict[int, list] = {}
+        # each distinct trace object's index among the distinct, its symbols
+        # and how many times it occurs, in first-seen order
+        index: dict[int, int] = {}
+        seqs: list[Sequence[str]] = []
+        times: list[int] = []
         for trace in traces:
-            distinct.setdefault(id(trace), [trace, 0])[1] += 1
-        # insertion-numbered trie first: a child dict and an incoming count per node
-        children: list[dict[str, int]] = [{}]
-        count = [len(traces)]
-        ends: dict[int, int] = {}  # each distinct trace object's node
-        for key, (trace, times) in distinct.items():
-            node = 0
-            for symbol in trace.symbols if isinstance(trace, Trace) else trace:
-                row = children[node]
-                nxt = row.get(symbol)
-                if nxt is None:
-                    nxt = row[symbol] = len(children)
-                    children.append({})
-                    count.append(0)
-                count[nxt] += times
-                node = nxt
-            ends[key] = node
-        # then breadth-first, symbols sorted
-        bfs_id = [0] * len(children)
-        order = [0]
+            k = index.get(id(trace))
+            if k is None:
+                index[id(trace)] = len(seqs)
+                seqs.append(trace.symbols if isinstance(trace, Trace) else trace)
+                times.append(1)
+            else:
+                times[k] += 1
+        ends = [0] * len(seqs)  # each distinct trace's state
         self.src: list[int] = [-1]
         self.sym: list[str] = [""]
-        self.freq: list[int] = [count[0]]
-        for state, node in enumerate(order):  # order grows as the loop runs
-            row = children[node]
-            for symbol in sorted(row):
-                child = row[symbol]
-                bfs_id[child] = len(order)
-                order.append(child)
-                self.src.append(state)
-                self.sym.append(symbol)
-                self.freq.append(count[child])
-        self.leaf = [bfs_id[ends[id(trace)]] for trace in traces]
+        self.freq: list[int] = [len(traces)]
+        src, sym, freq = self.src, self.sym, self.freq
+        # one level at a time: the distinct traces through each of its states
+        level: list[list[int]] = [list(range(len(seqs)))]
+        state, depth = 0, 0
+        while level:
+            below: list[list[int]] = []
+            for through in level:
+                if len(through) == 1:  # one trace: no split, at most one child
+                    k = through[0]
+                    if depth < len(seqs[k]):
+                        src.append(state)
+                        sym.append(seqs[k][depth])
+                        freq.append(times[k])
+                        below.append(through)
+                    else:
+                        ends[k] = state
+                else:
+                    split: dict[str, list[int]] = {}
+                    for k in through:
+                        if depth < len(seqs[k]):
+                            split.setdefault(seqs[k][depth], []).append(k)
+                        else:
+                            ends[k] = state
+                    for symbol in sorted(split):
+                        child = split[symbol]
+                        src.append(state)
+                        sym.append(symbol)
+                        freq.append(sum(times[k] for k in child))
+                        below.append(child)
+                state += 1
+            level, depth = below, depth + 1
+        self.leaf = [ends[index[id(trace)]] for trace in traces]
 
     def without(self, held: Iterable[int]) -> PrefixTree:
         """The tree of the traces not indexed by ``held``, in their order."""
@@ -205,20 +232,26 @@ class PrefixTree:
 class _RedBlue:
     """Red-blue merge loop over a prefix tree, with incremental bookkeeping.
 
-    ``trans`` maps each live state to its row ``symbol -> (target, freq)``.
-    The lists are indexed by the tree's state ids: ``end`` holds each
+    A state is made once the pass over the leaves links it into its
+    parent's chain of children: ``head`` holds each state's first child and
+    ``after`` each child's next sibling, in the order they were made, and
+    ``made`` each state's rank in that order, -1 for a state the tree keeps
+    with count 0. ``trans`` maps each live state whose row was read to that
+    row, ``symbol -> (target, freq)``, built by :meth:`row` from the chain
+    and the tree's counts on first read; a merged state leaves it. The
+    lists are indexed by the tree's state ids: ``end`` holds each
     state's termination count, and ``total`` caches its outgoing plus
     terminating frequency. Every non-red state ``t`` has one incoming edge,
     from ``parent_src[t]`` on ``sym[t]``, the tree's own symbol: a fold
     moves ``t`` under the same row key, and a redirect only ever points an
     edge at a red. A state is blue when its parent is red, and
     ``parent_src`` is -1 for a red or merged state. ``fringe`` holds every
-    blue state, possibly alongside stale ids. ``top`` holds each state's
-    heaviest outgoing frequency, 0 for an empty row, and ``heavy`` a symbol
-    that holds it, ``""`` for an empty row: one exact entry per state that
-    serves both the red scan in :meth:`run` and, through ``top``, the
-    red-row guard in :meth:`_compatible`. ``sure`` is the largest blue total
-    at which no test can fail.
+    blue state, possibly alongside stale ids. ``top`` holds the heaviest
+    frequency of each built row, 0 for an empty one, and ``heavy`` a
+    symbol that holds it, ``""`` for an empty row: one exact entry per
+    built row that serves both the red scan in :meth:`run` and, through
+    ``top``, the red-row guard in :meth:`_compatible`. Every red's row is
+    built. ``sure`` is the largest blue total at which no test can fail.
     """
 
     def __init__(self, tree: PrefixTree, cfg: LearnerConfig):
@@ -229,27 +262,36 @@ class _RedBlue:
         while coeff * (1.0 / math.sqrt(self.sure + 1)) > 1.0:
             self.sure += 1
         src, freq = tree.src, tree.freq
-        self.sym = sym = tree.sym
-        # each row in insertion order: the order _merge walks a row in decides
-        # which states a fold keeps, and so the ids that order later merges.
-        # A state is made once it has a row.
-        self.end = end = [0] * len(src)
-        self.top = top = [0] * len(src)
-        self.heavy = heavy = [""] * len(src)
-        self.trans = trans = {0: {}}
+        self.sym, self.freq = tree.sym, freq
+        # each row in insertion order, as a chain of children until it is
+        # read: the order _merge walks a row in decides which states a fold
+        # keeps, and so the ids that order later merges
+        n = len(src)
+        self.end = end = [0] * n
+        self.top = [0] * n
+        self.heavy = [""] * n
+        self.head = head = [-1] * n  # each made state's first child
+        self.after = after = [-1] * n  # each child's next sibling in made order
+        self.made = made = [-1] * n
+        last = [-1] * n  # the last child linked so far
+        made[0] = rank = 0
         # a leaf met again only adds to its count: Counter keeps first-seen order
         for state, times in Counter(tree.leaf).items():
             end[state] += times
             path = []  # the states this trace makes, deepest first
-            while state not in trans:
+            while made[state] < 0:
                 path.append(state)
                 state = src[state]
             for t in reversed(path):
-                s, f = src[t], freq[t]
-                trans[s][sym[t]] = (t, f)
-                if f > top[s]:
-                    top[s], heavy[s] = f, sym[t]
-                trans[t] = {}
+                s = src[t]
+                if last[s] < 0:
+                    head[s] = t
+                else:
+                    after[last[s]] = t
+                last[s] = t
+                rank += 1
+                made[t] = rank
+        self.trans: dict[int, dict[str, tuple[int, int]]] = {}
         self.parent_src = src.copy()
         # in a prefix tree a state's total is the count of its incoming edge
         self.total = freq.copy()
@@ -266,11 +308,37 @@ class _RedBlue:
         self.fringe: list[int] = []
         self._promote(0)
 
+    def row(self, state: int) -> dict[str, tuple[int, int]]:
+        """The row of a made state, built from its child chain on first read."""
+        row = self.trans.get(state)
+        if row is None:
+            row = self.trans[state] = {}
+            sym, freq, after = self.sym, self.freq, self.after
+            top, heavy = 0, ""
+            t = self.head[state]
+            while t >= 0:
+                f = freq[t]
+                row[sym[t]] = (t, f)
+                if f > top:
+                    top, heavy = f, sym[t]
+                t = after[t]
+            self.top[state], self.heavy[state] = top, heavy
+        return row
+
+    def _chain(self, state: int):
+        """The items of a made state's row, from the tree, without building
+        it: for a state whose row was never read, and so never changed."""
+        sym, freq, after = self.sym, self.freq, self.after
+        t = self.head[state]
+        while t >= 0:
+            yield sym[t], (t, freq[t])
+            t = after[t]
+
     def _promote(self, state: int) -> None:
         self.red.add(state)
         insort(self.red_order, state)
         self.parent_src[state] = -1
-        for t, _f in self.trans[state].values():
+        for t, _f in self.row(state).values():
             heapq.heappush(self.fringe, t)
         n1, f = self.total[state], self.top[state]
         if f and n1 >= self.min_freq:  # a non-empty row, so n1 >= f > 0
@@ -309,7 +377,7 @@ class _RedBlue:
         with ``n2 <= sure`` cannot fail, and neither can any below it: the
         totals in the blue subtree only shrink going down.
         """
-        trans, end, total, top = self.trans, self.end, self.total, self.top
+        trans, end, total, top, row = self.trans, self.end, self.total, self.top, self.row
         min_freq, coeff, sure = self.min_freq, self.coeff, self.sure
         stack = [(red, blue)]
         while stack:
@@ -321,7 +389,7 @@ class _RedBlue:
             if abs(end[a] / n1 - end[b] / n2) >= bound:
                 return False
             # a symbol missing from one row has frequency 0 there
-            row_a, row_b = trans[a], trans[b]
+            row_a, row_b = trans.get(a) or row(a), trans.get(b) or row(b)
             for sym, (tb, f2) in row_b.items():
                 ta_f1 = row_a.get(sym)
                 if ta_f1 is None:
@@ -351,11 +419,12 @@ class _RedBlue:
             end[a] += end[b]
             total[a] += total[b]
             parent_src[b] = -1
-            row_a = trans[a]
+            row_a = trans.get(a) or self.row(a)
             a_red = a in reds
             if a_red and a in indexed:
                 self._unindex(a)
-            for sym, (t, f) in trans.pop(b, {}).items():
+            row_b = trans.pop(b, None)
+            for sym, (t, f) in self._chain(b) if row_b is None else row_b.items():
                 if sym in row_a:
                     t2, f2 = row_a[sym]
                     f += f2
@@ -387,11 +456,11 @@ class _RedBlue:
         return sorted(set(reds))
 
     def run(self) -> _RedBlue:
-        trans, total, top, heavy = self.trans, self.total, self.top, self.heavy
+        total, top, heavy = self.total, self.top, self.heavy
         coeff, min_freq, sqrt = self.coeff, self.min_freq, math.sqrt
         while (q := self._next_blue()) is not None:
             n2 = total[q]
-            row_q = trans[q]
+            row_q = self.row(q)
             if n2 > 0 and n2 >= min_freq:
                 inv_b = 1.0 / sqrt(n2)
                 reds = self._reds_to_try(row_q, inv_b)
@@ -412,17 +481,23 @@ class _RedBlue:
         return self
 
     def to_state_machine(self, name: str | None = None) -> StateMachine:
+        # rows in the order their states were made, so that the transitions
+        # keep the order of a run that built every row at once
         transitions = {
             (s, sym): (t, f)
-            for s, row in self.trans.items()
-            for sym, (t, f) in row.items()
+            for s in sorted(self.trans, key=self.made.__getitem__)
+            for sym, (t, f) in self.trans[s].items()
         }
         return canonicalize(0, transitions, name=name)
 
 
 def build_pta(traces: Sequence[Trace | Sequence[str]], name: str | None = None) -> StateMachine:
     """Prefix tree acceptor: one state per distinct trace prefix."""
-    return _RedBlue(PrefixTree(traces), LearnerConfig()).to_state_machine(name=name)
+    pta = _RedBlue(PrefixTree(traces), LearnerConfig())
+    for state, rank in enumerate(pta.made):  # no merge reads the rows: read each
+        if rank >= 0:
+            pta.row(state)
+    return pta.to_state_machine(name=name)
 
 
 def learn(

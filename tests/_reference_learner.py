@@ -6,18 +6,24 @@ state's row for every total, and scans the whole automaton to redirect
 the one edge into a merged blue state. It is slow on large prefix trees
 but simple enough to trust; ``test_learner_oracle.py`` requires the new
 learner to produce byte-identical machines.
+
+Two former builds of the bounded-work learner are kept too, verbatim, as
+oracles for the builds that replaced them: ``TriePrefixTree`` builds the
+flat prefix tree through an insertion-numbered trie renumbered
+breadth-first, and ``eager_rows`` builds every row of a tree at once, with
+each state's termination count and heaviest entry.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from typing import Iterable, Sequence
 
 from msaconform.automaton import StateMachine, canonicalize
 from msaconform.errors import InputError as EmptyTraceSet
 from msaconform.events import Trace
-from msaconform.learner import LearnerConfig
+from msaconform.learner import LearnerConfig, PrefixTree
 
 
 def _symbols_of(trace: Trace | Sequence[str]) -> tuple[str, ...]:
@@ -167,3 +173,76 @@ def learn(
             red.append(q)
             red.sort()
     return fsm.to_state_machine(name=name)
+
+
+class TriePrefixTree(PrefixTree):
+    """``PrefixTree`` as it was built before the level-by-level build: an
+    insertion-numbered trie of every distinct trace object, then numbered
+    breadth-first with symbols sorted. ``without`` is the package's own."""
+
+    def __init__(self, traces: Sequence[Trace | Sequence[str]]):
+        if not traces:
+            raise EmptyTraceSet("cannot learn from an empty trace set")
+        # each distinct trace object, in first-seen order: [the trace, how many times it occurs]
+        distinct: dict[int, list] = {}
+        for trace in traces:
+            distinct.setdefault(id(trace), [trace, 0])[1] += 1
+        # insertion-numbered trie first: a child dict and an incoming count per node
+        children: list[dict[str, int]] = [{}]
+        count = [len(traces)]
+        ends: dict[int, int] = {}  # each distinct trace object's node
+        for key, (trace, times) in distinct.items():
+            node = 0
+            for symbol in trace.symbols if isinstance(trace, Trace) else trace:
+                row = children[node]
+                nxt = row.get(symbol)
+                if nxt is None:
+                    nxt = row[symbol] = len(children)
+                    children.append({})
+                    count.append(0)
+                count[nxt] += times
+                node = nxt
+            ends[key] = node
+        # then breadth-first, symbols sorted
+        bfs_id = [0] * len(children)
+        order = [0]
+        self.src: list[int] = [-1]
+        self.sym: list[str] = [""]
+        self.freq: list[int] = [count[0]]
+        for state, node in enumerate(order):  # order grows as the loop runs
+            row = children[node]
+            for symbol in sorted(row):
+                child = row[symbol]
+                bfs_id[child] = len(order)
+                order.append(child)
+                self.src.append(state)
+                self.sym.append(symbol)
+                self.freq.append(count[child])
+        self.leaf = [bfs_id[ends[id(trace)]] for trace in traces]
+
+
+def eager_rows(tree: PrefixTree):
+    """Every row of ``tree`` at once, as the merge loop built them before it
+    built each row on first read: ``(trans, end, top, heavy)``, with
+    ``trans`` in the order the states were made and each row in the order
+    its symbols were inserted."""
+    src, freq = tree.src, tree.freq
+    sym = tree.sym
+    end = [0] * len(src)
+    top = [0] * len(src)
+    heavy = [""] * len(src)
+    trans = {0: {}}
+    # a leaf met again only adds to its count: Counter keeps first-seen order
+    for state, times in Counter(tree.leaf).items():
+        end[state] += times
+        path = []  # the states this trace makes, deepest first
+        while state not in trans:
+            path.append(state)
+            state = src[state]
+        for t in reversed(path):
+            s, f = src[t], freq[t]
+            trans[s][sym[t]] = (t, f)
+            if f > top[s]:
+                top[s], heavy[s] = f, sym[t]
+            trans[t] = {}
+    return trans, end, top, heavy

@@ -6,7 +6,7 @@ import pytest
 
 from msaconform.automaton import StateMachine
 from msaconform.errors import InputError
-from msaconform.evaluator import EvalMetrics, evaluate, mutate_trace
+from msaconform.evaluator import EvalMetrics, _others, evaluate, mutate_trace
 from msaconform.events import Trace
 from msaconform.learner import LearnerConfig, build_pta
 
@@ -43,6 +43,16 @@ class TestMutateTrace:
     def test_alphabet_too_small(self):
         with pytest.raises(InputError, match="^need at least 2 symbols to mutate$"):
             mutate_trace(tr("a"), ["a"], 0)
+
+    @pytest.mark.parametrize("symbol", ["a", "c", "e", "b0", "", "z", "0"])
+    def test_others_is_the_alphabet_without_the_symbol(self, symbol):
+        # inside the alphabet at its ends and middle, and outside it before,
+        # between and after its symbols: the list the comprehension made
+        alphabet = ["a", "b", "c", "d", "e"]
+        for chosen in (alphabet, tuple(alphabet)):
+            got = _others(chosen, symbol)
+            assert type(got) is list and got is not chosen
+            assert got == [s for s in chosen if s != symbol]
 
     def test_single_position_changed(self):
         rng = random.Random(12)

@@ -38,7 +38,7 @@ def full_row_compatible(rb, red: int, blue: int) -> tuple[bool, int]:
     the guards are tried on the whole closure; the result is the same. It
     returns the result and how often a guard fired.
     """
-    trans, end, total = rb.trans, rb.end, rb.total
+    end, total = rb.end, rb.total
     compatible, guard_hits = True, 0
     seen = set()
     stack = [(red, blue)]
@@ -55,7 +55,7 @@ def full_row_compatible(rb, red: int, blue: int) -> tuple[bool, int]:
         bound = rb.coeff * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
         if abs(end[a] / n1 - end[b] / n2) >= bound:
             compatible = False
-        row_a, row_b = trans[a], trans[b]
+        row_a, row_b = rb.row(a), rb.row(b)
         for sym, (ta, f1) in row_a.items():
             tb_f2 = row_b.get(sym)
             if tb_f2 is None:

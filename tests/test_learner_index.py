@@ -43,11 +43,11 @@ class Linear(Recording):
     """The scan before the index: every red, in id order, for every blue."""
 
     def run(self):
-        trans, total, top, heavy = self.trans, self.total, self.top, self.heavy
+        total, top, heavy = self.total, self.top, self.heavy
         coeff, min_freq, sqrt = self.coeff, self.min_freq, math.sqrt
         while (q := self._next_blue()) is not None:
             n2 = total[q]
-            row_q = trans[q]
+            row_q = self.row(q)
             inv_b = 1.0 / sqrt(n2) if n2 > 0 and n2 >= min_freq else None
             for r in self.red_order:
                 n1 = total[r]

@@ -1,9 +1,13 @@
 """The bounded-work red-blue loop learns exactly what the original loop did.
 
 ``_reference_learner`` keeps the original merge loop verbatim. Every case
-here compares the two learners' ``serialize_state_machine`` text: on trace
-sets, and on cross-validation folds whose prefix tree is derived from the
-tree of every trace by ``PrefixTree.without``.
+here compares the two learners' ``serialize_state_machine`` text and the
+item order of their ``transitions``, which neither that text nor
+``StateMachine.__eq__`` sees: on trace sets, and on cross-validation folds
+whose prefix tree is derived from the tree of every trace by
+``PrefixTree.without``. It also keeps the former trie build of the prefix
+tree and the former build of every row at once, which the level-by-level
+build and the rows built on first read must match list for list.
 """
 
 import random
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 import _reference_learner as reference
 from _reference_events import event_calls
 from msaconform import evaluator, learner
-from msaconform.automaton import serialize_state_machine
+from msaconform.automaton import canonicalize, serialize_state_machine
 from msaconform.evaluator import _fold_indices, evaluate
 from msaconform.events import (
     Trace,
@@ -31,10 +35,13 @@ ALPHAS = (0.001, 0.05, 0.5, 1.0)
 MIN_FREQS = (0, 2, 10)
 
 
+def assert_same_learned(got, want):
+    assert serialize_state_machine(got) == serialize_state_machine(want)
+    assert list(got.transitions.items()) == list(want.transitions.items())
+
+
 def assert_same_machine(traces, cfg):
-    got = serialize_state_machine(learn(traces, cfg))
-    want = serialize_state_machine(reference.learn(traces, cfg))
-    assert got == want
+    assert_same_learned(learn(traces, cfg), reference.learn(traces, cfg))
 
 
 trace_sets = st.lists(
@@ -146,8 +153,7 @@ def held_out_folds(draw):
 
 def assert_fold_learns_like_reference(tree, traces, held, cfg):
     train = [t for i, t in enumerate(traces) if i not in held]
-    got = serialize_state_machine(learn(train, cfg, pta=tree.without(held)))
-    assert got == serialize_state_machine(reference.learn(train, cfg))
+    assert_same_learned(learn(train, cfg, pta=tree.without(held)), reference.learn(train, cfg))
 
 
 @settings(max_examples=300, deadline=None)
@@ -178,6 +184,65 @@ def test_fold_tree_is_the_tree_of_its_traces(case):
     assert own.freq[0] == len(train)
     assert [renumbered[fold.src[t]] for t in kept] == own.src
     assert [renumbered[t] for t in fold.leaf] == own.leaf
+
+
+def tree_lists(tree):
+    return tree.src, tree.sym, tree.freq, tree.leaf
+
+
+# each distinct trace as a Trace, a list, a tuple or a string of one-letter symbols
+as_kind = {"trace": lambda t: Trace(tuple(t)), "list": list, "tuple": tuple, "str": "".join}
+
+
+@st.composite
+def trace_objects(draw):
+    """Traces of every kind the learner takes, empty ones included, each
+    repeated as the same object or as an equal copy, and a set of their
+    indexes that leaves one or more."""
+    distinct = draw(trace_sets)
+    kinds = draw(st.lists(st.sampled_from(sorted(as_kind)), min_size=len(distinct),
+                          max_size=len(distinct)))
+    objects = [as_kind[kind](trace) for kind, trace in zip(kinds, distinct)]
+    picks = draw(st.lists(st.tuples(st.integers(0, len(objects) - 1), st.booleans()),
+                          min_size=1, max_size=80))
+    traces = [objects[i] if shared else as_kind[kinds[i]](distinct[i]) for i, shared in picks]
+    held = draw(st.sets(st.integers(0, len(traces) - 1), max_size=len(traces) - 1))
+    return traces, held
+
+
+@settings(max_examples=300, deadline=None)
+@given(trace_objects())
+def test_tree_is_the_trie_build(case):
+    """The level-by-level build gives the trie build's four lists, and so
+    does each tree ``without`` makes of them."""
+    traces, held = case
+    tree, trie = PrefixTree(traces), reference.TriePrefixTree(traces)
+    assert tree_lists(tree) == tree_lists(trie)
+    assert tree_lists(tree.without(held)) == tree_lists(trie.without(held))
+
+
+@settings(max_examples=300, deadline=None)
+@given(held_out_folds())
+def test_rows_built_on_read_are_the_eager_rows(case):
+    """Before any merge, each made state's row, whether built on read or
+    walked as a chain, is the row the former build made at once, item for
+    item, with the same heaviest entry; the states are made in the same
+    order, and ``build_pta`` gives the machine of the rows built at once."""
+    traces, held = case
+    tree = PrefixTree(traces)
+    for fold in (tree, tree.without(held)):
+        trans, end, top, heavy = reference.eager_rows(fold)
+        rb = learner._RedBlue(fold, LearnerConfig())
+        assert rb.end == end
+        made = [t for t, rank in enumerate(rb.made) if rank >= 0]
+        assert sorted(made, key=rb.made.__getitem__) == list(trans)
+        assert all(list(rb._chain(t)) == list(row.items()) for t, row in trans.items())
+        for t, row in trans.items():
+            assert list(rb.row(t).items()) == list(row.items()), t
+            assert (rb.top[t], rb.heavy[t]) == (top[t], heavy[t]), t
+    eager = canonicalize(0, {(s, sym): entry for s, row in reference.eager_rows(tree)[0].items()
+                             for sym, entry in row.items()})
+    assert list(build_pta(traces).transitions.items()) == list(eager.transitions.items())
 
 
 @settings(max_examples=200, deadline=None)

@@ -53,8 +53,8 @@ class EventLog:
     ``table`` holds each distinct call once, in the order of its first
     event. The parser gives ``stamps`` as an ``array('q')``, or as a list if
     a stamp does not fit in 64 bits, and ``ids`` as an array of the
-    narrowest unsigned type of ``_ID_TYPES`` that holds every index of
-    ``table``."""
+    narrowest unsigned type that holds every index of ``table``
+    (``unsigned_typecode``)."""
 
     __slots__ = ("stamps", "ids", "table")
 
@@ -70,6 +70,12 @@ class EventLog:
 
 class Trace(NamedTuple):
     symbols: tuple[str, ...]
+
+
+def scope_order(scopes: Iterable[str]) -> list[str]:
+    """``scopes`` in the order runs give them: ``GLOBAL_SCOPE`` first, then
+    the service names sorted."""
+    return sorted(scopes, key=lambda key: (key != GLOBAL_SCOPE, key))
 
 
 def format_symbol(src: str, dst: str, method: str, path: str) -> str:
@@ -252,16 +258,10 @@ def _extend_stamps(stamps: array | list[int], block: list[int]) -> array | list[
     return stamps
 
 
-# the typecodes of the id column, narrowest first
-_ID_TYPES = "HIQ"
-
-
-def _widen_ids(ids: array, n_calls: int) -> array:
-    """``ids``, or a copy of it in the narrowest wider type of ``_ID_TYPES``
-    that holds every index of a table of ``n_calls`` calls."""
-    while n_calls > 1 << 8 * ids.itemsize:
-        ids = array(_ID_TYPES[_ID_TYPES.index(ids.typecode) + 1], ids)
-    return ids
+def unsigned_typecode(n: int) -> str:
+    """The typecode of the narrowest unsigned ``array`` whose items hold
+    every integer from 0 to ``n``."""
+    return next(code for code in "HIQ" if n < 1 << 8 * array(code).itemsize)
 
 
 def parse_event_log(log: str | Iterable[str]) -> EventLog:
@@ -297,7 +297,7 @@ def parse_event_log(log: str | Iterable[str]) -> EventLog:
     if isinstance(log, str):
         pieces = (log[i:i + _BLOCK_CHARS] for i in range(0, len(log), _BLOCK_CHARS))
     stamps: array | list[int] = array("q")
-    ids = array(_ID_TYPES[0])  # the index in table of each event's call
+    ids = array(unsigned_typecode(0))  # the index in table of each event's call
     table: list[tuple[str, str, str, str]] = []  # each distinct call, in first-seen order
     names: dict[str, str] = {}  # raw service name -> normalized, per distinct name
     shared: dict[str, str] = {}  # one copy of each distinct method and path
@@ -327,7 +327,9 @@ def parse_event_log(log: str | Iterable[str]) -> EventLog:
                     block_stamps.append(event[0])
                     block_ids.append(_call_id(event[1], known, table))
         stamps = _extend_stamps(stamps, block_stamps)
-        ids = _widen_ids(ids, len(table))
+        code = unsigned_typecode(len(table) - 1)
+        if code != ids.typecode:
+            ids = array(code, ids)
         ids.fromlist(block_ids)
     return EventLog(stamps, ids, table)
 
@@ -396,7 +398,7 @@ def _sessions(events: Iterable[tuple[int, int]], table: list[tuple[str, str, str
             state[0] = ts
             state[1].append(symbol)
     out = {}
-    for key in sorted(scopes, key=lambda key: (key != GLOBAL_SCOPE, key)):
+    for key in scope_order(scopes):
         _last, session, traces = scopes[key]
         traces.append(close(session))
         out[key] = traces

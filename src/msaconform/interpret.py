@@ -16,12 +16,12 @@ from array import array
 from bisect import bisect_left
 from importlib import resources
 from itertools import repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Container, Iterator, NamedTuple
 
-from .automaton import Runs, StateMachine, breadth_first, canonicalize, reachable_states
+from .automaton import Runs, StateMachine, _source, breadth_first, canonicalize, reachable_states
 from .detector import NcKind, NonConformance
-from .events import GLOBAL_SCOPE, parse_symbol
+from .events import parse_symbol, scope_order, unsigned_typecode
 from .static_model import Flow, ServiceNode, StaticModel, Traceability
 
 
@@ -60,11 +60,6 @@ class NcDetails:
         self.code_pointer = code_pointer
         self.trigger_sequence = trigger_sequence
         self.call_details = call_details
-
-
-_source = itemgetter(0)  # of a transition key (state, symbol)
-# the typecodes of a call index's depths, narrowest first
-_DEPTH_TYPES = "HIQ"
 
 
 def _load_catalog() -> tuple[Interpretation, ...]:
@@ -144,9 +139,9 @@ class CallIndex:
         # a source the initial state does not reach. The walk's lists and map
         # die before the target sort, so that they are never alive beside it.
         n = len(self._by_source)
-        code = next(code for code in _DEPTH_TYPES if n < 1 << 8 * array(code).itemsize)
         dist = reachable_states(sm.initial, transitions, self._by_source)
-        self._depth = array(code, map(dist.get, map(_source, self._by_source), repeat(n)))
+        self._depth = array(unsigned_typecode(n),
+                            map(dist.get, map(_source, self._by_source), repeat(n)))
         del dist
         by_target = sorted(transitions, key=lambda key: transitions[key][0])
         self._entering = Runs([transitions[key][0] for key in by_target], by_target)
@@ -170,7 +165,8 @@ class CallIndex:
 
         Keeps the involved transitions plus every transition touching one of
         their endpoint states, re-rooted at the kept state nearest the
-        original initial state that still reaches an involved transition.
+        original initial state that still reaches an involved transition,
+        the lowest state id among equally near ones.
         States the new root cannot reach within the cut are dropped so the
         result is a valid machine. ``None`` if no transition communicates a→b,
         or if ``(a, b)`` is not among the subjects the index was built for.
@@ -311,7 +307,7 @@ def finding_details(
     # subjects still without a machine: an edge (src, dst) or a service (name,)
     unresolved = {nc.names for nc in ncs if nc.kind is NcKind.Static}
     indexes: dict[tuple[str, ...], CallIndex] = {}  # each subject's index
-    for scope in sorted(machines, key=lambda name: (name != GLOBAL_SCOPE, name)):
+    for scope in scope_order(machines):
         if not unresolved:
             break
         index = CallIndex(machines[scope], unresolved)

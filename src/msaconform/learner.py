@@ -148,13 +148,12 @@ class PrefixTree:
     State ``t`` is entered from ``src[t]`` on ``sym[t]`` by ``freq[t]``
     traces; the root's entry is ``-1``, ``""`` and the number of traces.
     Trace ``i`` ends in ``leaf[i]``. It is built one breadth-first level at
-    a time from the distinct traces through each state of the level; one
-    that a single trace passes through has at most one child and needs no
-    split. A trace object that occurs more than once, as equal sessions do
-    (``extract_traces`` makes them one), is walked once and adds its
-    multiplicity to each count. A tree made by
-    :meth:`without` shares ``src`` and ``sym`` and keeps the states its
-    traces left behind with count 0.
+    a time from the distinct traces through each state of the level, split
+    by their next symbol. A trace object that occurs more than once, as
+    equal sessions do (``extract_traces`` makes them one), is walked once
+    and adds its multiplicity to each count. A tree made by :meth:`without`
+    shares ``src`` and ``sym`` and keeps the states its traces left behind
+    with count 0.
     """
 
     __slots__ = ("src", "sym", "freq", "leaf")
@@ -186,28 +185,18 @@ class PrefixTree:
         while level:
             below: list[list[int]] = []
             for through in level:
-                if len(through) == 1:  # one trace: no split, at most one child
-                    k = through[0]
+                split: dict[str, list[int]] = {}
+                for k in through:
                     if depth < len(seqs[k]):
-                        src.append(state)
-                        sym.append(seqs[k][depth])
-                        freq.append(times[k])
-                        below.append(through)
+                        split.setdefault(seqs[k][depth], []).append(k)
                     else:
                         ends[k] = state
-                else:
-                    split: dict[str, list[int]] = {}
-                    for k in through:
-                        if depth < len(seqs[k]):
-                            split.setdefault(seqs[k][depth], []).append(k)
-                        else:
-                            ends[k] = state
-                    for symbol in sorted(split):
-                        child = split[symbol]
-                        src.append(state)
-                        sym.append(symbol)
-                        freq.append(sum(times[k] for k in child))
-                        below.append(child)
+                for symbol in sorted(split):
+                    child = split[symbol]
+                    src.append(state)
+                    sym.append(symbol)
+                    freq.append(sum(times[k] for k in child))
+                    below.append(child)
                 state += 1
             level, depth = below, depth + 1
         self.leaf = [ends[index[id(trace)]] for trace in traces]

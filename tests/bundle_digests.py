@@ -69,9 +69,11 @@ def run_digest(cli, argv: list[str], out_dir: Path, work: Path) -> str:
     return digest.hexdigest()
 
 
-def compute() -> dict[str, str]:
+def compute(names: tuple[str, ...] | None = None,
+            seeds: tuple[int, ...] = SEEDS) -> dict[str, str]:
     """Every run's digest, keyed ``<workload>/seed<n>/<scope>`` or
-    ``scenario/seed<n>``."""
+    ``scenario/seed<n>``; only those of the workloads ``names`` on ``seeds``
+    if given."""
     from msaconform import cli
 
     workloads = load_workloads()
@@ -79,7 +81,9 @@ def compute() -> dict[str, str]:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for name, spec in workloads.WORKLOADS.items():
-            for seed in SEEDS:
+            if names is not None and name not in names:
+                continue
+            for seed in seeds:
                 case = work / f"{name}-{seed}"
                 inputs = workloads.make_inputs(cli.run, spec, seed, case / "in")
                 if name == SCENARIO_WORKLOAD:

@@ -17,7 +17,11 @@ functions included.
 
 Every exception class is named in some ``except`` clause and derives from a
 built-in exception, not from another class of the package: a class that no
-handler tells apart from its base carries nothing its message does not."""
+handler tells apart from its base carries nothing its message does not.
+
+No two modules assign the same value expression to a module-level name: a
+rule such as a transition key's accessor or an array's widths has one home,
+which other modules import."""
 
 import ast
 import builtins
@@ -268,3 +272,41 @@ def test_unneeded_exception_is_caught():
                                      "except (InputError, BadLine):\n"
                                      "    pass\n")}
     assert unneeded_exceptions(modules) == ["BadLine", "Spare"]
+
+
+def duplicated_values(modules: dict[str, ast.Module]) -> list[list[str]]:
+    """The ``module:name`` targets of each value expression, compared by
+    ``ast.dump``, that module-level assignments of more than one module
+    of ``modules`` bind."""
+    targets: dict[str, list[str]] = {}  # dumped value -> its module:name targets
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+                names = node.targets if isinstance(node, ast.Assign) else [node.target]
+                targets.setdefault(ast.dump(node.value), []).extend(
+                    f"{module}:{ast.unparse(name)}" for name in names)
+    return sorted(sorted(group) for group in targets.values()
+                  if len({target.split(":")[0] for target in group}) > 1)
+
+
+def test_no_value_is_assigned_in_two_modules():
+    assert duplicated_values(parse_modules()) == []
+
+
+def test_duplicated_value_is_caught():
+    """An accessor or a constant that a second module defines again, like a
+    transition key's ``itemgetter(0)`` or an array's typecodes, is flagged
+    with every target of its value, in its own module too; a value that one
+    module binds twice, or that only a function binds, is not."""
+    modules = {"a.py": ast.parse("from operator import itemgetter\n"
+                                 "_source = itemgetter(0)\n"
+                                 "_target = itemgetter(0)\n"
+                                 "WIDTHS: str = 'HIQ'\n"
+                                 "ONE = TWO = 1\n"),
+               "b.py": ast.parse("_source = itemgetter(0)\n"
+                                 "_TYPES = 'HIQ'\n"
+                                 "def f():\n"
+                                 "    one = 1\n"
+                                 "    return one\n")}
+    assert duplicated_values(modules) == [["a.py:WIDTHS", "b.py:_TYPES"],
+                                          ["a.py:_source", "a.py:_target", "b.py:_source"]]

@@ -19,6 +19,7 @@ from msaconform.events import (
     parse_event_log,
     parse_symbol,
     template_path,
+    unsigned_typecode,
 )
 from msaconform.scenario import ScenarioSpec, generate
 
@@ -346,6 +347,15 @@ def test_id_column_widens_past_its_first_type(order):
     for scope in ("global", "per_service", "both"):
         got = extract_traces(log, 1000, scope)
         assert list(got.items()) == list(reference_traces(events, 1000, scope).items())
+
+
+@pytest.mark.parametrize("n, code", [(0, "H"), ((1 << 16) - 1, "H"), (1 << 16, "I"),
+                                     ((1 << 32) - 1, "I"), (1 << 32, "Q"), ((1 << 64) - 1, "Q")])
+def test_typecode_is_the_narrowest_that_holds_the_bound(n, code):
+    """The one width rule of the id column and of a call index's depths:
+    the narrowest unsigned type whose items hold ``n``."""
+    assert unsigned_typecode(n) == code
+    assert array(code, [n])[0] == n
 
 
 def test_id_column_keeps_its_first_type_while_ids_fit():

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from collections import deque
 from operator import itemgetter
-from typing import Hashable, Iterable, Mapping, TypeVar
+from typing import AbstractSet, Hashable, Iterable, Mapping, TypeVar
 
 from .errors import InputError, clip, too_many_digits
 
@@ -70,20 +69,25 @@ Node = TypeVar("Node", bound=Hashable)
 
 
 def breadth_first(
-    starts: Iterable[Node], successors: Mapping[Node, Iterable[Node]]
+    starts: Iterable[Node], successors: Mapping[Node, Iterable[Node]],
+    until: AbstractSet[Node] = frozenset(),
 ) -> dict[Node, int]:
     """Every node reachable from ``starts``, in the order a breadth-first search
     finds it, with its distance from the nearest start. ``successors`` lists each
-    node's successors in visiting order; a node it lacks has none."""
+    node's successors in visiting order; a node it lacks has none. The search
+    stops once a whole level is found that holds a node of ``until``: no node
+    farther away is in the result."""
     dist = dict.fromkeys(starts, 0)
-    queue = deque(dist)
-    while queue:
-        node = queue.popleft()
-        step = dist[node] + 1
-        for nxt in successors.get(node, ()):
-            if nxt not in dist:
-                dist[nxt] = step
-                queue.append(nxt)
+    level, step = list(dist), 0
+    while level and until.isdisjoint(level):
+        step += 1
+        below = []
+        for node in level:
+            for nxt in successors.get(node, ()):
+                if nxt not in dist:
+                    dist[nxt] = step
+                    below.append(nxt)
+        level = below
     return dist
 
 

@@ -199,8 +199,8 @@ class ModelIndex:
     """The static model indexed once per run for dynamic-finding details: each
     subject's declaration (a node by ``(name,)``, a pair ``(sender, receiver)``
     by its first flow in model order), each receiver's senders, each sender's
-    flows in model order, and the sorted entry list: the external entities,
-    else the services that no flow reaches. It holds the model's own objects."""
+    flows in model order, and the entry set: the external entities, else the
+    services that no flow reaches. It holds the model's own objects."""
 
     __slots__ = ("declared", "senders", "flows_from", "entries")
 
@@ -213,7 +213,7 @@ class ModelIndex:
             self.declared.setdefault((f.sender, f.receiver), f)
             self.senders.setdefault(f.receiver, []).append(f.sender)
             self.flows_from.setdefault(f.sender, []).append(f)
-        self.entries = sorted(e.name for e in model.external_entities) or sorted(
+        self.entries = frozenset(e.name for e in model.external_entities) or frozenset(
             s.name for s in model.services if s.name not in self.senders)
 
 
@@ -221,12 +221,17 @@ def _trigger_path(index: ModelIndex, target: str) -> tuple[Flow, ...]:
     """The flows of the lexicographically least shortest path to ``target``
     from an entry node. It starts at the least entry nearest the target, and
     each hop takes the least receiver one step nearer, by the first such flow
-    in model order; empty if the target is an entry or no entry reaches it."""
-    rdist = breadth_first([target], index.senders)  # each node's distance to the target
-    reached = [e for e in index.entries if e in rdist]
+    in model order; empty if the target is an entry or no entry reaches it.
+
+    The upstream search stops at the first whole level that holds an entry,
+    so every entry it finds is a nearest one, and every node a hop can step
+    to, being nearer, was found at its own distance."""
+    # each node's distance to the target, up to the nearest entries'
+    rdist = breadth_first([target], index.senders, until=index.entries)
+    reached = index.entries.intersection(rdist)
     if not reached:
         return ()
-    node = min(reached, key=rdist.__getitem__)  # the first, so the least, nearest
+    node = min(reached)
     path = []
     while node != target:
         nearer = rdist[node] - 1

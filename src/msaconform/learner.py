@@ -113,6 +113,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter, namedtuple
 from typing import Iterable, Sequence
@@ -224,10 +225,13 @@ class _RedBlue:
     A state is made once the pass over the leaves links it into its
     parent's chain of children: ``head`` holds each state's first child and
     ``after`` each child's next sibling, in the order they were made, and
-    ``made`` each state's rank in that order, -1 for a state the tree keeps
-    with count 0. ``trans`` maps each live state whose row was read to that
-    row, ``symbol -> (target, freq)``, built by :meth:`row` from the chain
-    and the tree's counts on first read; a merged state leaves it. The
+    ``made`` each state's rank in that order; -1 marks no child, no next
+    sibling, and a state the tree keeps with count 0. These three are
+    ``array('i')`` columns of 4 bytes a state; the lists that the merge
+    check and fold read at every pair stay lists, whose items read faster.
+    ``trans`` maps each live state whose row was read to that row,
+    ``symbol -> (target, freq)``, built by :meth:`row` from the chain and
+    the tree's counts on first read; a merged state leaves it. The
     lists are indexed by the tree's state ids: ``end`` holds each
     state's termination count, and ``total`` caches its outgoing plus
     terminating frequency. Every non-red state ``t`` has one incoming edge,
@@ -259,10 +263,10 @@ class _RedBlue:
         self.end = end = [0] * n
         self.top = [0] * n
         self.heavy = [""] * n
-        self.head = head = [-1] * n  # each made state's first child
-        self.after = after = [-1] * n  # each child's next sibling in made order
-        self.made = made = [-1] * n
-        last = [-1] * n  # the last child linked so far
+        self.head = head = array("i", [-1]) * n  # each made state's first child
+        self.after = after = array("i", [-1]) * n  # each child's next sibling in made order
+        self.made = made = array("i", [-1]) * n
+        last = array("i", [-1]) * n  # the last child linked so far
         made[0] = rank = 0
         # a leaf met again only adds to its count: Counter keeps first-seen order
         for state, times in Counter(tree.leaf).items():

@@ -311,6 +311,18 @@ class TestBreadthFirst:
         assert breadth_first([1, 1, 2, 1], Recording({1: [2, 1], 2: [1]})) == {1: 0, 2: 0}
         assert sorted(asked) == [1, 2]
 
+    def test_until_stops_after_the_whole_level(self):
+        """The level holding a node of ``until`` is found whole, in order,
+        and nothing past it; a start in ``until`` ends the search at once."""
+        succ = {"t": ["b", "y"], "b": ["u", "a", "v"], "y": ["w"], "a": ["s"], "w": ["r"]}
+        full = breadth_first(["t"], succ)
+        assert list(full) == ["t", "b", "y", "u", "a", "v", "w", "s", "r"]
+        assert breadth_first(["t"], succ, until={"v", "s"}) == {
+            "t": 0, "b": 1, "y": 1, "u": 2, "a": 2, "v": 2, "w": 2}
+        assert breadth_first(["t"], succ, until={"s"}) == full
+        assert breadth_first(["t"], succ, until={"t"}) == {"t": 0}
+        assert breadth_first(["t"], succ, until={"zz"}) == full
+
 
 SYMBOLS = ["a→b:GET /x", "a→b:POST /y", "b→a:GET /x", "b→c:GET /z", "c→c:PUT /w"]
 

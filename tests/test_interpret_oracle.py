@@ -12,7 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _reference_interpret as reference
-from msaconform.automaton import StateMachine, reachable_states, serialize_state_machine
+from msaconform.automaton import (StateMachine, breadth_first, reachable_states,
+                                  serialize_state_machine)
 from msaconform.events import format_symbol, parse_symbol
 from msaconform.interpret import CallIndex, ModelIndex, _trigger_path
 from msaconform.learner import LearnerConfig, build_pta, learn
@@ -119,6 +120,9 @@ static_models = st.builds(
     st.lists(st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), max_size=14),
 )
 DIAMOND = [("x", "a"), ("x", "b"), ("b", "c"), ("a", "c"), ("a", "c"), ("c", "c")]
+# entries at two distances from "c": e and x tie nearest (e-b-c, x-b-c), and
+# d, less than both, is a hop farther (d-a-b-c); a loops, and c flows back to a
+LAYERED = [("d", "a"), ("x", "b"), ("a", "b"), ("e", "b"), ("b", "c"), ("a", "a"), ("c", "a")]
 
 
 @settings(max_examples=3000, deadline=None)
@@ -129,6 +133,8 @@ DIAMOND = [("x", "a"), ("x", "b"), ("b", "c"), ("a", "c"), ("a", "c"), ("c", "c"
 @example(model=model_of("abc", "x", [("b", "a")]), target="a")  # no entry reaches it
 @example(model=model_of("abc", "x", DIAMOND), target="zz")  # not in the model
 @example(model=model_of("abcd", (), [("b", "c"), ("a", "c"), ("c", "d")]), target="d")
+@example(model=model_of("abc", "dex", LAYERED), target="c")  # a tie, with farther entries
+@example(model=model_of("abcde", (), LAYERED[:3]), target="b")  # entries c, d, e: d at two hops
 def test_trigger_path_takes_the_former_flows(model, target):
     """The trigger path is the one the former search took, flow for flow:
     the very objects the former first-match lookup gave at each hop."""
@@ -144,3 +150,14 @@ def test_trigger_path_tie_takes_the_first_flow_of_the_least_pair():
     assert _trigger_path(index, "c") == (Flow("x", "a"), Flow("a", "c"))
     assert _trigger_path(index, "c")[1] is model.flows[3]
 
+
+def test_trigger_path_starts_at_the_least_of_the_nearest_entries():
+    """Entries e and x tie at two hops from c; d, the least entry, is three
+    hops away and is not taken, and the walk upstream ends at the tie."""
+    model = model_of("abc", "dex", LAYERED)
+    index = ModelIndex(model)
+    assert _trigger_path(index, "c") == (Flow("e", "b"), Flow("b", "c"))
+    assert _trigger_path(index, "c")[0] is model.flows[3]
+    assert breadth_first(["c"], index.senders, until=index.entries) == {
+        "c": 0, "b": 1, "x": 2, "a": 2, "e": 2}
+    assert _trigger_path(index, "a") == (Flow("d", "a"),)

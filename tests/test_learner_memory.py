@@ -48,9 +48,19 @@ def test_tree_build_peak_per_state(traces):
 
 
 def test_merge_loop_setup_peak_per_state(traces):
-    """Setting up the merge loop on the tree peaks under 150 bytes a state
-    (103 measured). It peaked at 302 when it built a row dict, and a
-    ``(target, freq)`` tuple per edge, for every state at once."""
+    """Setting up the merge loop on the tree peaks under 80 bytes a state
+    (58 measured, 103 when the child chains and made ranks were lists). It
+    peaked at 302 when it built a row dict, and a ``(target, freq)`` tuple
+    per edge, for every state at once."""
     tree = PrefixTree(traces)
     _rb, peak, _kept = measured(lambda: learner._RedBlue(tree, LearnerConfig()))
-    assert peak < 150 * len(tree.src)
+    assert peak < 80 * len(tree.src)
+
+
+def test_merge_loop_run_peak_per_state(traces):
+    """Setting up and running the merge loop on the tree peaks under 90
+    bytes a state (72 measured, 109 when the child chains and made ranks
+    were lists)."""
+    tree = PrefixTree(traces)
+    _rb, peak, _kept = measured(lambda: learner._RedBlue(tree, LearnerConfig()).run())
+    assert peak < 90 * len(tree.src)

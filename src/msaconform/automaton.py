@@ -7,9 +7,13 @@ The on-disk format is a small DOT subset::
     0 -> 1 [label="a→b:GET /x | 5"];
     }
 
-Symbols may not contain ``"`` or ``|``. A trace is accepted iff every
-symbol has a defined transition along the walk from the initial state;
-there is no accepting-state set.
+Statements end at ``;``, the last one optionally. Whitespace, line ends
+included, may stand around each statement, around ``->`` and before ``[``;
+the label attribute is written as shown. A label holds no ``"``, ``|`` or
+``;``, so the first ``;`` after a statement's start always ends it.
+
+A trace is accepted iff every symbol has a defined transition along the
+walk from the initial state; there is no accepting-state set.
 """
 
 from __future__ import annotations
@@ -126,30 +130,31 @@ def _malformed(line_no: int, reason: str) -> InputError:
     return InputError(f"malformed dot at line {line_no}: {reason}")
 
 
-_HEADER = "digraph sm {"
 _SPACE = re.compile(r"\s*")
-# a whole statement between two ";", with the whitespace around it
-_START_RE = re.compile(r"\s*__start\s*->\s*(\d+)\s*")
-_TRANS_RE = re.compile(r'\s*(\d+)\s*->\s*(\d+)\s*\[label="([^"|]*) \| (\d+)"\]\s*')
+_SHELL = re.compile(r"\s*digraph sm \{(.*)\}\s*", re.S)
+# one statement with the whitespace around it, up to its ";" or the body's end:
+# a transition (groups 1-4), the __start line (group 5) or nothing; the
+# whitespace after a statement is matched inside each kind, so that a run of
+# it before a bad statement is tried once, not once for each way to split it
+_STATEMENT = re.compile(r'\s*(?:(\d+)\s*->\s*(\d+)\s*\[label="([^"|;]*) \| (\d+)"\]\s*'
+                        r"|__start\s*->\s*(\d+)\s*|)(?:;|\Z)")
 
 
 def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
     """Parse the DOT subset into a StateMachine, checking that frequencies are
     positive and that every state is reachable from the initial one.
 
-    The statements are matched where they stand in ``dot_text``, found by
-    position between one ``;`` and the next, so no part of the text is
-    copied; equal labels share one ``str``, and equal state ids one ``int``.
-    A statement's line, the line of its first character that is not
-    whitespace, is counted only for an error. The text is let go once the
-    statements are read, and the reachability check's states are let go
-    once it passes: the machine stores no state set.
+    One match of ``_SHELL`` finds the body, and one match of ``_STATEMENT``
+    at each position reads a statement and the ``;``, if any, that ends it,
+    so no part of the text is copied; equal labels share one ``str``, and
+    equal state ids one ``int``. A statement's line, the line of its first
+    character that is not whitespace, is counted only for an error, and only
+    then is its end searched for, to quote it. The text is let go once the
+    statements are read, and the reachability check's states are let go once
+    it passes: the machine stores no state set.
     """
-    start = _SPACE.match(dot_text).end()
-    end = len(dot_text)
-    while end > start and dot_text[end - 1].isspace():
-        end -= 1
-    if not (dot_text.startswith(_HEADER, start, end) and dot_text.endswith("}", start, end)):
+    m = _SHELL.fullmatch(dot_text)
+    if m is None:
         raise _malformed(1, "expected 'digraph sm { ... }'")
 
     def malformed(pos: int, reason: str) -> InputError:
@@ -159,41 +164,36 @@ def parse_state_machine(dot_text: str, name: str | None = None) -> StateMachine:
     transitions: dict[tuple[int, str], tuple[int, int]] = {}
     labels: dict[str, str] = {}  # one copy of each distinct label
     ids: dict[int, int] = {}  # one int of each distinct state id
-    pos, body_end = start + len(_HEADER), end - 1
-    while True:
-        semi = dot_text.find(";", pos, body_end)
-        if semi < 0:
-            semi = body_end
-        m = _TRANS_RE.fullmatch(dot_text, pos, semi)
-        if m is not None:
-            if initial is None:
-                raise malformed(pos, "transition before __start line")
-            try:
-                src, dst, freq = int(m.group(1)), int(m.group(2)), int(m.group(4))
-            except ValueError:  # more digits than int() converts
-                raise malformed(pos, too_many_digits()) from None
-            src, dst = ids.setdefault(src, src), ids.setdefault(dst, dst)
-            label = m.group(3)
-            symbol = labels.setdefault(label, label)
-            if freq < 1:
-                raise malformed(pos, "frequency must be positive")
-            if (src, symbol) in transitions:
-                raise InputError(f"state {clip(str(src))} has two transitions on {clip(symbol)!r}")
-            transitions[(src, symbol)] = (dst, freq)
-        elif (m := _START_RE.fullmatch(dot_text, pos, semi)) is not None:
-            if initial is not None:
-                raise malformed(pos, "duplicate __start line")
-            try:
-                initial = int(m.group(1))
-            except ValueError:  # more digits than int() converts
-                raise malformed(pos, too_many_digits()) from None
-            ids[initial] = initial
-        elif _SPACE.match(dot_text, pos, semi).end() != semi:
-            raise malformed(pos, f"unrecognized statement {clip(dot_text[pos:semi].strip())!r}")
-        if semi == body_end:
-            break
-        pos = semi + 1
-    del dot_text, malformed, ids  # the text dies here unless the caller holds it
+    pos, end = m.span(1)
+    try:
+        while pos < end:
+            m = _STATEMENT.match(dot_text, pos, end)
+            if m is None:
+                semi = dot_text.find(";", pos, end)
+                stmt = dot_text[pos:end if semi < 0 else semi].strip()
+                raise malformed(pos, f"unrecognized statement {clip(stmt)!r}")
+            src, dst, label, freq, start = m.groups()
+            if src is not None:
+                if initial is None:
+                    raise malformed(pos, "transition before __start line")
+                src, dst, freq = int(src), int(dst), int(freq)
+                src, dst = ids.setdefault(src, src), ids.setdefault(dst, dst)
+                symbol = labels.setdefault(label, label)
+                if freq < 1:
+                    raise malformed(pos, "frequency must be positive")
+                if (src, symbol) in transitions:
+                    raise InputError(f"state {clip(str(src))} has two transitions on "
+                                     f"{clip(symbol)!r}")
+                transitions[(src, symbol)] = (dst, freq)
+            elif start is not None:
+                if initial is not None:
+                    raise malformed(pos, "duplicate __start line")
+                initial = int(start)
+                ids[initial] = initial
+            pos = m.end()
+    except ValueError:  # more digits than int() converts
+        raise malformed(pos, too_many_digits()) from None
+    del dot_text, malformed, ids, m  # the text dies here unless the caller holds it
     if initial is None:
         raise _malformed(1, "missing __start line")
 

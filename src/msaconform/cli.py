@@ -242,7 +242,7 @@ def _load_dynamic_models(
         if per_service_only:
             traces_by_scope.pop(GLOBAL_SCOPE, None)  # swept for --evaluate, not learned
         for scope, traces in traces_by_scope.items():
-            if scope not in machines and traces:
+            if scope not in machines:
                 machines[scope] = learn(traces, learner_cfg, name=scope)
     if not machines:
         raise InputError(f"no dynamic models found in {dyn_dir} (*.dot or events.jsonl)")

@@ -187,8 +187,7 @@ def generate(spec: ScenarioSpec) -> tuple[StaticModel, str, GroundTruth]:
                         "method": method,
                         "path": path,
                         "status": 200,
-                    },
-                    separators=(", ", ": "),
+                    }
                 )
             )
             ts += _INTRA_SESSION_GAP_MS

@@ -1,6 +1,7 @@
 """State machine parsing, canonical serialization, acceptance semantics."""
 
 import random
+import time
 
 import pytest
 from hypothesis import example, find, given, settings
@@ -90,6 +91,16 @@ class TestParse:
         with pytest.raises(InputError, match="^malformed dot at line 3: "):
             parse_state_machine(text)
 
+    def test_long_whitespace_before_a_bad_statement(self):
+        """A run of whitespace before a statement that matches no kind is read
+        once, not once for each way to split it around an empty statement."""
+        text = "digraph sm { __start -> 0;" + " " * 50_000 + "x }"
+        began = time.process_time()
+        with pytest.raises(InputError,
+                           match="^malformed dot at line 1: unrecognized statement 'x'$"):
+            parse_state_machine(text)
+        assert time.process_time() - began < 1.0  # about 3 ms; 30 s when quadratic
+
     def test_zero_frequency_rejected(self):
         with pytest.raises(InputError,
                            match="^malformed dot at line 1: frequency must be positive$"):
@@ -105,7 +116,7 @@ GOOD = ['0 -> 1 [label="a→b:GET /x | 2"]', '1 -> 0 [label="a→b:GET /x | 1"]'
 BAD = ["__start -> 0", "__start->1", f"__start -> {LONG}", "__start -> 0 0",
        '2 -> 3 [label="x | 0"]', f'0 -> {LONG} [label="x | 1"]', f'0 -> 1 [label="x | {LONG}"]',
        '5 -> 6 [label="z | 1"]', '0 -> 1 [label="a | b | 1"]', '0 -> 1 [label="x\n | 1"]',
-       "bogus", "{", "}", "digraph sm {"]
+       '0 -> 1 [label="a;b | 1"]', "bogus", "{", "}", "digraph sm {"]
 
 
 @st.composite
@@ -146,6 +157,9 @@ class TestParseAgainstReference:
                    '\n 0 -> 2 [label="x | 1"]}'))
     @example(text=f"digraph sm {{\n__start -> 0;\n\n__start -> {LONG};\n}}")
     @example(text=f'digraph sm {{\n__start -> 0;\n0 -> {LONG} [label="x | 1"];\n}}')
+    @example(text='digraph sm {\n__start -> 0;\n0 -> 1 [label="a;b | 1"];\n}')
+    @example(text=('digraph sm {\n__start -> 0;\n0 -> 1 [label="{a} | 1"];\n'
+                   '1 -> 0 [label="} | 2"]}'))
     def test_same_as_reference(self, text):
         assert parse_outcome(parse_state_machine, text) == parse_outcome(
             reference.parse_state_machine, text)

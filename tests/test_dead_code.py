@@ -5,7 +5,9 @@ own definition. Code that only tests call belongs in ``tests/``.
 Every annotated field of a top-level class, and every attribute a method
 assigns on ``self``, is read as an attribute somewhere in the package: one
 that is only ever written is data nothing uses. A read of any attribute of
-the same name counts.
+the same name counts. Likewise every name a module-level assignment binds,
+such as a compiled pattern or a constant, is read somewhere in the package,
+as a name or as an attribute.
 
 Every name a module imports is used in that module, ``from __future__``
 imports aside.
@@ -131,6 +133,49 @@ def test_unread_self_attribute_is_caught():
                                     "    def __init__(self, tree):\n"
                                     "        self.parent_sym = list(tree.sym)\n")
     assert unread_self_attributes(modules) == sorted({"parent_sym", *SELF_ALLOWED})
+
+
+MODULE_NAMES_ALLOWED = {  # module:name: why nothing in the package reads it
+    "__init__.py:__version__": "the package's version, for code that imports it",
+}
+
+
+def unread_module_names(modules: dict[str, ast.Module]) -> list[str]:
+    """module:name of each name a module-level assignment binds that nothing
+    in ``modules`` reads as a name or as an attribute."""
+    read = read_attributes(modules.values()) | {
+        node.id for tree in modules.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{module}:{node.id}" for module, tree in modules.items()
+                  for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                  for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+                  for node in ast.walk(target)
+                  if isinstance(node, ast.Name) and node.id not in read)
+
+
+def test_every_module_name_is_read():
+    assert sorted(set(unread_module_names(parse_modules())) - set(MODULE_NAMES_ALLOWED)) == []
+
+
+def test_module_name_allowlist_is_needed():
+    assert sorted(set(MODULE_NAMES_ALLOWED) - set(unread_module_names(parse_modules()))) == []
+
+
+def test_unread_module_name_is_caught():
+    """A pattern left behind once its last reader went, like a header string
+    beside the pattern that now matches the header, is flagged; so is one
+    name of a tuple target. A name read in a function, or as a module's
+    attribute, is not."""
+    modules = {"extra.py": ast.parse("import re\n"
+                                     "_HEADER = 'digraph sm {'\n"
+                                     "_SHELL: re.Pattern = re.compile('x')\n"
+                                     "_SPACE, _START_RE = re.compile(' '), re.compile('y')\n"
+                                     "def parse(text):\n"
+                                     "    return _SHELL.match(text)\n"),
+               "user.py": ast.parse("import extra\n"
+                                    "gap = extra._SPACE\n"
+                                    "print(gap)\n")}
+    assert unread_module_names(modules) == ["extra.py:_HEADER", "extra.py:_START_RE"]
 
 
 def unused_imports() -> list[str]:

@@ -19,6 +19,10 @@ a change meant to alter the report. Each relation runs on benchmark inputs
   order, with ``__start`` kept first, give the same report. A state
   machine's transitions are a mapping, so no output may follow the order
   they were read in.
+- Session gap: any ``session_gap_ms`` at least the log's gap within a
+  session and less than its gap between sessions cuts the same sessions
+  as the default, and gives the same report. The gap between sessions
+  itself joins them all, and changes the report, so the relation can fail.
 """
 
 import contextlib
@@ -135,3 +139,24 @@ def test_dot_statement_order_gives_the_same_bundle(tmp_path):
     in_order = analyse(spec, inputs, inputs.dynamic_dir, tmp_path / "in-order")
     assert in_order[0] == 0 and any(name.endswith(".html") for name in in_order[2])
     assert analyse(spec, inputs, other, tmp_path / "out-of-order") == in_order
+
+
+@pytest.mark.parametrize("workload", ["scenario-50x150", "walk-eval"])
+def test_session_gap_that_cuts_the_same_sessions_gives_the_same_bundle(tmp_path, workload):
+    spec, inputs = make_inputs(workload, tmp_path)
+    stamps = sorted(json.loads(line)["ts"] for line in
+                    (inputs.dynamic_dir / "events.jsonl").read_text("utf-8").splitlines())
+    within, between = sorted({b - a for a, b in zip(stamps, stamps[1:])})
+    assert within < cli.Config().session_gap_ms < between
+
+    def with_gap(gap):
+        config = tmp_path / f"gap-{gap}.conf"
+        config.write_text(f"session_gap_ms = {gap}\n", "utf-8")
+        return analyse(spec, inputs, inputs.dynamic_dir, tmp_path / f"gap-{gap}",
+                       "--config", str(config))
+
+    default = analyse(spec, inputs, inputs.dynamic_dir, tmp_path / "default")
+    assert default[0] == 0 and any(name.endswith(".html") for name in default[2])
+    for gap in (within + 1, (within + between) // 2, between - 1):
+        assert with_gap(gap) == default
+    assert with_gap(between)[2] != default[2]  # a gap must exceed it to cut a session

@@ -3,6 +3,7 @@
 Event log format: JSON Lines, one object per line with fields
 ``ts`` (int, ms since epoch), ``src`` (str), ``dst`` (str), ``method`` (str),
 ``path`` (str) and optional ``status`` (int), which is checked but not kept.
+A path holds no line break: it would break a finding diagram's line.
 The log is read in blocks, from a string cut every 32 KiB or from any
 iterable of text pieces such as a file read in chunks: a block is one
 piece's whole lines, scanned where they lie in it, or the one line that
@@ -83,11 +84,12 @@ def format_symbol(src: str, dst: str, method: str, path: str) -> str:
 
 
 def parse_symbol(symbol: str) -> tuple[str, str, str, str]:
-    """Split a symbol back into (src, dst, method, path); raises ValueError."""
+    """Split a symbol back into (src, dst, method, path); raises ValueError,
+    also for a path that holds a line break."""
     src, _, rest = symbol.partition(ARROW)
     dst, _, call = rest.partition(":")
     method, _, path = call.partition(" ")
-    if not (src and dst and method and path.startswith("/")):
+    if not (src and dst and method and path.startswith("/")) or path.splitlines() != [path]:
         raise ValueError(f"malformed symbol: {symbol!r}")
     return src, dst, method, path
 
@@ -198,6 +200,8 @@ def _read_line(line: str, line_no: int, names: dict[str, str],
     path = str(path)
     if not path.startswith("/"):
         raise _malformed(line_no, "path must begin with '/'")
+    if path.splitlines() != [path]:
+        raise _malformed(line_no, "path must not hold a line break")
     status = obj.get("status")
     if status is not None and type(status) is not int:
         raise _malformed(line_no, "status must be an integer")

@@ -75,22 +75,23 @@ blue subtree, a state's total is its incoming frequency, at most its
 parent's total, so no test can fail there either. The result is False
 exactly when some pair fails a test, in any visiting order.
 
+Every state that a row or chain links is entered by at least one trace
+of the tree, and a total only grows, so no total the loop reads is 0.
 Most reds fail a blue at the root pair, on a symbol the blue lacks. So
 the scan skips red ``r`` for blue ``q``, without calling the check, when
-both totals are at least ``min_freq``, ``q``'s is non-zero (a red's never
-is), ``q`` lacks ``heavy[r]`` and ``top[r] / n1 >= bound``, the check's
-own floating-point expression. The check fails that root pair, on
-``heavy[r]`` if on nothing before it; it does not pass it over as
-``n2 <= sure``, where the bound exceeds 1.0. So a skip is one of the
-check's own failures, and the remaining reds are tried in id order as
-before.
+both totals are at least ``min_freq``, ``q`` lacks ``heavy[r]`` and
+``top[r] / n1 >= bound``, the check's own floating-point expression. The
+check fails that root pair, on ``heavy[r]`` if on nothing before it; it
+does not pass it over as ``n2 <= sure``, where the bound exceeds 1.0. So
+a skip is one of the check's own failures, and the remaining reds are
+tried in id order as before.
 
 Visiting every red for every blue would still make the scan quadratic in
 the reds, so an index gives the reds the skip may not cover. At
 promotion, a red with a non-empty row and a total ``n1 >= min_freq`` goes
 into the bucket of its ``heavy`` symbol and, at its threshold
 ``top[r] / n1 / coeff - 1 / sqrt(n1)``, into one ascending list. Any other
-red goes into the ascending "always" list, and so does a red that a merge
+red goes into that list at ``-inf``, and so does a red that a merge
 changes, for good, since its ``heavy``, ``top`` and total are then no
 longer those it was indexed by. Divided by ``coeff``, the skip test reads
 ``inv_b <= threshold``, where ``inv_b`` is ``1 / sqrt(n2)``. Both sides are
@@ -99,14 +100,14 @@ at most 2: ``1 / sqrt(n)`` is at most 1, and ``coeff`` is at least
 Each expression rounds a few times with a relative error of 2**-53, so the
 two tests can disagree only within about 1e-15 of the threshold, far
 inside ``_MARGIN`` (1e-9). The reds tried for blue ``q`` are therefore the
-always list, the buckets of the symbols in ``q``'s row, and the reds whose
-threshold is below ``inv_b + _MARGIN``: every red outside them is one the
-skip test skips. They are visited in ascending id order and each is
-re-tested with the exact expression, so the check is called on the very
-reds, in the very order, of a scan over every red. A blue that skips
-nothing (``n2`` is 0 or below ``min_freq``) visits every red, and so does a
-blue for which the always list and the threshold prefix hold half of the
-reds or more, where the index would save little.
+buckets of the symbols in ``q``'s row and the reds whose threshold is below
+``inv_b + _MARGIN``, which the ``-inf`` ones always are: every red outside
+them is one the skip test skips. They are visited in ascending id order
+and each is re-tested with the exact expression, so the check is called
+on the very reds, in the very order, of a scan over every red. A blue that
+skips nothing (``n2`` below ``min_freq``) visits every red, and so does a
+blue for which the threshold prefix holds half of the reds or more, where
+the index would save little.
 """
 
 from __future__ import annotations
@@ -151,10 +152,10 @@ class PrefixTree:
     Trace ``i`` ends in ``leaf[i]``. It is built one breadth-first level at
     a time from the distinct traces through each state of the level, split
     by their next symbol. A trace object that occurs more than once, as
-    equal sessions do (``extract_traces`` makes them one), is walked once
-    and adds its multiplicity to each count. A tree made by :meth:`without`
-    shares ``src`` and ``sym`` and keeps the states its traces left behind
-    with count 0.
+    equal sessions do (``extract_traces`` makes them one), is walked once,
+    keyed by its ``id``, and adds its count to each state's. A tree made
+    by :meth:`without` shares ``src`` and ``sym`` and keeps the states its
+    traces left behind with count 0.
     """
 
     __slots__ = ("src", "sym", "freq", "leaf")
@@ -162,19 +163,12 @@ class PrefixTree:
     def __init__(self, traces: Sequence[Trace | Sequence[str]]):
         if not traces:
             raise InputError("cannot learn from an empty trace set")
-        # each distinct trace object's index among the distinct, its symbols
-        # and how many times it occurs, in first-seen order
-        index: dict[int, int] = {}
-        seqs: list[Sequence[str]] = []
-        times: list[int] = []
-        for trace in traces:
-            k = index.get(id(trace))
-            if k is None:
-                index[id(trace)] = len(seqs)
-                seqs.append(trace.symbols if isinstance(trace, Trace) else trace)
-                times.append(1)
-            else:
-                times[k] += 1
+        # each distinct trace object by its id, and how many times it occurs,
+        # both in first-seen order
+        objects = dict(zip(map(id, traces), traces))
+        times = list(Counter(map(id, traces)).values())
+        seqs = [trace.symbols if isinstance(trace, Trace) else trace
+                for trace in objects.values()]
         ends = [0] * len(seqs)  # each distinct trace's state
         self.src: list[int] = [-1]
         self.sym: list[str] = [""]
@@ -200,7 +194,8 @@ class PrefixTree:
                     below.append(child)
                 state += 1
             level, depth = below, depth + 1
-        self.leaf = [ends[index[id(trace)]] for trace in traces]
+        end_of = dict(zip(objects, ends))
+        self.leaf = [end_of[id(trace)] for trace in traces]
 
     def without(self, held: Iterable[int]) -> PrefixTree:
         """The tree of the traces not indexed by ``held``, in their order."""
@@ -244,7 +239,10 @@ class _RedBlue:
     symbol that holds it, ``""`` for an empty row: one exact entry per
     built row that serves both the red scan in :meth:`run` and, through
     ``top``, the red-row guard in :meth:`_compatible`. Every red's row is
-    built. ``sure`` is the largest blue total at which no test can fail.
+    built. ``thresholds`` holds every red's threshold, ascending, ``-inf``
+    for a red that is not ``indexed``, beside its red in ``by_threshold``;
+    ``buckets`` holds the indexed reds of each ``heavy`` symbol. ``sure``
+    is the largest blue total at which no test can fail.
     """
 
     def __init__(self, tree: PrefixTree, cfg: LearnerConfig):
@@ -291,13 +289,12 @@ class _RedBlue:
         self.red: set[int] = set()
         self.red_order: list[int] = []  # ascending: merge candidates in id order
         # the red index (module docstring): each indexed red's threshold, the
-        # thresholds ascending beside their reds, the indexed reds of each
-        # heaviest symbol, and the reds tried for every blue, ascending
+        # thresholds ascending beside their reds, with -inf for every red
+        # tried for every blue, and the indexed reds of each heaviest symbol
         self.indexed: dict[int, float] = {}
         self.thresholds: list[float] = []
         self.by_threshold: list[int] = []
         self.buckets: dict[str, list[int]] = {}
-        self.always: list[int] = []
         self.fringe: list[int] = []
         self._promote(0)
 
@@ -334,25 +331,27 @@ class _RedBlue:
         for t, _f in self.row(state).values():
             heapq.heappush(self.fringe, t)
         n1, f = self.total[state], self.top[state]
+        # a red the skip test cannot index, with an empty row or a total below
+        # min_freq, sits at -inf: it is tried for every blue
+        threshold = -math.inf
         if f and n1 >= self.min_freq:  # a non-empty row, so n1 >= f > 0
             threshold = f / n1 / self.coeff - 1.0 / math.sqrt(n1)
-            i = bisect_right(self.thresholds, threshold)
-            self.thresholds.insert(i, threshold)
-            self.by_threshold.insert(i, state)
             self.buckets.setdefault(self.heavy[state], []).append(state)
             self.indexed[state] = threshold
-        else:  # the skip test needs both, so the index has no place for it
-            insort(self.always, state)
+        i = bisect_right(self.thresholds, threshold)
+        self.thresholds.insert(i, threshold)
+        self.by_threshold.insert(i, state)
 
     def _unindex(self, red: int) -> None:
-        """Move an indexed red, about to change, to the reds tried for every
-        blue. Its ``heavy`` is still the one it was indexed under."""
+        """Move an indexed red, about to change, to -inf, with the reds tried
+        for every blue. Its ``heavy`` is still the one it was indexed under."""
         i = bisect_left(self.thresholds, self.indexed.pop(red))
         while self.by_threshold[i] != red:  # past equal thresholds of other reds
             i += 1
         del self.thresholds[i], self.by_threshold[i]
+        self.thresholds.insert(0, -math.inf)
+        self.by_threshold.insert(0, red)
         self.buckets[self.heavy[red]].remove(red)
-        insort(self.always, red)
 
     def _next_blue(self) -> int | None:
         """Pop the lowest-id blue state, skipping merged, red or moved ids."""
@@ -376,7 +375,7 @@ class _RedBlue:
         while stack:
             a, b = stack.pop()
             n1, n2 = total[a], total[b]
-            if n1 < min_freq or n2 < min_freq or n1 == 0 or n2 <= sure:
+            if n1 < min_freq or n2 < min_freq or n2 <= sure:
                 continue
             bound = coeff * (1.0 / math.sqrt(n1) + 1.0 / math.sqrt(n2))
             if abs(end[a] / n1 - end[b] / n2) >= bound:
@@ -437,11 +436,10 @@ class _RedBlue:
         for a blue with row ``row_q`` and ``1 / sqrt(n2)`` ``inv_b``: a
         superset, by the module docstring's index. ``red_order`` itself when
         the index would leave half of the reds or more."""
-        always = self.always
         k = bisect_right(self.thresholds, inv_b + _MARGIN)
-        if 2 * (k + len(always)) >= len(self.red_order):
+        if 2 * k >= len(self.red_order):
             return self.red_order
-        reds = always + self.by_threshold[:k]
+        reds = self.by_threshold[:k]
         buckets = self.buckets
         for symbol in row_q:
             if symbol in buckets:
@@ -454,7 +452,7 @@ class _RedBlue:
         while (q := self._next_blue()) is not None:
             n2 = total[q]
             row_q = self.row(q)
-            if n2 > 0 and n2 >= min_freq:
+            if n2 >= min_freq:
                 inv_b = 1.0 / sqrt(n2)
                 reds = self._reds_to_try(row_q, inv_b)
             else:  # no red is skipped

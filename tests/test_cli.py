@@ -532,6 +532,34 @@ class TestBadInput:
         assert_one_error_line(code, err)
         assert "machine 'global': malformed transition symbol 'hello'" in err
 
+    def test_dot_label_path_with_a_line_break(self, clean_inputs, capsys):
+        # the path's line end would break the finding page's PlantUML line
+        static_path, dyn_dir, out_dir = clean_inputs
+        label = "svc-00→zz-new:GET /x\ninjected"
+        (dyn_dir / "global.dot").write_text(
+            f'digraph sm {{\n__start -> 0;\n0 -> 1 [label="{label} | 5"];\n}}\n', "utf-8"
+        )
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert f"machine 'global': malformed transition symbol {label!r}" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("escape", ["\\n", "\\u2028"])
+    def test_log_path_with_a_line_break(self, clean_inputs, capsys, escape):
+        static_path, dyn_dir, out_dir = clean_inputs
+        log = dyn_dir / "events.jsonl"
+        line_no = len(log.read_text("utf-8").splitlines()) + 1
+        with log.open("a", encoding="utf-8") as out:
+            out.write('{"ts": 1, "src": "a", "dst": "b", "method": "GET", '
+                      f'"path": "/x{escape}y"}}\n')
+        code = invoke(static_path, dyn_dir, out_dir)
+        err = capsys.readouterr().err
+        assert_one_error_line(code, err)
+        assert err == (f"error: malformed event log line {line_no}: "
+                       "path must not hold a line break\n")
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("name", ["../../escaped", "Web", "svc_1", "a b", "!!!"])
     def test_dot_service_name_not_normalized(self, clean_inputs, capsys, name):
         # such a name would reach a page's file name, and a log's would be normalized

@@ -83,6 +83,15 @@ class TestParseEventLog:
                            match="^malformed event log line 1: path must begin with '/'$"):
             parse_event_log(line(1, path="x"))
 
+    @pytest.mark.parametrize("escape", ["\\n", "\\u2028"])
+    def test_path_must_not_hold_a_line_break(self, escape):
+        # the symbol's path would break its line in a finding page's diagram
+        text = line(0) + "\n" + line(10).replace('"/x"', f'"/x{escape}y"')
+        assert escape in text
+        with pytest.raises(InputError, match="^malformed event log line 2: "
+                                             "path must not hold a line break$"):
+            parse_event_log(text)
+
     @pytest.mark.parametrize("src, dst", [("global", "c"), ("a", "Global")])
     def test_global_service_name_reserved(self, src, dst):
         # a service named "global" would replace the global scope's traces
@@ -142,6 +151,11 @@ class TestSymbol:
     def test_malformed(self):
         with pytest.raises(ValueError):
             parse_symbol("no-arrow-here")
+
+    @pytest.mark.parametrize("path", ["/x\ny", "/x\n", "/x\u2028y", "/x\ry"])
+    def test_path_with_a_line_break(self, path):
+        with pytest.raises(ValueError):
+            parse_symbol(format_symbol("a", "b", "GET", path))
 
 
 def brute_force_segment(events, gap_ms):

@@ -277,6 +277,11 @@ class TestStaticDetails:
         details = static_nc_details(None, nc, top_n=5)
         assert details.submachine is None and details.frequent_calls == ()
 
+    def test_kind_mismatch(self):
+        with pytest.raises(ValueError,
+                           match="^static_nc_details requires a static non-conformance$"):
+            static_nc_details(None, NonConformance(NcKind.Dynamic, "edge", ("a", "b")), top_n=5)
+
 
 # scope names that sort both below and above "global"
 SCOPES = ("global", "a-svc", "m-svc", "z-svc")

@@ -132,22 +132,25 @@ def test_reds_left_out_are_skipped_at_their_thresholds(alpha):
 
 def test_changed_red_is_tried_for_every_blue():
     # the root is indexed under "b" at promotion and changes when the blue
-    # after "b" folds into it; from then on it is tried for every blue
+    # after "b" folds into it; from then on it sits at -inf, tried for
+    # every blue
     traces = [list(t) for t in ("bb", "b", "bc")]
     tree = PrefixTree(traces)
     rb = Recording(tree, LearnerConfig(alpha=1.0))
-    assert 0 in rb.indexed and rb.always == []
+    assert 0 in rb.indexed and -math.inf not in rb.thresholds
     rb.run()
-    assert 0 not in rb.indexed and 0 in rb.always
+    assert 0 not in rb.indexed
     assert all(0 not in bucket for bucket in rb.buckets.values())
-    assert 0 not in rb.by_threshold
+    assert rb.by_threshold.count(0) == 1
+    assert rb.thresholds[rb.by_threshold.index(0)] == -math.inf
     assert_same_checks(traces, LearnerConfig(alpha=1.0))
 
 
 def test_red_below_min_freq_is_never_indexed():
     traces = [["a", "b"]] * 3 + [["c"]]
     rb = learner._RedBlue(PrefixTree(traces), LearnerConfig(min_freq=10))
-    assert rb.indexed == {} and rb.always == [0]
+    assert rb.indexed == {} and rb.buckets == {}
+    assert rb.thresholds == [-math.inf] and rb.by_threshold == [0]
 
 
 def test_equal_thresholds_unindex_the_right_red():
@@ -159,7 +162,7 @@ def test_equal_thresholds_unindex_the_right_red():
     rb.indexed.update({5: 0.1, 7: 0.2, 3: 0.2, 9: 0.2, 2: 0.3})
     rb.buckets["x"] = [5, 7, 3, 9, 2]
     rb._unindex(3)
-    assert rb.thresholds == [0.1, 0.2, 0.2, 0.3]
-    assert rb.by_threshold == [5, 7, 9, 2]
+    assert rb.thresholds == [-math.inf, 0.1, 0.2, 0.2, 0.3]
+    assert rb.by_threshold == [3, 5, 7, 9, 2]
     assert rb.buckets["x"] == [5, 7, 9, 2]
-    assert 3 in rb.always and 3 not in rb.indexed
+    assert 3 not in rb.indexed

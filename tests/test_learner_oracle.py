@@ -222,6 +222,26 @@ def test_tree_is_the_trie_build(case):
 
 
 @settings(max_examples=300, deadline=None)
+@given(trace_objects())
+def test_no_state_the_loop_reads_has_a_zero_total(case):
+    """Every state a chain links is entered by at least one trace, in a tree
+    and in each fold ``without`` makes, and after the merge loop every live
+    state's total is positive: the check and the scan divide by totals
+    without a guard."""
+    traces, held = case
+    tree = PrefixTree(traces)
+    for fold in (tree, tree.without(held)):
+        for alpha in ALPHAS:
+            for min_freq in MIN_FREQS:
+                rb = learner._RedBlue(fold, LearnerConfig(alpha, min_freq))
+                assert all(fold.freq[t] > 0 for t, rank in enumerate(rb.made) if rank >= 0)
+                rb.run()
+                live = set(rb.trans).union(t for row in rb.trans.values()
+                                           for t, _f in row.values())
+                assert all(rb.total[t] > 0 for t in live)
+
+
+@settings(max_examples=300, deadline=None)
 @given(held_out_folds())
 def test_rows_built_on_read_are_the_eager_rows(case):
     """Before any merge, each made state's row, whether built on read or

@@ -19,6 +19,17 @@ def run_pipeline(model, log_text, gap_ms=1000):
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("fields", [{"n_services": 0, "n_edges": 0},
+                                        {"n_services": 3, "n_edges": 3, "n_events": 0}])
+    def test_sizes_must_be_positive(self, fields):
+        with pytest.raises(InputError, match="^n_services and n_events must be positive$"):
+            ScenarioSpec(**fields)
+
+    @pytest.mark.parametrize("n_services, n_edges", [(1, 0), (3, 0)])
+    def test_too_small_a_graph(self, n_services, n_edges):
+        with pytest.raises(InputError, match="^need at least 2 services and 1 edge$"):
+            ScenarioSpec(n_services=n_services, n_edges=n_edges)
+
     def test_too_many_edges(self):
         with pytest.raises(InputError, match="^n_edges exceeds the simple directed graph maximum$"):
             ScenarioSpec(n_services=3, n_edges=7)

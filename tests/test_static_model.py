@@ -75,6 +75,19 @@ class TestParse:
         with pytest.raises(InputError, match="^static model is not valid JSON: "):
             parse_static_model("{nope")
 
+    def test_document_must_be_an_object(self):
+        with pytest.raises(InputError, match="^static model document must be a JSON object$"):
+            parse_static_model("[]")
+
+    def test_service_must_be_an_object(self):
+        with pytest.raises(InputError, match=r"^services\[0\]: expected an object$"):
+            parse_static_model(json.dumps({"services": ["order"]}))
+
+    def test_flow_must_be_an_object(self):
+        text = json.dumps({"services": [{"name": "a"}], "information_flows": [["a", "a"]]})
+        with pytest.raises(InputError, match=r"^information_flows\[0\]: expected an object$"):
+            parse_static_model(text)
+
     def test_missing_name(self):
         with pytest.raises(InputError, match=re.escape("missing required field: services[0].name")):
             parse_static_model(json.dumps({"services": [{"stereotypes": []}]}))
